@@ -1,7 +1,6 @@
 #include "core/database.h"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_set>
 
 #include "obs/metrics.h"
@@ -23,9 +22,9 @@ struct MvccGauges {
     static const MvccGauges g{
         obs::Registry().GetGauge(
             "mvcc_retained_versions",
-            "Object/link versions retained by live snapshots"),
+            "Object/link versions alive in the store and its snapshots"),
         obs::Registry().GetGauge("mvcc_live_snapshots",
-                                 "DbSnapshot instances currently alive"),
+                                 "Published snapshots currently alive"),
         obs::Registry().GetGauge("mvcc_pinned_snapshots",
                                  "Snapshot handles currently pinned"),
         obs::Registry().GetGauge(
@@ -69,23 +68,28 @@ struct Database::UndoRecord {
   Oid oid = kNullOid;
   std::string name;
   Value old_value;
-  std::unique_ptr<Object> object_snapshot;
-  std::unique_ptr<Link> link_snapshot;
+  std::shared_ptr<const Object> object_snapshot;
+  std::shared_ptr<const Link> link_snapshot;
 };
 
-Database::Database() = default;
+Database::Database() { store_.live_epoch_ = &epoch_; }
 Database::~Database() = default;
+
+const DbSnapshot& ReadViewOf(const Database& db) {
+  const DbSnapshot* view = CurrentReadView();
+  return view != nullptr ? *view : db.live_store();
+}
 
 // ------------------------------------------------------------------ schema
 
 Result<const ClassDef*> Database::DefineClass(
     const std::string& name, const std::vector<std::string>& supers,
     std::vector<AttributeDef> attributes, bool is_abstract) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (name.empty()) {
     return Status::InvalidArgument("class name must not be empty");
   }
-  if (classes_by_name_.count(name) || rels_by_name_.count(name)) {
+  if (FindClass(name) != nullptr || FindRelationship(name) != nullptr) {
     return Status::InvalidArgument("name '" + name + "' already defined");
   }
   std::vector<const ClassDef*> super_defs;
@@ -118,13 +122,14 @@ Result<const ClassDef*> Database::DefineClass(
     cls->attributes_.push_back(std::move(a));
   }
   ClassDef* raw = cls.get();
+  SchemaTables& schema = MutableSchema();
   for (const ClassDef* s : super_defs) {
     const_cast<ClassDef*>(s)->subclasses_.push_back(raw);
+    schema.subclasses[s].push_back(raw);
   }
-  classes_by_name_[name] = raw;
-  extents_[raw] = {};
-  class_storage_.push_back(std::move(cls));
-  MarkSchemaDirty();
+  schema.classes_by_name[name] = raw;
+  schema.classes_in_order.push_back(raw);
+  schema.class_keep_alive.push_back(std::move(cls));
   Event ddl(EventKind::kAfterDefineClass);
   ddl.type_name = name;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(ddl));
@@ -136,11 +141,11 @@ Result<const RelationshipDef*> Database::DefineRelationship(
     const std::string& target_class, RelationshipSemantics semantics,
     std::vector<AttributeDef> link_attributes,
     const std::vector<std::string>& supers) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (name.empty()) {
     return Status::InvalidArgument("relationship name must not be empty");
   }
-  if (classes_by_name_.count(name) || rels_by_name_.count(name)) {
+  if (FindClass(name) != nullptr || FindRelationship(name) != nullptr) {
     return Status::InvalidArgument("name '" + name + "' already defined");
   }
   const ClassDef* src = FindClass(source_class);
@@ -204,13 +209,14 @@ Result<const RelationshipDef*> Database::DefineRelationship(
     rel->attributes_.push_back(std::move(a));
   }
   RelationshipDef* raw = rel.get();
+  SchemaTables& schema = MutableSchema();
   for (const RelationshipDef* s : super_defs) {
     const_cast<RelationshipDef*>(s)->subs_.push_back(raw);
+    schema.subrels[s].push_back(raw);
   }
-  rels_by_name_[name] = raw;
-  link_extents_[raw] = {};
-  rel_storage_.push_back(std::move(rel));
-  MarkSchemaDirty();
+  schema.rels_by_name[name] = raw;
+  schema.rels_in_order.push_back(raw);
+  schema.rel_keep_alive.push_back(std::move(rel));
   Event ddl(EventKind::kAfterDefineRelationship);
   ddl.type_name = name;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(ddl));
@@ -219,20 +225,19 @@ Result<const RelationshipDef*> Database::DefineRelationship(
 
 Status Database::DefineMethod(const std::string& class_name,
                               MethodDef method) {
-  AssertExclusiveAccess();
-  auto it = classes_by_name_.find(class_name);
-  if (it == classes_by_name_.end()) {
+  BeginMutation();
+  auto* cls = const_cast<ClassDef*>(FindClass(class_name));
+  if (cls == nullptr) {
     return Status::NotFound("unknown class '" + class_name + "'");
   }
   if (method.name.empty()) {
     return Status::InvalidArgument("method name must not be empty");
   }
-  if (it->second->FindMethod(method.name) != nullptr) {
+  if (cls->FindMethod(method.name) != nullptr) {
     return Status::InvalidArgument("method '" + method.name +
                                    "' already declared");
   }
-  it->second->methods_.push_back(std::move(method));
-  MarkSchemaDirty();
+  cls->methods_.push_back(std::move(method));
   return Status::Ok();
 }
 
@@ -284,47 +289,16 @@ const std::vector<AttributeDef>* Database::FindTemplateAttributes(
   return it == rel_templates_.end() ? nullptr : &it->second.attributes;
 }
 
-const ClassDef* Database::FindClass(std::string_view name) const {
-  auto it = classes_by_name_.find(std::string(name));
-  return it == classes_by_name_.end() ? nullptr : it->second;
-}
-
-const RelationshipDef* Database::FindRelationship(
-    std::string_view name) const {
-  auto it = rels_by_name_.find(std::string(name));
-  return it == rels_by_name_.end() ? nullptr : it->second;
-}
-
-std::vector<const ClassDef*> Database::classes() const {
-  std::vector<const ClassDef*> out;
-  out.reserve(class_storage_.size());
-  for (const auto& c : class_storage_) out.push_back(c.get());
-  return out;
-}
-
-std::vector<const RelationshipDef*> Database::relationships() const {
-  std::vector<const RelationshipDef*> out;
-  out.reserve(rel_storage_.size());
-  for (const auto& r : rel_storage_) out.push_back(r.get());
-  return out;
-}
-
 // --------------------------------------------------------------- internals
 
 Object* Database::MutableObject(Oid oid) {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) return nullptr;
-  // Conservative dirty mark: callers hold this pointer to mutate (or to
-  // probe — the occasional spurious version copy at publish is harmless).
-  MarkObjectDirty(oid);
-  return it->second.get();
+  return store_.objects_.Mutable(
+      oid, [](const Object& o) { return mvcc::MakeVersion(o); });
 }
 
 Link* Database::MutableLink(Oid oid) {
-  auto it = links_.find(oid);
-  if (it == links_.end()) return nullptr;
-  MarkLinkDirty(oid);
-  return it->second.get();
+  return store_.links_.Mutable(
+      oid, [](const Link& l) { return mvcc::MakeVersion(l); });
 }
 
 Status Database::PublishEvent(const Event& event) {
@@ -336,22 +310,67 @@ void Database::RecordUndo(UndoRecord record) {
   undo_log_.push_back(std::move(record));
 }
 
-void Database::RemoveFromExtent(Object* obj) {
-  MarkExtentDirty(obj->cls);
-  MarkObjectDirty(obj->oid);
-  std::vector<Oid>& extent = extents_[obj->cls];
-  std::size_t pos = obj->extent_pos;
-  extent[pos] = extent.back();
-  if (Object* moved = MutableObject(extent[pos])) moved->extent_pos = pos;
-  extent.pop_back();
+namespace {
+
+/// Swap-removes `pos` from `v`; returns the oid moved into `pos`, or
+/// kNullOid when `pos` was the last slot.
+Oid SwapRemove(std::vector<Oid>& v, std::size_t pos) {
+  v[pos] = v.back();
+  v.pop_back();
+  return pos < v.size() ? v[pos] : kNullOid;
 }
 
-void Database::RestoreToExtent(Object* obj) {
-  MarkExtentDirty(obj->cls);
-  MarkObjectDirty(obj->oid);
-  std::vector<Oid>& extent = extents_[obj->cls];
+}  // namespace
+
+void Database::InsertObject(std::shared_ptr<const Object> version) {
+  const Oid oid = version->oid;
+  store_.objects_.Set(oid, std::move(version));
+  Object* obj = MutableObject(oid);
+  std::vector<Oid>& extent = mvcc::Writable(store_.extents_[obj->cls]);
   obj->extent_pos = extent.size();
-  extent.push_back(obj->oid);
+  extent.push_back(oid);
+  ++store_.live_objects_;
+}
+
+std::shared_ptr<const Object> Database::EraseObject(Oid oid) {
+  const Object& obj = *GetObject(oid);
+  const Oid moved =
+      SwapRemove(mvcc::Writable(store_.extents_[obj.cls]), obj.extent_pos);
+  if (moved != kNullOid) MutableObject(moved)->extent_pos = obj.extent_pos;
+  --store_.live_objects_;
+  return store_.objects_.Erase(oid);
+}
+
+void Database::InsertLink(std::shared_ptr<const Link> version) {
+  const Oid oid = version->oid;
+  store_.links_.Set(oid, std::move(version));
+  Link* link = MutableLink(oid);
+  AttachLinkToEndpoints(*link);
+  std::vector<Oid>& extent = mvcc::Writable(store_.link_extents_[link->def]);
+  link->extent_pos = extent.size();
+  extent.push_back(oid);
+  if (link->context != kNullOid) {
+    std::vector<Oid>& bucket =
+        mvcc::Writable(store_.context_index_[link->context]);
+    link->ctx_pos = bucket.size();
+    bucket.push_back(oid);
+  }
+  ++store_.live_links_;
+}
+
+std::shared_ptr<const Link> Database::EraseLink(Oid oid) {
+  const Link& link = *GetLink(oid);
+  DetachLinkFromEndpoints(link);
+  Oid moved = SwapRemove(mvcc::Writable(store_.link_extents_[link.def]),
+                         link.extent_pos);
+  if (moved != kNullOid) MutableLink(moved)->extent_pos = link.extent_pos;
+  if (link.context != kNullOid) {
+    moved = SwapRemove(mvcc::Writable(store_.context_index_[link.context]),
+                       link.ctx_pos);
+    if (moved != kNullOid) MutableLink(moved)->ctx_pos = link.ctx_pos;
+  }
+  --store_.live_links_;
+  return store_.links_.Erase(oid);
 }
 
 void Database::DetachLinkFromEndpoints(const Link& link) {
@@ -374,49 +393,11 @@ void Database::AttachLinkToEndpoints(const Link& link) {
   }
 }
 
-void Database::AddToContextIndex(Link* link) {
-  if (link->context == kNullOid) return;
-  MarkContextDirty(link->context);
-  MarkLinkDirty(link->oid);
-  std::vector<Oid>& bucket = context_index_[link->context];
-  link->ctx_pos = bucket.size();
-  bucket.push_back(link->oid);
-}
-
-void Database::RemoveFromContextIndex(Link* link) {
-  if (link->context == kNullOid) return;
-  MarkContextDirty(link->context);
-  MarkLinkDirty(link->oid);
-  std::vector<Oid>& bucket = context_index_[link->context];
-  std::size_t pos = link->ctx_pos;
-  bucket[pos] = bucket.back();
-  if (Link* moved = MutableLink(bucket[pos])) moved->ctx_pos = pos;
-  bucket.pop_back();
-}
-
-void Database::RemoveLinkFromExtent(Link* link) {
-  MarkLinkExtentDirty(link->def);
-  MarkLinkDirty(link->oid);
-  std::vector<Oid>& extent = link_extents_[link->def];
-  std::size_t pos = link->extent_pos;
-  extent[pos] = extent.back();
-  if (Link* moved = MutableLink(extent[pos])) moved->extent_pos = pos;
-  extent.pop_back();
-}
-
-void Database::RestoreLinkToExtent(Link* link) {
-  MarkLinkExtentDirty(link->def);
-  MarkLinkDirty(link->oid);
-  std::vector<Oid>& extent = link_extents_[link->def];
-  link->extent_pos = extent.size();
-  extent.push_back(link->oid);
-}
-
 // ----------------------------------------------------------------- objects
 
 Result<Oid> Database::CreateObject(const std::string& class_name,
                                    std::vector<AttrInit> inits) {
-  AssertExclusiveAccess();
+  BeginMutation();
   const ClassDef* cls = FindClass(class_name);
   if (cls == nullptr) {
     return Status::NotFound("unknown class '" + class_name + "'");
@@ -431,13 +412,13 @@ Result<Oid> Database::CreateObject(const std::string& class_name,
   before.type_name = cls->name();
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(before));
 
-  auto obj = std::make_unique<Object>();
-  obj->oid = oid;
-  obj->cls = cls;
+  Object obj;
+  obj.oid = oid;
+  obj.cls = cls;
   std::vector<const AttributeDef*> all_attrs;
   cls->CollectAttributes(&all_attrs);
   for (const AttributeDef* a : all_attrs) {
-    obj->attrs[a->name] = a->default_value;
+    obj.attrs[a->name] = a->default_value;
   }
   for (AttrInit& init : inits) {
     const AttributeDef* a = cls->FindAttribute(init.first);
@@ -446,12 +427,9 @@ Result<Oid> Database::CreateObject(const std::string& class_name,
                               init.first + "'");
     }
     PROMETHEUS_RETURN_IF_ERROR(CheckValueType(*a, init.second));
-    obj->attrs[init.first] = std::move(init.second);
+    obj.attrs[init.first] = std::move(init.second);
   }
-  Object* raw = obj.get();
-  objects_[oid] = std::move(obj);
-  RestoreToExtent(raw);
-  ++live_objects_;
+  InsertObject(mvcc::MakeVersion(std::move(obj)));
 
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kCreateObject;
@@ -475,8 +453,8 @@ Result<Oid> Database::CreateObject(const std::string& class_name,
 }
 
 Status Database::DeleteObject(Oid oid) {
-  AssertExclusiveAccess();
-  Object* obj = MutableObject(oid);
+  BeginMutation();
+  const Object* obj = GetObject(oid);
   if (obj == nullptr) {
     return Status::NotFound("no object @" + std::to_string(oid));
   }
@@ -493,7 +471,7 @@ Status Database::DeleteObject(Oid oid) {
     Oid next = cascade.back();
     cascade.pop_back();
     if (!seen.insert(next).second) continue;
-    if (MutableObject(next) == nullptr) continue;  // already gone
+    if (GetObject(next) == nullptr) continue;  // already gone
     st = DeleteObjectInternal(next, &cascade);
   }
   if (!in_transaction_) {
@@ -507,7 +485,7 @@ Status Database::DeleteObject(Oid oid) {
 }
 
 Status Database::DeleteObjectInternal(Oid oid, std::vector<Oid>* cascade) {
-  Object* obj = MutableObject(oid);
+  const Object* obj = GetObject(oid);
   if (obj == nullptr) return Status::Ok();
 
   // Remove incident links first. Participant death always removes the link,
@@ -515,34 +493,33 @@ Status Database::DeleteObjectInternal(Oid oid, std::vector<Oid>* cascade) {
   std::vector<Oid> incident = obj->out_links;
   incident.insert(incident.end(), obj->in_links.begin(), obj->in_links.end());
   for (Oid lid : incident) {
-    Link* link = MutableLink(lid);
+    const Link* link = GetLink(lid);
     if (link == nullptr) continue;
     if (link->source == oid && link->def->semantics().lifetime_dependent) {
       cascade->push_back(link->target);
     }
-    PROMETHEUS_RETURN_IF_ERROR(DeleteLinkInternal(lid, true));
+    PROMETHEUS_RETURN_IF_ERROR(DeleteLinkInternal(lid));
   }
 
+  // Detaching the links edited the record and may have copied it away
+  // from `obj`: fetch it again.
+  obj = GetObject(oid);
   Event after{EventKind::kAfterDeleteObject};
   after.subject = oid;
   after.type_name = obj->cls->name();
 
-  RemoveFromExtent(obj);
-  --live_objects_;
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kDeleteObject;
   undo.oid = oid;
-  auto it = objects_.find(oid);
-  undo.object_snapshot = std::move(it->second);
-  objects_.erase(it);
+  undo.object_snapshot = EraseObject(oid);
   RecordUndo(std::move(undo));
 
   return PublishEvent(after);
 }
 
 Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
-  AssertExclusiveAccess();
-  Object* obj = MutableObject(oid);
+  BeginMutation();
+  const Object* obj = GetObject(oid);
   if (obj == nullptr) {
     return Status::NotFound("no object @" + std::to_string(oid));
   }
@@ -559,7 +536,8 @@ Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
                                attr->ref_class);
     }
   }
-  Value old = obj->attrs[name];
+  auto current = obj->attrs.find(name);
+  Value old = current == obj->attrs.end() ? Value() : current->second;
 
   Event before{EventKind::kBeforeSetAttribute};
   before.subject = oid;
@@ -569,7 +547,9 @@ Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
   before.new_value = value;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(before));
 
-  obj->attrs[name] = std::move(value);
+  // Copy-on-write only now, after the before-rules ran: `obj` may be a
+  // version a published snapshot shares.
+  MutableObject(oid)->attrs[name] = std::move(value);
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kSetAttribute;
   undo.oid = oid;
@@ -591,64 +571,6 @@ Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
     return violation;
   }
   return Status::Ok();
-}
-
-Result<Value> Database::GetAttribute(Oid oid, const std::string& name) const {
-  AssertSharedAccess();
-  const Object* obj = GetObject(oid);
-  if (obj == nullptr) {
-    return Status::NotFound("no object @" + std::to_string(oid));
-  }
-  auto it = obj->attrs.find(name);
-  if (it != obj->attrs.end()) return it->second;
-  // Attribute inheritance over incoming links (thesis 4.4.5).
-  for (Oid lid : obj->in_links) {
-    const Link* link = GetLink(lid);
-    if (link == nullptr || !link->def->semantics().inherit_attributes) {
-      continue;
-    }
-    if (link->def->FindAttribute(name) != nullptr) {
-      auto ait = link->attrs.find(name);
-      if (ait != link->attrs.end()) return ait->second;
-      return Value::Null();
-    }
-  }
-  return Status::NotFound("object @" + std::to_string(oid) +
-                          " has no attribute '" + name + "'");
-}
-
-const Object* Database::GetObject(Oid oid) const {
-  AssertSharedAccess();
-  auto it = objects_.find(oid);
-  return it == objects_.end() ? nullptr : it->second.get();
-}
-
-bool Database::IsInstanceOf(Oid oid, std::string_view class_name) const {
-  const Object* obj = GetObject(oid);
-  if (obj == nullptr) return false;
-  const ClassDef* cls = FindClass(class_name);
-  return cls != nullptr && obj->cls->IsSubclassOf(cls);
-}
-
-std::vector<Oid> Database::Extent(const std::string& class_name,
-                                  bool include_subclasses) const {
-  AssertSharedAccess();
-  const ClassDef* cls = FindClass(class_name);
-  if (cls == nullptr) return {};
-  std::vector<Oid> out;
-  std::deque<const ClassDef*> work{cls};
-  while (!work.empty()) {
-    const ClassDef* c = work.front();
-    work.pop_front();
-    auto it = extents_.find(c);
-    if (it != extents_.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-    if (include_subclasses) {
-      for (const ClassDef* sub : c->subclasses()) work.push_back(sub);
-    }
-  }
-  return out;
 }
 
 // ------------------------------------------------------------------- links
@@ -716,16 +638,16 @@ Status Database::CheckLinkSemantics(const RelationshipDef* def,
 Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
                                  Oid target, Oid context,
                                  std::vector<AttrInit> inits) {
-  AssertExclusiveAccess();
+  BeginMutation();
   const RelationshipDef* def = FindRelationship(rel_name);
   if (def == nullptr) {
     return Status::NotFound("unknown relationship '" + rel_name + "'");
   }
-  Object* src = MutableObject(source);
+  const Object* src = GetObject(source);
   if (src == nullptr) {
     return Status::NotFound("no source object @" + std::to_string(source));
   }
-  Object* dst = MutableObject(target);
+  const Object* dst = GetObject(target);
   if (dst == nullptr) {
     return Status::NotFound("no target object @" + std::to_string(target));
   }
@@ -756,16 +678,16 @@ Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
   before.context = context;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(before));
 
-  auto link = std::make_unique<Link>();
-  link->oid = oid;
-  link->def = def;
-  link->source = source;
-  link->target = target;
-  link->context = context;
+  Link link;
+  link.oid = oid;
+  link.def = def;
+  link.source = source;
+  link.target = target;
+  link.context = context;
   std::vector<const AttributeDef*> all_attrs;
   def->CollectAttributes(&all_attrs);
   for (const AttributeDef* a : all_attrs) {
-    link->attrs[a->name] = a->default_value;
+    link.attrs[a->name] = a->default_value;
   }
   for (AttrInit& init : inits) {
     const AttributeDef* a = def->FindAttribute(init.first);
@@ -774,14 +696,9 @@ Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
                               "' has no attribute '" + init.first + "'");
     }
     PROMETHEUS_RETURN_IF_ERROR(CheckValueType(*a, init.second));
-    link->attrs[init.first] = std::move(init.second);
+    link.attrs[init.first] = std::move(init.second);
   }
-  Link* raw = link.get();
-  links_[oid] = std::move(link);
-  AttachLinkToEndpoints(*raw);
-  RestoreLinkToExtent(raw);
-  AddToContextIndex(raw);
-  ++live_links_;
+  InsertLink(mvcc::MakeVersion(std::move(link)));
 
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kCreateLink;
@@ -805,8 +722,8 @@ Result<Oid> Database::CreateLink(const std::string& rel_name, Oid source,
 }
 
 Status Database::DeleteLink(Oid oid) {
-  AssertExclusiveAccess();
-  Link* link = MutableLink(oid);
+  BeginMutation();
+  const Link* link = GetLink(oid);
   if (link == nullptr) {
     return Status::NotFound("no link @" + std::to_string(oid));
   }
@@ -816,7 +733,7 @@ Status Database::DeleteLink(Oid oid) {
                                        link->def->name() +
                                        "' cannot be deleted");
   }
-  Status st = DeleteLinkInternal(oid, false);
+  Status st = DeleteLinkInternal(oid);
   if (!in_transaction_) {
     if (st.ok()) {
       undo_log_.clear();
@@ -827,10 +744,11 @@ Status Database::DeleteLink(Oid oid) {
   return st;
 }
 
-Status Database::DeleteLinkInternal(Oid oid, bool ignore_constancy) {
-  Link* link = MutableLink(oid);
+Status Database::DeleteLinkInternal(Oid oid) {
+  // Constancy is checked by the public entry point: participant death
+  // removes links of constant relationships too.
+  const Link* link = GetLink(oid);
   if (link == nullptr) return Status::Ok();
-  (void)ignore_constancy;  // constancy is checked by the public entry point
 
   Event before{EventKind::kBeforeDeleteLink};
   before.subject = oid;
@@ -840,20 +758,13 @@ Status Database::DeleteLinkInternal(Oid oid, bool ignore_constancy) {
   before.context = link->context;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(before));
 
-  DetachLinkFromEndpoints(*link);
-  RemoveLinkFromExtent(link);
-  RemoveFromContextIndex(link);
-  --live_links_;
-
   Event after = before;
   after.kind = EventKind::kAfterDeleteLink;
 
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kDeleteLink;
   undo.oid = oid;
-  auto it = links_.find(oid);
-  undo.link_snapshot = std::move(it->second);
-  links_.erase(it);
+  undo.link_snapshot = EraseLink(oid);
   RecordUndo(std::move(undo));
 
   return PublishEvent(after);
@@ -861,8 +772,8 @@ Status Database::DeleteLinkInternal(Oid oid, bool ignore_constancy) {
 
 Status Database::SetLinkAttribute(Oid oid, const std::string& name,
                                   Value value) {
-  AssertExclusiveAccess();
-  Link* link = MutableLink(oid);
+  BeginMutation();
+  const Link* link = GetLink(oid);
   if (link == nullptr) {
     return Status::NotFound("no link @" + std::to_string(oid));
   }
@@ -878,7 +789,8 @@ Status Database::SetLinkAttribute(Oid oid, const std::string& name,
                             "' has no attribute '" + name + "'");
   }
   PROMETHEUS_RETURN_IF_ERROR(CheckValueType(*attr, value));
-  Value old = link->attrs[name];
+  auto current = link->attrs.find(name);
+  Value old = current == link->attrs.end() ? Value() : current->second;
 
   Event before{EventKind::kBeforeSetLinkAttribute};
   before.subject = oid;
@@ -891,7 +803,7 @@ Status Database::SetLinkAttribute(Oid oid, const std::string& name,
   before.new_value = value;
   PROMETHEUS_RETURN_IF_ERROR(PublishEvent(before));
 
-  link->attrs[name] = std::move(value);
+  MutableLink(oid)->attrs[name] = std::move(value);
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kSetLinkAttribute;
   undo.oid = oid;
@@ -915,136 +827,10 @@ Status Database::SetLinkAttribute(Oid oid, const std::string& name,
   return Status::Ok();
 }
 
-Result<Value> Database::GetLinkAttribute(Oid oid,
-                                         const std::string& name) const {
-  AssertSharedAccess();
-  const Link* link = GetLink(oid);
-  if (link == nullptr) {
-    return Status::NotFound("no link @" + std::to_string(oid));
-  }
-  auto it = link->attrs.find(name);
-  if (it == link->attrs.end()) {
-    return Status::NotFound("relationship '" + link->def->name() +
-                            "' has no attribute '" + name + "'");
-  }
-  return it->second;
-}
-
-const Link* Database::GetLink(Oid oid) const {
-  AssertSharedAccess();
-  auto it = links_.find(oid);
-  return it == links_.end() ? nullptr : it->second.get();
-}
-
-std::vector<Oid> Database::LinkExtent(const std::string& rel_name,
-                                      bool include_subrelationships) const {
-  AssertSharedAccess();
-  const RelationshipDef* def = FindRelationship(rel_name);
-  if (def == nullptr) return {};
-  std::vector<Oid> out;
-  std::deque<const RelationshipDef*> work{def};
-  while (!work.empty()) {
-    const RelationshipDef* d = work.front();
-    work.pop_front();
-    auto it = link_extents_.find(d);
-    if (it != link_extents_.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-    if (include_subrelationships) {
-      for (const RelationshipDef* sub : d->subrelationships()) {
-        work.push_back(sub);
-      }
-    }
-  }
-  return out;
-}
-
-const std::vector<Oid>& Database::LinksInContext(Oid context) const {
-  AssertSharedAccess();
-  static const std::vector<Oid> kEmpty;
-  auto it = context_index_.find(context);
-  return it == context_index_.end() ? kEmpty : it->second;
-}
-
-// --------------------------------------------------------------- traversal
-
-std::vector<Oid> Database::IncidentLinks(Oid oid, Direction dir,
-                                         const RelationshipDef* def,
-                                         Oid context) const {
-  AssertSharedAccess();
-  const Object* obj = GetObject(oid);
-  if (obj == nullptr) return {};
-  std::vector<Oid> out;
-  auto consider = [&](const std::vector<Oid>& side) {
-    for (Oid lid : side) {
-      const Link* link = GetLink(lid);
-      if (link == nullptr) continue;
-      if (def != nullptr && !link->def->IsSubrelationshipOf(def)) continue;
-      if (context != kNullOid && link->context != context) continue;
-      out.push_back(lid);
-    }
-  };
-  bool want_out = dir != Direction::kIn;
-  bool want_in = dir != Direction::kOut;
-  if (def != nullptr && !def->semantics().directed) {
-    want_out = want_in = true;
-  }
-  if (want_out) consider(obj->out_links);
-  if (want_in) consider(obj->in_links);
-  return out;
-}
-
-std::vector<Oid> Database::Neighbors(Oid oid, const std::string& rel_name,
-                                     Direction dir, Oid context) const {
-  AssertSharedAccess();
-  const RelationshipDef* def = FindRelationship(rel_name);
-  if (def == nullptr) return {};
-  std::vector<Oid> out;
-  for (Oid lid : IncidentLinks(oid, dir, def, context)) {
-    const Link* link = GetLink(lid);
-    out.push_back(link->source == oid ? link->target : link->source);
-  }
-  return out;
-}
-
-Result<std::vector<Oid>> Database::Traverse(Oid start,
-                                            const std::string& rel_name,
-                                            std::uint32_t min_depth,
-                                            std::uint32_t max_depth,
-                                            Direction dir, Oid context) const {
-  AssertSharedAccess();
-  const RelationshipDef* def = FindRelationship(rel_name);
-  if (def == nullptr) {
-    return Status::NotFound("unknown relationship '" + rel_name + "'");
-  }
-  if (GetObject(start) == nullptr) {
-    return Status::NotFound("no object @" + std::to_string(start));
-  }
-  if (max_depth != 0 && min_depth > max_depth) {
-    return Status::InvalidArgument("min_depth exceeds max_depth");
-  }
-  std::vector<Oid> result;
-  std::unordered_set<Oid> visited{start};
-  std::deque<std::pair<Oid, std::uint32_t>> frontier{{start, 0}};
-  if (min_depth == 0) result.push_back(start);
-  while (!frontier.empty()) {
-    auto [oid, depth] = frontier.front();
-    frontier.pop_front();
-    if (max_depth != 0 && depth == max_depth) continue;
-    for (Oid next : Neighbors(oid, rel_name, dir, context)) {
-      if (!visited.insert(next).second) continue;
-      std::uint32_t d = depth + 1;
-      if (d >= min_depth) result.push_back(next);
-      frontier.emplace_back(next, d);
-    }
-  }
-  return result;
-}
-
 // ---------------------------------------------------------------- synonyms
 
 Status Database::DeclareSynonym(Oid a, Oid b) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (GetObject(a) == nullptr || GetObject(b) == nullptr) {
     return Status::NotFound("synonym declaration requires two live objects");
   }
@@ -1054,8 +840,7 @@ Status Database::DeclareSynonym(Oid a, Oid b) {
   // Attach the larger oid's root under the smaller so the canonical
   // representative is deterministic (the oldest object).
   if (rb < ra) std::swap(ra, rb);
-  synonym_parent_[rb] = ra;
-  MarkSynonymsDirty();
+  mvcc::Writable(store_.synonym_parent_)[rb] = ra;
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kDeclareSynonym;
   undo.oid = rb;
@@ -1068,44 +853,17 @@ Status Database::DeclareSynonym(Oid a, Oid b) {
   return Status::Ok();
 }
 
-bool Database::AreSynonyms(Oid a, Oid b) const {
-  return CanonicalOf(a) == CanonicalOf(b);
-}
-
-Oid Database::CanonicalOf(Oid oid) const {
-  Oid cur = oid;
-  for (;;) {
-    auto it = synonym_parent_.find(cur);
-    if (it == synonym_parent_.end()) return cur;
-    cur = it->second;
-  }
-}
-
-std::vector<Oid> Database::SynonymSet(Oid oid) const {
-  AssertSharedAccess();
-  Oid root = CanonicalOf(oid);
-  std::vector<Oid> out;
-  if (GetObject(root) != nullptr) out.push_back(root);
-  for (const auto& [child, parent] : synonym_parent_) {
-    (void)parent;
-    if (child != root && CanonicalOf(child) == root &&
-        GetObject(child) != nullptr) {
-      out.push_back(child);
-    }
-  }
-  return out;
-}
-
 // ------------------------------------------------------ storage substrate
 
 Status Database::RestoreObjectRaw(Oid oid, const std::string& class_name,
                                   std::vector<AttrInit> attrs) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (in_transaction_) {
     return Status::FailedPrecondition(
         "raw restore is not valid inside a transaction");
   }
-  if (oid == kNullOid || objects_.count(oid) || links_.count(oid)) {
+  if (oid == kNullOid || GetObject(oid) != nullptr ||
+      GetLink(oid) != nullptr) {
     return Status::InvalidArgument("oid @" + std::to_string(oid) +
                                    " is unavailable");
   }
@@ -1113,14 +871,11 @@ Status Database::RestoreObjectRaw(Oid oid, const std::string& class_name,
   if (cls == nullptr) {
     return Status::NotFound("unknown class '" + class_name + "'");
   }
-  auto obj = std::make_unique<Object>();
-  obj->oid = oid;
-  obj->cls = cls;
-  for (AttrInit& a : attrs) obj->attrs[a.first] = std::move(a.second);
-  Object* raw = obj.get();
-  objects_[oid] = std::move(obj);
-  RestoreToExtent(raw);
-  ++live_objects_;
+  Object obj;
+  obj.oid = oid;
+  obj.cls = cls;
+  for (AttrInit& a : attrs) obj.attrs[a.first] = std::move(a.second);
+  InsertObject(mvcc::MakeVersion(std::move(obj)));
   EnsureNextOidAbove(oid);
   return Status::Ok();
 }
@@ -1128,12 +883,13 @@ Status Database::RestoreObjectRaw(Oid oid, const std::string& class_name,
 Status Database::RestoreLinkRaw(Oid oid, const std::string& rel_name,
                                 Oid source, Oid target, Oid context,
                                 std::vector<AttrInit> attrs) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (in_transaction_) {
     return Status::FailedPrecondition(
         "raw restore is not valid inside a transaction");
   }
-  if (oid == kNullOid || objects_.count(oid) || links_.count(oid)) {
+  if (oid == kNullOid || GetObject(oid) != nullptr ||
+      GetLink(oid) != nullptr) {
     return Status::InvalidArgument("oid @" + std::to_string(oid) +
                                    " is unavailable");
   }
@@ -1144,28 +900,22 @@ Status Database::RestoreLinkRaw(Oid oid, const std::string& rel_name,
   if (GetObject(source) == nullptr || GetObject(target) == nullptr) {
     return Status::NotFound("link endpoints must be restored first");
   }
-  auto link = std::make_unique<Link>();
-  link->oid = oid;
-  link->def = def;
-  link->source = source;
-  link->target = target;
-  link->context = context;
-  for (AttrInit& a : attrs) link->attrs[a.first] = std::move(a.second);
-  Link* raw = link.get();
-  links_[oid] = std::move(link);
-  AttachLinkToEndpoints(*raw);
-  RestoreLinkToExtent(raw);
-  AddToContextIndex(raw);
-  ++live_links_;
+  Link link;
+  link.oid = oid;
+  link.def = def;
+  link.source = source;
+  link.target = target;
+  link.context = context;
+  for (AttrInit& a : attrs) link.attrs[a.first] = std::move(a.second);
+  InsertLink(mvcc::MakeVersion(std::move(link)));
   EnsureNextOidAbove(oid);
   return Status::Ok();
 }
 
 Status Database::RestoreSynonymRaw(Oid child, Oid parent) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (child == parent) return Status::Ok();
-  synonym_parent_[child] = parent;
-  MarkSynonymsDirty();
+  mvcc::Writable(store_.synonym_parent_)[child] = parent;
   return Status::Ok();
 }
 
@@ -1174,35 +924,18 @@ void Database::EnsureNextOidAbove(Oid oid) {
 }
 
 Status Database::Clear() {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (in_transaction_) {
     return Status::FailedPrecondition("cannot clear inside a transaction");
   }
   undo_log_.clear();
-  synonym_parent_.clear();
-  context_index_.clear();
-  link_extents_.clear();
-  extents_.clear();
-  links_.clear();
-  objects_.clear();
   rel_template_order_.clear();
   rel_templates_.clear();
-  rels_by_name_.clear();
-  rel_storage_.clear();
-  classes_by_name_.clear();
-  class_storage_.clear();
-  live_objects_ = 0;
-  live_links_ = 0;
+  // A fresh working store. Snapshots taken before the clear stay fully
+  // readable — their SchemaTables keep-alives own the old definitions.
+  store_ = DbSnapshot();
+  store_.live_epoch_ = &epoch_;
   next_oid_ = 1;
-  // Everything changed at once (and the dirty sets may hold pointers into
-  // the schema storage just dropped): force a from-scratch rebuild at the
-  // next publish. Snapshots taken before the clear stay fully readable —
-  // their SchemaTables keep-alives own the old definitions.
-  if (TrackDirty()) {
-    dirty_ = DirtyState{};
-    dirty_.full = true;
-    dirty_.any = true;
-  }
   return Status::Ok();
 }
 
@@ -1221,7 +954,7 @@ Status Database::Begin() {
 }
 
 Status Database::Commit() {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (!in_transaction_) {
     return Status::FailedPrecondition("no transaction in progress");
   }
@@ -1242,7 +975,7 @@ Status Database::Commit() {
 }
 
 Status Database::Abort() {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (!in_transaction_) {
     return Status::FailedPrecondition("no transaction in progress");
   }
@@ -1264,30 +997,26 @@ void Database::UndoAll() {
     comp.compensating = true;
     switch (rec.kind) {
       case UndoRecord::Kind::kCreateObject: {
-        Object* obj = MutableObject(rec.oid);
+        const Object* obj = GetObject(rec.oid);
         if (obj == nullptr) break;
         comp.kind = EventKind::kAfterDeleteObject;
         comp.subject = rec.oid;
         comp.type_name = obj->cls->name();
-        RemoveFromExtent(obj);
-        --live_objects_;
-        objects_.erase(rec.oid);
+        EraseObject(rec.oid);
         PublishEvent(comp);
         break;
       }
       case UndoRecord::Kind::kDeleteObject: {
-        Object* raw = rec.object_snapshot.get();
-        objects_[rec.oid] = std::move(rec.object_snapshot);
+        InsertObject(std::move(rec.object_snapshot));
         // Incident-link vectors are rebuilt by the link undo records that
         // precede this record in the log (and hence follow it in undo
         // order), so clear them here.
-        raw->out_links.clear();
-        raw->in_links.clear();
-        RestoreToExtent(raw);
-        ++live_objects_;
+        Object* obj = MutableObject(rec.oid);
+        obj->out_links.clear();
+        obj->in_links.clear();
         comp.kind = EventKind::kAfterCreateObject;
         comp.subject = rec.oid;
-        comp.type_name = raw->cls->name();
+        comp.type_name = obj->cls->name();
         PublishEvent(comp);
         break;
       }
@@ -1305,7 +1034,7 @@ void Database::UndoAll() {
         break;
       }
       case UndoRecord::Kind::kCreateLink: {
-        Link* link = MutableLink(rec.oid);
+        const Link* link = GetLink(rec.oid);
         if (link == nullptr) break;
         comp.kind = EventKind::kAfterDeleteLink;
         comp.subject = rec.oid;
@@ -1313,27 +1042,19 @@ void Database::UndoAll() {
         comp.source = link->source;
         comp.target = link->target;
         comp.context = link->context;
-        DetachLinkFromEndpoints(*link);
-        RemoveLinkFromExtent(link);
-        RemoveFromContextIndex(link);
-        --live_links_;
-        links_.erase(rec.oid);
+        EraseLink(rec.oid);
         PublishEvent(comp);
         break;
       }
       case UndoRecord::Kind::kDeleteLink: {
-        Link* raw = rec.link_snapshot.get();
-        links_[rec.oid] = std::move(rec.link_snapshot);
-        AttachLinkToEndpoints(*raw);
-        RestoreLinkToExtent(raw);
-        AddToContextIndex(raw);
-        ++live_links_;
+        const Link& link = *rec.link_snapshot;
         comp.kind = EventKind::kAfterCreateLink;
         comp.subject = rec.oid;
-        comp.type_name = raw->def->name();
-        comp.source = raw->source;
-        comp.target = raw->target;
-        comp.context = raw->context;
+        comp.type_name = link.def->name();
+        comp.source = link.source;
+        comp.target = link.target;
+        comp.context = link.context;
+        InsertLink(std::move(rec.link_snapshot));
         PublishEvent(comp);
         break;
       }
@@ -1354,8 +1075,7 @@ void Database::UndoAll() {
         break;
       }
       case UndoRecord::Kind::kDeclareSynonym: {
-        synonym_parent_.erase(rec.oid);
-        MarkSynonymsDirty();
+        mvcc::Writable(store_.synonym_parent_).erase(rec.oid);
         break;
       }
     }
@@ -1364,182 +1084,39 @@ void Database::UndoAll() {
 
 // ------------------------------------------------------ MVCC publication
 
-std::shared_ptr<const SchemaTables> Database::BuildSchemaTables() const {
-  auto t = std::make_shared<SchemaTables>();
-  t->class_keep_alive.reserve(class_storage_.size());
-  t->classes_in_order.reserve(class_storage_.size());
-  for (const auto& c : class_storage_) {
-    t->class_keep_alive.push_back(c);
-    t->classes_in_order.push_back(c.get());
-    t->classes_by_name[c->name()] = c.get();
-    if (!c->subclasses().empty()) t->subclasses[c.get()] = c->subclasses();
-  }
-  t->rel_keep_alive.reserve(rel_storage_.size());
-  t->rels_in_order.reserve(rel_storage_.size());
-  for (const auto& r : rel_storage_) {
-    t->rel_keep_alive.push_back(r);
-    t->rels_in_order.push_back(r.get());
-    t->rels_by_name[r->name()] = r.get();
-    if (!r->subrelationships().empty()) {
-      t->subrels[r.get()] = r->subrelationships();
-    }
-  }
-  return t;
-}
-
-std::shared_ptr<DbSnapshot> Database::BuildFullSnapshot(
-    std::uint64_t epoch) const {
-  std::shared_ptr<DbSnapshot> snap(new DbSnapshot());
-  snap->epoch_ = epoch;
-  snap->schema_ = BuildSchemaTables();
-  for (const auto& [oid, obj] : objects_) {
-    snap->objects_.Set(oid, mvcc::MakeVersion(*obj));
-  }
-  for (const auto& [oid, link] : links_) {
-    snap->links_.Set(oid, mvcc::MakeVersion(*link));
-  }
-  for (const auto& [cls, extent] : extents_) {
-    if (!extent.empty()) {
-      snap->extents_[cls] = std::make_shared<const std::vector<Oid>>(extent);
-    }
-  }
-  for (const auto& [def, extent] : link_extents_) {
-    if (!extent.empty()) {
-      snap->link_extents_[def] =
-          std::make_shared<const std::vector<Oid>>(extent);
-    }
-  }
-  for (const auto& [ctx, bucket] : context_index_) {
-    if (!bucket.empty()) {
-      snap->context_index_[ctx] =
-          std::make_shared<const std::vector<Oid>>(bucket);
-    }
-  }
-  snap->synonym_parent_ =
-      std::make_shared<const std::unordered_map<Oid, Oid>>(synonym_parent_);
-  snap->live_objects_ = live_objects_;
-  snap->live_links_ = live_links_;
-  return snap;
-}
-
-std::shared_ptr<DbSnapshot> Database::BuildNextSnapshot(
-    const DbSnapshot& prev, std::uint64_t epoch) const {
-  // Structural share of the previous cut, then replace exactly what the
-  // dirty set names. Cost: O(changed records × trie depth) version copies
-  // plus a wholesale copy of each *dirty* extent/context bucket — fine for
-  // transaction-sized commits; a known cost for single-record commits
-  // against a huge extent (future work: persistent extent trees).
-  std::shared_ptr<DbSnapshot> snap(new DbSnapshot(prev));
-  snap->epoch_ = epoch;
-  if (dirty_.schema) snap->schema_ = BuildSchemaTables();
-  for (Oid oid : dirty_.objects) {
-    auto it = objects_.find(oid);
-    if (it == objects_.end()) {
-      snap->objects_.Erase(oid);
-    } else {
-      snap->objects_.Set(oid, mvcc::MakeVersion(*it->second));
-    }
-  }
-  for (Oid oid : dirty_.links) {
-    auto it = links_.find(oid);
-    if (it == links_.end()) {
-      snap->links_.Erase(oid);
-    } else {
-      snap->links_.Set(oid, mvcc::MakeVersion(*it->second));
-    }
-  }
-  for (const ClassDef* cls : dirty_.extents) {
-    auto it = extents_.find(cls);
-    if (it == extents_.end() || it->second.empty()) {
-      snap->extents_.erase(cls);
-    } else {
-      snap->extents_[cls] =
-          std::make_shared<const std::vector<Oid>>(it->second);
-    }
-  }
-  for (const RelationshipDef* def : dirty_.link_extents) {
-    auto it = link_extents_.find(def);
-    if (it == link_extents_.end() || it->second.empty()) {
-      snap->link_extents_.erase(def);
-    } else {
-      snap->link_extents_[def] =
-          std::make_shared<const std::vector<Oid>>(it->second);
-    }
-  }
-  for (Oid ctx : dirty_.contexts) {
-    auto it = context_index_.find(ctx);
-    if (it == context_index_.end() || it->second.empty()) {
-      snap->context_index_.erase(ctx);
-    } else {
-      snap->context_index_[ctx] =
-          std::make_shared<const std::vector<Oid>>(it->second);
-    }
-  }
-  if (dirty_.synonyms) {
-    snap->synonym_parent_ =
-        std::make_shared<const std::unordered_map<Oid, Oid>>(synonym_parent_);
-  }
-  snap->live_objects_ = live_objects_;
-  snap->live_links_ = live_links_;
-  return snap;
-}
-
-void Database::PublishSnapshot() {
-  if (!mvcc_engaged_.load(std::memory_order_relaxed)) {
-    dirty_ = DirtyState{};
-    return;
-  }
-  std::shared_ptr<const DbSnapshot> prev;
+void Database::Publish(std::uint64_t epoch) {
+  // The copy shares every record, trie node and table with the working
+  // store; the writer's next change to any of them copies it first.
+  auto* cut = new DbSnapshot(store_);
+  cut->epoch_ = epoch;
+  cut->live_epoch_ = nullptr;
+  mvcc::internal::g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<const DbSnapshot> snap(cut, [](const DbSnapshot* p) {
+    mvcc::internal::g_live_snapshots.fetch_sub(1, std::memory_order_relaxed);
+    delete p;
+  });
   {
     std::lock_guard<std::mutex> lk(snap_mu_);
-    prev = current_snapshot_;
+    current_snapshot_.swap(snap);
   }
-  // Stamped with the epoch the closing write section commits as. Even a
-  // no-op section republishes (an O(1) restamped share) so the snapshot
-  // epoch tracks the database epoch exactly — the result cache's
-  // epoch-equality check depends on that.
-  const std::uint64_t next_epoch =
-      epoch_.load(std::memory_order_relaxed) + 1;
-  std::shared_ptr<DbSnapshot> snap;
-  if (snapshot_stale_.load(std::memory_order_acquire) || dirty_.full ||
-      prev == nullptr) {
-    snap = BuildFullSnapshot(next_epoch);
-    snapshot_stale_.store(false, std::memory_order_release);
-  } else {
-    snap = BuildNextSnapshot(*prev, next_epoch);
-  }
-  dirty_ = DirtyState{};
-  {
-    std::lock_guard<std::mutex> lk(snap_mu_);
-    current_snapshot_ = std::move(snap);
-  }
-  prev.reset();  // drop the superseded cut before reporting retention
-  UpdateMvccGauges();
-}
-
-void Database::RebuildSnapshotSlow() {
-  std::lock_guard<std::mutex> rebuild_lk(snap_rebuild_mu_);
-  if (mvcc_engaged_.load(std::memory_order_acquire) &&
-      !snapshot_stale_.load(std::memory_order_acquire)) {
-    return;  // another acquirer already rebuilt
-  }
-  // The shared guard excludes writers, so the live state is a consistent
-  // cut at the *current* epoch (no bump happens without a write section).
-  ReadGuard guard(*this);
-  auto snap = BuildFullSnapshot(epoch());
-  {
-    std::lock_guard<std::mutex> lk(snap_mu_);
-    current_snapshot_ = std::move(snap);
-  }
-  snapshot_stale_.store(false, std::memory_order_release);
-  mvcc_engaged_.store(true, std::memory_order_release);
+  unpublished_.store(false, std::memory_order_release);
+  snap.reset();  // drop the superseded cut before reporting retention
   UpdateMvccGauges();
 }
 
 SnapshotHandle Database::AcquireSnapshot() {
-  if (!mvcc_engaged_.load(std::memory_order_acquire) ||
-      snapshot_stale_.load(std::memory_order_acquire)) {
-    RebuildSnapshotSlow();
+  // Unguarded mutations are legal only while single-threaded, but the
+  // first acquire after them may race a writer. Republish only while no
+  // writer holds the guard; a writer that holds it publishes those
+  // mutations on entry, before it edits anything, so the wait below lasts
+  // microseconds, never a write section.
+  while (unpublished_.load(std::memory_order_acquire)) {
+    std::shared_lock<std::shared_mutex> quiesce(guard_, std::try_to_lock);
+    if (quiesce.owns_lock()) {
+      if (unpublished_.load(std::memory_order_acquire)) Publish(epoch());
+      break;
+    }
+    std::this_thread::yield();
   }
   std::shared_ptr<const DbSnapshot> snap;
   {
@@ -1591,7 +1168,7 @@ void Database::UpdateMvccGauges() const {
 // ------------------------------------------------------------- validation
 
 Status Database::ValidateCardinality() const {
-  for (const auto& rel : rel_storage_) {
+  for (const RelationshipDef* rel : relationships()) {
     const RelationshipSemantics& sem = rel->semantics();
     if (sem.min_out == 0 && sem.min_in == 0) continue;
     if (sem.min_out > 0) {
@@ -1600,7 +1177,7 @@ Status Database::ValidateCardinality() const {
         std::uint32_t n = 0;
         for (Oid lid : obj->out_links) {
           const Link* l = GetLink(lid);
-          if (l != nullptr && l->def->IsSubrelationshipOf(rel.get())) ++n;
+          if (l != nullptr && l->def->IsSubrelationshipOf(rel)) ++n;
         }
         if (n < sem.min_out) {
           return Status::ConstraintViolation(
@@ -1616,7 +1193,7 @@ Status Database::ValidateCardinality() const {
         std::uint32_t n = 0;
         for (Oid lid : obj->in_links) {
           const Link* l = GetLink(lid);
-          if (l != nullptr && l->def->IsSubrelationshipOf(rel.get())) ++n;
+          if (l != nullptr && l->def->IsSubrelationshipOf(rel)) ++n;
         }
         if (n < sem.min_in) {
           return Status::ConstraintViolation(

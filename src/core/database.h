@@ -5,7 +5,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -14,7 +13,6 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -35,25 +33,33 @@ namespace prometheus {
 /// mutation on an `EventBus` (thesis chapter 4 model; chapter 6
 /// architecture: event layer + object layer).
 ///
+/// Storage: one store. Every object, link, extent, context bucket, synonym
+/// edge and schema table lives in the *working store* — a `DbSnapshot`
+/// (`core/snapshot.h`) that mutations edit through copy-on-write. Every
+/// const read method below is a one-line forward to it.
+///
 /// Thread model: a `Database` used from one thread (the embedded mode, and
 /// the thesis' single-user prototype) needs no locking at all. Concurrent
 /// use is MVCC: writers (every mutation, transaction, or journal-observed
 /// change) serialize through the exclusive `WriteGuard` below, and the end
-/// of each write section **publishes an immutable `DbSnapshot`** of the
-/// whole database. Readers call `AcquireSnapshot()` and execute against
-/// the pinned snapshot with no lock held — a reader can never be blocked,
-/// starved, or torn by a writer, and a writer stalled mid-section (e.g. in
-/// a journal fsync) degrades write latency only. `ReadGuard` remains for
-/// callers that genuinely need the *live* state quiesced (snapshot
-/// bootstrap, storage checkpointing, tests). Debug builds assert the
-/// protocol on every extent/instance access.
+/// of each write section **publishes** the working store as an immutable
+/// snapshot — a copy of its roots and tables, O(#classes + #contexts),
+/// sharing every record. Readers call `AcquireSnapshot()` and execute
+/// against the pinned snapshot with no lock held: a reader can never be
+/// blocked, starved, or torn by a writer, and a writer stalled mid-section
+/// (e.g. in a journal fsync) degrades write latency only. The writer
+/// clones a record, trie node or table before changing it whenever a
+/// snapshot shares it, so nothing a snapshot reaches is edited again.
+/// `ReadGuard` remains for callers that read the *live* store with writers
+/// quiesced (replica shell, storage checkpointing, tests). Debug builds
+/// assert the protocol on every read and mutation.
 ///
-/// Version retention is reference-counted, not scheduled: superseded
-/// versions are freed the moment the last snapshot reaching them is
-/// released (watermark = oldest pinned epoch, visible as
+/// Version retention is reference-counted, not scheduled: a superseded
+/// version is freed the moment the last snapshot reaching it is released
+/// (watermark = oldest pinned epoch, visible as
 /// `mvcc_oldest_snapshot_epoch`; retention volume as
 /// `mvcc_retained_versions`).
-class Database : public ReadView {
+class Database {
  public:
   Database();
   ~Database();
@@ -168,6 +174,11 @@ class Database : public ReadView {
       } else {
         lock_.lock();
       }
+      // Unguarded single-threaded mutations made before this section are
+      // published before the section edits anything (see AcquireSnapshot).
+      if (db_.unpublished_.load(std::memory_order_acquire)) {
+        db_.Publish(db_.epoch());
+      }
       db_.writer_thread_.store(std::this_thread::get_id(),
                                std::memory_order_relaxed);
       db_.writer_active_.store(true, std::memory_order_release);
@@ -177,8 +188,11 @@ class Database : public ReadView {
       // the epoch bump becomes observable: a reader that sees epoch E+1
       // must be able to acquire a snapshot stamped E+1 (a reader seeing
       // the new snapshot before the bump is harmless — snapshots only ever
-      // run ahead of the observable epoch, never behind).
-      db_.PublishSnapshot();
+      // run ahead of the observable epoch, never behind). Even a no-op
+      // section republishes, so the snapshot epoch tracks the database
+      // epoch exactly — the result cache's epoch-equality check relies on
+      // it.
+      db_.Publish(db_.epoch() + 1);
       db_.writer_active_.store(false, std::memory_order_release);
       db_.epoch_.fetch_add(1, std::memory_order_acq_rel);
       if (timed_) {
@@ -211,14 +225,8 @@ class Database : public ReadView {
   /// Monotonic count of completed exclusive (write) sections. A reader
   /// observing the same epoch before and after a computation is guaranteed
   /// that no guarded mutation interleaved.
-  std::uint64_t epoch() const override {
+  std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_acquire);
-  }
-
-  /// The live view accepts any index state (index mutations track the live
-  /// database by construction).
-  std::uint64_t index_epoch_ceiling() const override {
-    return std::numeric_limits<std::uint64_t>::max();
   }
 
   /// The epoch the in-progress write section will commit as (epoch()+1
@@ -230,18 +238,23 @@ class Database : public ReadView {
            (writer_active_.load(std::memory_order_acquire) ? 1 : 0);
   }
 
+  /// The live working store, for readers that follow the guard protocol
+  /// (see `ReadViewOf` for the thread's effective view).
+  const DbSnapshot& live_store() const {
+    AssertSharedAccess();
+    return store_;
+  }
+
   // ------------------------------------------------- MVCC snapshot reads
 
-  /// Pins the current published snapshot and returns a handle to it. The
-  /// first call engages MVCC publication (until then, single-threaded
-  /// embedded use pays nothing for versioning); afterwards every write
-  /// section refreshes the published snapshot incrementally.
+  /// Pins the current published snapshot and returns a handle to it.
   ///
-  /// Never blocks on a writer once engaged — the fast path is one brief
+  /// Never blocks on a write section — the fast path is one brief
   /// mutex-protected shared_ptr copy plus the pin-registry insert, neither
-  /// held across a write section. Must not be called by a thread that
-  /// holds this database's guard (the engagement slow path takes the guard
-  /// shared).
+  /// held across a write section. After unguarded (single-threaded)
+  /// mutations, the first acquire republishes the working store first, an
+  /// O(#classes + #contexts) copy. Must not be called by a thread that
+  /// holds this database's guard.
   SnapshotHandle AcquireSnapshot();
 
   /// Number of currently pinned snapshot handles (test/ops visibility;
@@ -324,17 +337,22 @@ class Database : public ReadView {
       const std::string& name) const;
 
   /// Looks up a class by name; nullptr when absent.
-  const ClassDef* FindClass(std::string_view name) const override;
+  const ClassDef* FindClass(std::string_view name) const {
+    return store_.FindClass(name);
+  }
 
   /// Looks up a relationship class by name; nullptr when absent.
-  const RelationshipDef* FindRelationship(
-      std::string_view name) const override;
+  const RelationshipDef* FindRelationship(std::string_view name) const {
+    return store_.FindRelationship(name);
+  }
 
   /// All defined classes, in definition order.
-  std::vector<const ClassDef*> classes() const override;
+  std::vector<const ClassDef*> classes() const { return store_.classes(); }
 
   /// All defined relationship classes, in definition order.
-  std::vector<const RelationshipDef*> relationships() const override;
+  std::vector<const RelationshipDef*> relationships() const {
+    return store_.relationships();
+  }
 
   // --------------------------------------------------------------- objects
 
@@ -353,22 +371,29 @@ class Database : public ReadView {
   /// Reads an attribute. Falls back to attributes inherited from incoming
   /// links whose relationship class enables `inherit_attributes`
   /// (thesis 4.4.5, figures 17–18).
-  Result<Value> GetAttribute(Oid oid, const std::string& name) const override;
+  Result<Value> GetAttribute(Oid oid, const std::string& name) const {
+    return live_store().GetAttribute(oid, name);
+  }
 
   /// Non-owning instance lookup; nullptr when the oid is dead or unknown.
-  const Object* GetObject(Oid oid) const override;
+  /// See `Object` (core/instance.h) for how long the pointer stays valid.
+  const Object* GetObject(Oid oid) const { return live_store().GetObject(oid); }
 
   /// True when `oid` designates a live object of `class_name` (or one of
   /// its subclasses).
-  bool IsInstanceOf(Oid oid, std::string_view class_name) const override;
+  bool IsInstanceOf(Oid oid, std::string_view class_name) const {
+    return live_store().IsInstanceOf(oid, class_name);
+  }
 
   /// The extent of a class; with `include_subclasses` (the default) this is
   /// the deep extent.
   std::vector<Oid> Extent(const std::string& class_name,
-                          bool include_subclasses = true) const override;
+                          bool include_subclasses = true) const {
+    return live_store().Extent(class_name, include_subclasses);
+  }
 
   /// Number of live objects.
-  std::size_t object_count() const override { return live_objects_; }
+  std::size_t object_count() const { return store_.object_count(); }
 
   // ----------------------------------------------------------------- links
 
@@ -386,25 +411,30 @@ class Database : public ReadView {
   Status SetLinkAttribute(Oid oid, const std::string& name, Value value);
 
   /// Reads a link attribute.
-  Result<Value> GetLinkAttribute(Oid oid,
-                                 const std::string& name) const override;
+  Result<Value> GetLinkAttribute(Oid oid, const std::string& name) const {
+    return live_store().GetLinkAttribute(oid, name);
+  }
 
   /// Non-owning link lookup; nullptr when dead or unknown.
-  const Link* GetLink(Oid oid) const override;
+  const Link* GetLink(Oid oid) const { return live_store().GetLink(oid); }
 
   /// All live links of a relationship class (its extent); with
   /// `include_subrelationships`, links of sub-relationship classes too.
   std::vector<Oid> LinkExtent(const std::string& rel_name,
-                              bool include_subrelationships = true)
-      const override;
+                              bool include_subrelationships = true) const {
+    return live_store().LinkExtent(rel_name, include_subrelationships);
+  }
 
   /// All live links whose classification context is `context` (thesis
   /// 4.6.2: a classification *is* the set of links created in its context).
   /// Maintained incrementally; O(result).
-  const std::vector<Oid>& LinksInContext(Oid context) const override;
+  /// The reference goes stale when a later mutation changes the context.
+  const std::vector<Oid>& LinksInContext(Oid context) const {
+    return live_store().LinksInContext(context);
+  }
 
   /// Number of live links.
-  std::size_t link_count() const override { return live_links_; }
+  std::size_t link_count() const { return store_.link_count(); }
 
   // ------------------------------------------------------------- traversal
 
@@ -412,13 +442,17 @@ class Database : public ReadView {
   /// relationship class (and its subs) and/or a classification context.
   std::vector<Oid> IncidentLinks(Oid oid, Direction dir,
                                  const RelationshipDef* def = nullptr,
-                                 Oid context = kNullOid) const override;
+                                 Oid context = kNullOid) const {
+    return live_store().IncidentLinks(oid, dir, def, context);
+  }
 
   /// Objects one hop away from `oid` over `rel_name` links.
   /// `context == kNullOid` means "any context".
   std::vector<Oid> Neighbors(Oid oid, const std::string& rel_name,
                              Direction dir = Direction::kOut,
-                             Oid context = kNullOid) const override;
+                             Oid context = kNullOid) const {
+    return live_store().Neighbors(oid, rel_name, dir, context);
+  }
 
   /// Recursive closure (requirement 9): every object reachable from `start`
   /// over `rel_name` links within `[min_depth, max_depth]` hops
@@ -429,7 +463,10 @@ class Database : public ReadView {
                                     std::uint32_t min_depth,
                                     std::uint32_t max_depth,
                                     Direction dir = Direction::kOut,
-                                    Oid context = kNullOid) const override;
+                                    Oid context = kNullOid) const {
+    return live_store().Traverse(start, rel_name, min_depth, max_depth,
+                                 dir, context);
+  }
 
   // ----------------------------------------------- instance synonyms (4.5)
 
@@ -439,15 +476,19 @@ class Database : public ReadView {
   Status DeclareSynonym(Oid a, Oid b);
 
   /// True when the two oids are in the same synonym set (reflexive).
-  bool AreSynonyms(Oid a, Oid b) const override;
+  bool AreSynonyms(Oid a, Oid b) const {
+    return live_store().AreSynonyms(a, b);
+  }
 
   /// Canonical representative of `oid`'s synonym set (itself if alone).
-  Oid CanonicalOf(Oid oid) const override;
+  Oid CanonicalOf(Oid oid) const { return live_store().CanonicalOf(oid); }
 
   /// All *live* members of `oid`'s synonym set, including `oid` when it is
   /// alive. Synonym chains survive member deletion (the remaining
   /// duplicates stay unified), but deleted members are not reported.
-  std::vector<Oid> SynonymSet(Oid oid) const override;
+  std::vector<Oid> SynonymSet(Oid oid) const {
+    return live_store().SynonymSet(oid);
+  }
 
   // ---------------------------------------------------------- transactions
 
@@ -519,95 +560,26 @@ class Database : public ReadView {
   // Undo machinery (transactions).
   struct UndoRecord;
 
+  /// Every mutation entry point starts here: checks the guard protocol
+  /// and, outside a write section (single-threaded use), notes that the
+  /// working store has changes no published snapshot holds yet.
+  void BeginMutation() {
+    AssertExclusiveAccess();
+    if (!writer_active_.load(std::memory_order_relaxed)) {
+      unpublished_.store(true, std::memory_order_relaxed);
+    }
+  }
+
+  // Copy-on-write access to the working store (writer only). The pointer
+  // stays valid until the next publish or the record's removal.
   Object* MutableObject(Oid oid);
   Link* MutableLink(Oid oid);
+  SchemaTables& MutableSchema() { return mvcc::Writable(store_.schema_); }
 
-  // ------------------------------------------------------ MVCC internals
-
-  /// What the current write section touched, consumed by the incremental
-  /// snapshot build at publish. Plain members: only the single writer
-  /// reads or writes them, always under the exclusive guard.
-  struct DirtyState {
-    bool any = false;       ///< anything at all changed
-    bool full = false;      ///< rebuild from scratch (Clear, engagement)
-    bool schema = false;    ///< class/relationship/method definitions
-    bool synonyms = false;  ///< the union-find parent map
-    std::unordered_set<Oid> objects;
-    std::unordered_set<Oid> links;
-    std::unordered_set<Oid> contexts;
-    std::unordered_set<const ClassDef*> extents;
-    std::unordered_set<const RelationshipDef*> link_extents;
-  };
-
-  /// Gate for dirty tracking. False before the first AcquireSnapshot
-  /// (embedded single-threaded use pays one relaxed load per mutation and
-  /// nothing else). Once engaged, a mutation outside a WriteGuard (legal
-  /// in single-threaded mode) cannot be published incrementally — it marks
-  /// the published snapshot stale instead, forcing a full rebuild at the
-  /// next acquire/publish.
-  bool TrackDirty() {
-    if (!mvcc_engaged_.load(std::memory_order_relaxed)) return false;
-    if (!writer_active_.load(std::memory_order_relaxed)) {
-      snapshot_stale_.store(true, std::memory_order_release);
-      return false;
-    }
-    return true;
-  }
-  void MarkObjectDirty(Oid oid) {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.objects.insert(oid);
-    }
-  }
-  void MarkLinkDirty(Oid oid) {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.links.insert(oid);
-    }
-  }
-  void MarkExtentDirty(const ClassDef* cls) {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.extents.insert(cls);
-    }
-  }
-  void MarkLinkExtentDirty(const RelationshipDef* def) {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.link_extents.insert(def);
-    }
-  }
-  void MarkContextDirty(Oid context) {
-    if (context != kNullOid && TrackDirty()) {
-      dirty_.any = true;
-      dirty_.contexts.insert(context);
-    }
-  }
-  void MarkSynonymsDirty() {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.synonyms = true;
-    }
-  }
-  void MarkSchemaDirty() {
-    if (TrackDirty()) {
-      dirty_.any = true;
-      dirty_.schema = true;
-    }
-  }
-
-  /// End-of-write-section hook (WriteGuard destructor, pre-epoch-bump):
-  /// derives the next snapshot from the published one and the dirty set,
-  /// stamps it epoch()+1 and publishes it.
-  void PublishSnapshot();
-  std::shared_ptr<DbSnapshot> BuildFullSnapshot(std::uint64_t epoch) const;
-  std::shared_ptr<DbSnapshot> BuildNextSnapshot(const DbSnapshot& prev,
-                                                std::uint64_t epoch) const;
-  std::shared_ptr<const SchemaTables> BuildSchemaTables() const;
-
-  /// Engagement / staleness slow path: quiesces writers with a ReadGuard,
-  /// builds a full snapshot of the current state and publishes it.
-  void RebuildSnapshotSlow();
+  /// Publishes a copy of the working store stamped `epoch` as the current
+  /// snapshot. Called with writers excluded: by `WriteGuard`, or by
+  /// `AcquireSnapshot` holding the guard shared.
+  void Publish(std::uint64_t epoch);
 
   void RegisterPin(std::uint64_t epoch);
   void ReleasePin(std::uint64_t epoch);
@@ -615,18 +587,20 @@ class Database : public ReadView {
 
   Status CheckLinkSemantics(const RelationshipDef* def, const Object& source,
                             const Object& target) const;
-  Status DeleteLinkInternal(Oid oid, bool ignore_constancy);
+  Status DeleteLinkInternal(Oid oid);
   Status DeleteObjectInternal(Oid oid, std::vector<Oid>* cascade);
   Status PublishEvent(const Event& event);
   void RecordUndo(UndoRecord record);
-  void RemoveFromExtent(Object* obj);
-  void RestoreToExtent(Object* obj);
+
+  // Record placement: installs a version in the working store with its
+  // extent, endpoint and context bookkeeping, or removes one and returns
+  // the removed version (kept by the undo log).
+  void InsertObject(std::shared_ptr<const Object> version);
+  std::shared_ptr<const Object> EraseObject(Oid oid);
+  void InsertLink(std::shared_ptr<const Link> version);
+  std::shared_ptr<const Link> EraseLink(Oid oid);
   void DetachLinkFromEndpoints(const Link& link);
   void AttachLinkToEndpoints(const Link& link);
-  void AddToContextIndex(Link* link);
-  void RemoveFromContextIndex(Link* link);
-  void RemoveLinkFromExtent(Link* link);
-  void RestoreLinkToExtent(Link* link);
 
   // Rollback helpers used by Abort().
   void UndoAll();
@@ -644,48 +618,32 @@ class Database : public ReadView {
   bool events_enabled_ = true;
   bool semantics_enabled_ = true;
 
+  // The one store: schema tables, records, extents, context index and
+  // synonyms (see DbSnapshot).
+  DbSnapshot store_;
+  Oid next_oid_ = 1;
+
   // MVCC publication state. `current_snapshot_` is swapped under the tiny
   // `snap_mu_` (held only for a shared_ptr copy — a stalled writer never
   // holds it, so snapshot acquisition cannot block on a write section).
-  std::atomic<bool> mvcc_engaged_{false};
-  std::atomic<bool> snapshot_stale_{false};
+  // `unpublished_` is true while the working store holds changes no
+  // publish has copied: initially, and after an unguarded mutation.
+  std::atomic<bool> unpublished_{true};
   mutable std::mutex snap_mu_;
   std::shared_ptr<const DbSnapshot> current_snapshot_;
-  std::mutex snap_rebuild_mu_;
-  DirtyState dirty_;
 
   // Pin registry feeding the GC watermark gauges. A multiset because many
   // handles may pin the same epoch.
   mutable std::mutex snap_reg_mu_;
   std::multiset<std::uint64_t> pinned_epochs_;
 
-  // Schema. Definitions are shared_ptr-owned so a snapshot's SchemaTables
-  // can keep them (and the `cls`/`def` pointers inside retained object
-  // versions) alive across Clear().
-  std::vector<std::shared_ptr<ClassDef>> class_storage_;
-  std::unordered_map<std::string, ClassDef*> classes_by_name_;
-  std::vector<std::shared_ptr<RelationshipDef>> rel_storage_;
-  std::unordered_map<std::string, RelationshipDef*> rels_by_name_;
+  // Relationship templates: DDL-only metadata, never read by snapshots.
   struct RelationshipTemplate {
     RelationshipSemantics semantics;
     std::vector<AttributeDef> attributes;
   };
   std::unordered_map<std::string, RelationshipTemplate> rel_templates_;
   std::vector<std::string> rel_template_order_;
-
-  // Instances.
-  std::unordered_map<Oid, std::unique_ptr<Object>> objects_;
-  std::unordered_map<Oid, std::unique_ptr<Link>> links_;
-  std::unordered_map<const ClassDef*, std::vector<Oid>> extents_;
-  std::unordered_map<const RelationshipDef*, std::vector<Oid>> link_extents_;
-  std::unordered_map<Oid, std::vector<Oid>> context_index_;
-  std::size_t live_objects_ = 0;
-  std::size_t live_links_ = 0;
-  Oid next_oid_ = 1;
-
-  // Synonyms: parent pointers of a union-find without path compression
-  // (undoability); absent key == singleton set.
-  std::unordered_map<Oid, Oid> synonym_parent_;
 
   // Transactions.
   bool in_transaction_ = false;

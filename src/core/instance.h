@@ -11,8 +11,18 @@
 
 namespace prometheus {
 
-/// A stored object instance. Owned by the `Database`; pointers returned by
-/// lookups are non-owning and become dangling when the object is deleted.
+/// A stored object instance: one immutable-once-shared version in the
+/// database's store (see `DbSnapshot`).
+///
+/// Pointer contract. A `const Object*` from a lookup is non-owning. A
+/// pointer into a pinned snapshot stays valid and unchanged for the pin's
+/// lifetime. A pointer into the live store goes *stale* when a mutation
+/// copies the record (the writer copies any version a published snapshot
+/// shares before changing it), and the stale version is freed at the next
+/// publish unless a pinned snapshot still holds it; deletion ends it too.
+/// Writer-thread code must therefore not hold such a pointer across a
+/// mutation of the same record: fetch it again afterwards. The same holds
+/// for `Link` and for the vector returned by `LinksInContext`.
 struct Object {
   Oid oid = kNullOid;
   const ClassDef* cls = nullptr;

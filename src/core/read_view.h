@@ -3,20 +3,21 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
-#include <vector>
 
-#include "common/oid.h"
-#include "common/result.h"
 #include "common/value.h"
+
+// Read-view plumbing. There is one read type, `DbSnapshot` (core/snapshot.h):
+// the database's live working store and every published snapshot are
+// instances of it. This header says which instance the current thread reads
+// through, so the query engine, views and catalog providers are written
+// once and serve both embedded reads of the live store and lock-free reads
+// of a pinned snapshot.
 
 namespace prometheus {
 
-class ClassDef;
-class RelationshipDef;
-class Object;
-class Link;
+class Database;
+class DbSnapshot;
 
 /// Direction selector for link traversal.
 enum class Direction : std::uint8_t {
@@ -28,91 +29,30 @@ enum class Direction : std::uint8_t {
 /// Named initial attribute assignment used at object/link creation.
 using AttrInit = std::pair<std::string, Value>;
 
-/// The read-side surface of the database: everything a query, view or
-/// traversal needs, with no mutation entry points. Two implementations
-/// exist — the live `Database` (reads see the current state; callers must
-/// follow the epoch-guard protocol) and `DbSnapshot` (an immutable
-/// consistent cut at a fixed epoch; reads need no lock at all). Query
-/// execution is written against this interface so the same engine serves
-/// embedded single-threaded use and MVCC snapshot reads.
-class ReadView {
- public:
-  virtual ~ReadView() = default;
-
-  /// Epoch this view observes. For the live database it is the current
-  /// epoch (moving); for a snapshot it is the epoch of the cut (fixed).
-  virtual std::uint64_t epoch() const = 0;
-
-  /// Largest index `dirty_epoch` this view may consume (see
-  /// `IndexManager::Lookup`'s `as_of`). The live database accepts any
-  /// index state (`UINT64_MAX`); a snapshot accepts only indexes untouched
-  /// since its epoch.
-  virtual std::uint64_t index_epoch_ceiling() const = 0;
-
-  // ---------------------------------------------------------------- schema
-  virtual const ClassDef* FindClass(std::string_view name) const = 0;
-  virtual const RelationshipDef* FindRelationship(
-      std::string_view name) const = 0;
-  virtual std::vector<const ClassDef*> classes() const = 0;
-  virtual std::vector<const RelationshipDef*> relationships() const = 0;
-
-  // --------------------------------------------------------------- objects
-  virtual Result<Value> GetAttribute(Oid oid, const std::string& name)
-      const = 0;
-  virtual const Object* GetObject(Oid oid) const = 0;
-  virtual bool IsInstanceOf(Oid oid, std::string_view class_name) const = 0;
-  virtual std::vector<Oid> Extent(const std::string& class_name,
-                                  bool include_subclasses = true) const = 0;
-  virtual std::size_t object_count() const = 0;
-
-  // ----------------------------------------------------------------- links
-  virtual Result<Value> GetLinkAttribute(Oid oid, const std::string& name)
-      const = 0;
-  virtual const Link* GetLink(Oid oid) const = 0;
-  virtual std::vector<Oid> LinkExtent(
-      const std::string& rel_name,
-      bool include_subrelationships = true) const = 0;
-  virtual const std::vector<Oid>& LinksInContext(Oid context) const = 0;
-  virtual std::size_t link_count() const = 0;
-
-  // ------------------------------------------------------------- traversal
-  virtual std::vector<Oid> IncidentLinks(Oid oid, Direction dir,
-                                         const RelationshipDef* def = nullptr,
-                                         Oid context = kNullOid) const = 0;
-  virtual std::vector<Oid> Neighbors(Oid oid, const std::string& rel_name,
-                                     Direction dir = Direction::kOut,
-                                     Oid context = kNullOid) const = 0;
-  virtual Result<std::vector<Oid>> Traverse(Oid start,
-                                            const std::string& rel_name,
-                                            std::uint32_t min_depth,
-                                            std::uint32_t max_depth,
-                                            Direction dir = Direction::kOut,
-                                            Oid context = kNullOid) const = 0;
-
-  // -------------------------------------------------------------- synonyms
-  virtual bool AreSynonyms(Oid a, Oid b) const = 0;
-  virtual Oid CanonicalOf(Oid oid) const = 0;
-  virtual std::vector<Oid> SynonymSet(Oid oid) const = 0;
-};
-
 namespace internal {
-/// The view the current thread's query execution reads through. Set by
+/// The store the current thread's query execution reads through. Set by
 /// `ScopedReadView` (the server installs the request's pinned snapshot
 /// before calling the engine); null means "read the live database".
-inline thread_local const ReadView* g_current_read_view = nullptr;
+inline thread_local const DbSnapshot* g_current_read_view = nullptr;
 }  // namespace internal
 
-/// The thread's active read view, or null when execution should fall back
-/// to the live database (embedded mode, writer-thread rule callbacks).
-inline const ReadView* CurrentReadView() {
+/// The thread's installed snapshot, or null when execution should fall
+/// back to the live database (embedded mode, writer-thread rule callbacks).
+inline const DbSnapshot* CurrentReadView() {
   return internal::g_current_read_view;
 }
+
+/// The store reads on this thread go through: the installed snapshot when
+/// there is one, else `db`'s live working store (where the caller follows
+/// the epoch-guard protocol). Queries, views, catalog providers and the
+/// taxonomy helpers all resolve their reads here.
+const DbSnapshot& ReadViewOf(const Database& db);
 
 /// RAII installer for the thread's read view. Nests: the previous view is
 /// restored on destruction.
 class ScopedReadView {
  public:
-  explicit ScopedReadView(const ReadView* view)
+  explicit ScopedReadView(const DbSnapshot* view)
       : prev_(internal::g_current_read_view) {
     internal::g_current_read_view = view;
   }
@@ -122,7 +62,7 @@ class ScopedReadView {
   ScopedReadView& operator=(const ScopedReadView&) = delete;
 
  private:
-  const ReadView* prev_;
+  const DbSnapshot* prev_;
 };
 
 }  // namespace prometheus

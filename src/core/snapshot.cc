@@ -12,33 +12,14 @@ std::atomic<std::uint64_t> g_retained_versions{0};
 std::atomic<std::uint64_t> g_live_snapshots{0};
 }  // namespace mvcc::internal
 
-DbSnapshot::DbSnapshot() {
-  mvcc::internal::g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
-}
+DbSnapshot::DbSnapshot()
+    : synonym_parent_(std::make_shared<const std::unordered_map<Oid, Oid>>()),
+      schema_(std::make_shared<const SchemaTables>()) {}
 
-DbSnapshot::DbSnapshot(const DbSnapshot& prev)
-    : epoch_(prev.epoch_),
-      objects_(prev.objects_),
-      links_(prev.links_),
-      extents_(prev.extents_),
-      link_extents_(prev.link_extents_),
-      context_index_(prev.context_index_),
-      synonym_parent_(prev.synonym_parent_),
-      schema_(prev.schema_),
-      live_objects_(prev.live_objects_),
-      live_links_(prev.live_links_) {
-  mvcc::internal::g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
-}
-
-DbSnapshot::~DbSnapshot() {
-  mvcc::internal::g_live_snapshots.fetch_sub(1, std::memory_order_relaxed);
-}
-
-// The read algorithms below mirror the `Database` implementations
-// line-for-line (see database.cc) with two systematic substitutions:
-// record lookups go to the version tries, and schema *children* walks go
-// to the snapshot's copied `subclasses`/`subrels` maps — the live vectors
-// those BFS walks would otherwise read are appended to by concurrent DDL.
+// Every read algorithm is written once, here, against the store. Schema
+// *children* walks go to the store's own `subclasses`/`subrels` tables:
+// the definitions' vectors those BFS walks would otherwise read are
+// appended to by concurrent DDL.
 
 const ClassDef* DbSnapshot::FindClass(std::string_view name) const {
   auto it = schema_->classes_by_name.find(std::string(name));
@@ -50,20 +31,6 @@ const RelationshipDef* DbSnapshot::FindRelationship(
   auto it = schema_->rels_by_name.find(std::string(name));
   return it == schema_->rels_by_name.end() ? nullptr : it->second;
 }
-
-std::vector<const ClassDef*> DbSnapshot::classes() const {
-  return schema_->classes_in_order;
-}
-
-std::vector<const RelationshipDef*> DbSnapshot::relationships() const {
-  return schema_->rels_in_order;
-}
-
-const Object* DbSnapshot::GetObject(Oid oid) const {
-  return objects_.Find(oid);
-}
-
-const Link* DbSnapshot::GetLink(Oid oid) const { return links_.Find(oid); }
 
 Result<Value> DbSnapshot::GetAttribute(Oid oid,
                                        const std::string& name) const {
@@ -96,16 +63,11 @@ bool DbSnapshot::IsInstanceOf(Oid oid, std::string_view class_name) const {
   return cls != nullptr && obj->cls->IsSubclassOf(cls);
 }
 
-const std::vector<const ClassDef*>* DbSnapshot::SubclassesOf(
-    const ClassDef* c) const {
-  auto it = schema_->subclasses.find(c);
-  return it == schema_->subclasses.end() ? nullptr : &it->second;
-}
-
-const std::vector<const RelationshipDef*>* DbSnapshot::SubrelsOf(
-    const RelationshipDef* d) const {
-  auto it = schema_->subrels.find(d);
-  return it == schema_->subrels.end() ? nullptr : &it->second;
+const std::vector<const ClassDef*>& DbSnapshot::SubclassesOf(
+    const ClassDef* cls) const {
+  static const std::vector<const ClassDef*> kNone;
+  auto it = schema_->subclasses.find(cls);
+  return it == schema_->subclasses.end() ? kNone : it->second;
 }
 
 std::vector<Oid> DbSnapshot::Extent(const std::string& class_name,
@@ -122,9 +84,7 @@ std::vector<Oid> DbSnapshot::Extent(const std::string& class_name,
       out.insert(out.end(), it->second->begin(), it->second->end());
     }
     if (include_subclasses) {
-      if (const auto* subs = SubclassesOf(c)) {
-        for (const ClassDef* sub : *subs) work.push_back(sub);
-      }
+      for (const ClassDef* sub : SubclassesOf(c)) work.push_back(sub);
     }
   }
   return out;
@@ -158,8 +118,9 @@ std::vector<Oid> DbSnapshot::LinkExtent(const std::string& rel_name,
       out.insert(out.end(), it->second->begin(), it->second->end());
     }
     if (include_subrelationships) {
-      if (const auto* subs = SubrelsOf(d)) {
-        for (const RelationshipDef* sub : *subs) work.push_back(sub);
+      auto subs = schema_->subrels.find(d);
+      if (subs != schema_->subrels.end()) {
+        for (const RelationshipDef* sub : subs->second) work.push_back(sub);
       }
     }
   }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -33,41 +34,56 @@ extern std::atomic<std::uint64_t> g_retained_versions;
 extern std::atomic<std::uint64_t> g_live_snapshots;
 }  // namespace internal
 
-/// Object/link versions currently alive (live store + every version kept
-/// alive only by a published or pinned snapshot).
+/// Object/link versions currently alive: every record of the working
+/// store, plus the superseded versions kept alive only by a published or
+/// pinned snapshot.
 inline std::uint64_t RetainedVersions() {
   return internal::g_retained_versions.load(std::memory_order_relaxed);
 }
 
-/// DbSnapshot instances currently alive (the published one + pinned ones).
+/// Published snapshots currently alive (the current one + pinned ones).
 inline std::uint64_t LiveSnapshots() {
   return internal::g_live_snapshots.load(std::memory_order_relaxed);
 }
 
-/// Deep-copies `src` into a counted immutable version. The custom deleter
+/// Wraps `record` as a counted immutable version. The custom deleter
 /// decrements the retained-version count, so `RetainedVersions()` tracks
-/// exactly the versions still reachable from some snapshot — the number GC
-/// (snapshot release dropping the last reference) must drive back down.
+/// exactly the versions still reachable from the working store or some
+/// snapshot — the number GC (snapshot release dropping the last
+/// reference) must drive back down.
 template <typename T>
-std::shared_ptr<const T> MakeVersion(const T& src) {
+std::shared_ptr<const T> MakeVersion(T record) {
   internal::g_retained_versions.fetch_add(1, std::memory_order_relaxed);
-  return std::shared_ptr<const T>(new T(src), [](const T* p) {
+  return std::shared_ptr<const T>(new T(std::move(record)), [](const T* p) {
     internal::g_retained_versions.fetch_sub(1, std::memory_order_relaxed);
     delete p;
   });
 }
+
+/// Copy-on-write access for the single writer: `p` is edited in place when
+/// the working store is its only owner, replaced by a private copy when a
+/// published snapshot shares it, and created when null.
+template <typename T>
+T& Writable(std::shared_ptr<const T>& p) {
+  if (p == nullptr) {
+    p = std::make_shared<const T>();
+  } else if (p.use_count() > 1) {
+    p = std::make_shared<const T>(*p);
+  }
+  return const_cast<T&>(*p);
+}
 }  // namespace mvcc
 
-/// Immutable schema tables of one snapshot: name→definition maps plus the
-/// *copied* children adjacency (`subclasses`/`subrels`). The copies matter:
-/// the live `ClassDef::subclasses_` / `RelationshipDef::subs_` vectors are
-/// appended to by later DDL, so a snapshot's extent BFS must not read them.
+/// Schema tables of one store: name→definition maps plus the store's own
+/// children adjacency (`subclasses`/`subrels`). The copies matter: the
+/// `ClassDef::subclasses_` / `RelationshipDef::subs_` vectors are appended
+/// to by later DDL, so a snapshot's extent BFS must not read them.
 /// Everything else on a definition (name, supers, attributes, semantics,
 /// endpoints) is frozen once defined and safely shared.
 ///
-/// The keep-alive vectors pin the definition objects themselves so object
-/// versions retained by old snapshots keep valid `cls`/`def` pointers even
-/// across `Database::Clear()` (follower rebootstrap).
+/// The keep-alive vectors own the definitions, so record versions retained
+/// by old snapshots keep valid `cls`/`def` pointers even across
+/// `Database::Clear()` (follower rebootstrap).
 struct SchemaTables {
   std::unordered_map<std::string, const ClassDef*> classes_by_name;
   std::unordered_map<std::string, const RelationshipDef*> rels_by_name;
@@ -82,91 +98,107 @@ struct SchemaTables {
   std::vector<std::shared_ptr<const RelationshipDef>> rel_keep_alive;
 };
 
-/// A consistent immutable cut of the whole database at one epoch. Readers
-/// traverse it with **no lock of any kind**: every container reachable from
-/// here is frozen at publish time, and structure shared with newer versions
-/// is copy-on-write (`OidTrie` path copying, per-extent vector replacement).
+/// The one store of objects and first-class links, and the one type every
+/// read goes through. `Database` owns one as its *working store* and edits
+/// it through copy-on-write: `OidTrie::Mutable` for records and
+/// `mvcc::Writable` for the extent, link-extent, context, synonym and
+/// schema tables. The end of each write section publishes a copy of it —
+/// O(#classes + #contexts), every record and table shared — as an
+/// immutable snapshot stamped with the committed epoch.
 ///
-/// Built and published by `Database` at the end of every write section;
-/// acquired by readers as a `SnapshotHandle`. All `ReadView` methods give
-/// exactly the answers the live database would have given at `epoch()`.
-class DbSnapshot final : public ReadView {
+/// Readers traverse a published snapshot with **no lock of any kind**:
+/// the writer clones whatever a snapshot shares before changing it, so
+/// nothing reachable from a snapshot is edited again. Acquired as a
+/// `SnapshotHandle`; a snapshot answers exactly as the database did at
+/// `epoch()`.
+class DbSnapshot {
  public:
-  ~DbSnapshot() override;
-
   DbSnapshot& operator=(const DbSnapshot&) = delete;
 
-  std::uint64_t epoch() const override { return epoch_; }
-  std::uint64_t index_epoch_ceiling() const override { return epoch_; }
+  /// Epoch this store observes: fixed for a snapshot, the database's
+  /// moving epoch for the working store.
+  std::uint64_t epoch() const {
+    return live_epoch_ != nullptr
+               ? live_epoch_->load(std::memory_order_acquire)
+               : epoch_;
+  }
 
-  const ClassDef* FindClass(std::string_view name) const override;
-  const RelationshipDef* FindRelationship(
-      std::string_view name) const override;
-  std::vector<const ClassDef*> classes() const override;
-  std::vector<const RelationshipDef*> relationships() const override;
+  /// Largest index `dirty_epoch` this store may consume (see
+  /// `IndexManager::Lookup`'s `as_of`). The working store accepts any
+  /// index state (indexes track it by construction); a snapshot accepts
+  /// only indexes untouched since its epoch.
+  std::uint64_t index_epoch_ceiling() const {
+    return live_epoch_ != nullptr ? std::numeric_limits<std::uint64_t>::max()
+                                  : epoch_;
+  }
 
-  Result<Value> GetAttribute(Oid oid, const std::string& name) const override;
-  const Object* GetObject(Oid oid) const override;
-  bool IsInstanceOf(Oid oid, std::string_view class_name) const override;
+  // ---------------------------------------------------------------- schema
+  const ClassDef* FindClass(std::string_view name) const;
+  const RelationshipDef* FindRelationship(std::string_view name) const;
+  std::vector<const ClassDef*> classes() const {
+    return schema_->classes_in_order;
+  }
+  std::vector<const RelationshipDef*> relationships() const {
+    return schema_->rels_in_order;
+  }
+  /// Direct subclasses of `cls` as of this store.
+  const std::vector<const ClassDef*>& SubclassesOf(const ClassDef* cls) const;
+
+  // --------------------------------------------------------------- objects
+  Result<Value> GetAttribute(Oid oid, const std::string& name) const;
+  const Object* GetObject(Oid oid) const { return objects_.Find(oid); }
+  bool IsInstanceOf(Oid oid, std::string_view class_name) const;
   std::vector<Oid> Extent(const std::string& class_name,
-                          bool include_subclasses = true) const override;
-  std::size_t object_count() const override { return live_objects_; }
+                          bool include_subclasses = true) const;
+  std::size_t object_count() const { return live_objects_; }
 
-  Result<Value> GetLinkAttribute(Oid oid,
-                                 const std::string& name) const override;
-  const Link* GetLink(Oid oid) const override;
+  // ----------------------------------------------------------------- links
+  Result<Value> GetLinkAttribute(Oid oid, const std::string& name) const;
+  const Link* GetLink(Oid oid) const { return links_.Find(oid); }
   std::vector<Oid> LinkExtent(const std::string& rel_name,
-                              bool include_subrelationships = true)
-      const override;
-  const std::vector<Oid>& LinksInContext(Oid context) const override;
-  std::size_t link_count() const override { return live_links_; }
+                              bool include_subrelationships = true) const;
+  const std::vector<Oid>& LinksInContext(Oid context) const;
+  std::size_t link_count() const { return live_links_; }
 
+  // ------------------------------------------------------------- traversal
   std::vector<Oid> IncidentLinks(Oid oid, Direction dir,
                                  const RelationshipDef* def = nullptr,
-                                 Oid context = kNullOid) const override;
+                                 Oid context = kNullOid) const;
   std::vector<Oid> Neighbors(Oid oid, const std::string& rel_name,
                              Direction dir = Direction::kOut,
-                             Oid context = kNullOid) const override;
+                             Oid context = kNullOid) const;
   Result<std::vector<Oid>> Traverse(Oid start, const std::string& rel_name,
                                     std::uint32_t min_depth,
                                     std::uint32_t max_depth,
                                     Direction dir = Direction::kOut,
-                                    Oid context = kNullOid) const override;
+                                    Oid context = kNullOid) const;
 
-  bool AreSynonyms(Oid a, Oid b) const override;
-  Oid CanonicalOf(Oid oid) const override;
-  std::vector<Oid> SynonymSet(Oid oid) const override;
+  // -------------------------------------------------------------- synonyms
+  bool AreSynonyms(Oid a, Oid b) const;
+  Oid CanonicalOf(Oid oid) const;
+  std::vector<Oid> SynonymSet(Oid oid) const;
 
  private:
   friend class Database;
 
   DbSnapshot();
-  /// Incremental build: the next snapshot starts as an O(1) structural
-  /// share of the previous one; the writer then replaces only what a dirty
-  /// set names.
-  DbSnapshot(const DbSnapshot& prev);
+  /// O(#classes + #contexts): shares every record, node and table.
+  DbSnapshot(const DbSnapshot&) = default;
+  DbSnapshot& operator=(DbSnapshot&&) = default;
 
-  const std::vector<const ClassDef*>* SubclassesOf(const ClassDef* c) const;
-  const std::vector<const RelationshipDef*>* SubrelsOf(
-      const RelationshipDef* d) const;
+  template <typename Key>
+  using OidTables =
+      std::unordered_map<Key, std::shared_ptr<const std::vector<Oid>>>;
 
   std::uint64_t epoch_ = 0;
+  /// The owning database's epoch counter; set on the working store only.
+  const std::atomic<std::uint64_t>* live_epoch_ = nullptr;
 
-  // Record versions (deep copies of live Object/Link state, shared across
-  // consecutive snapshots until superseded).
   OidTrie<Object> objects_;
   OidTrie<Link> links_;
-
-  // Secondary structures: whole-vector replacement on change, shared
-  // otherwise. Absent key == empty.
-  std::unordered_map<const ClassDef*, std::shared_ptr<const std::vector<Oid>>>
-      extents_;
-  std::unordered_map<const RelationshipDef*,
-                     std::shared_ptr<const std::vector<Oid>>>
-      link_extents_;
-  std::unordered_map<Oid, std::shared_ptr<const std::vector<Oid>>>
-      context_index_;
-
+  OidTables<const ClassDef*> extents_;  // absent key == empty
+  OidTables<const RelationshipDef*> link_extents_;
+  OidTables<Oid> context_index_;
   std::shared_ptr<const std::unordered_map<Oid, Oid>> synonym_parent_;
   std::shared_ptr<const SchemaTables> schema_;
 

@@ -54,14 +54,14 @@ struct QueryProfile {
 /// Const discipline / concurrency: the const execution paths (`Execute`,
 /// `Eval`, `Explain`) perform **no** `Database` mutation — results copy
 /// attribute values and hold object references as bare Oids, never aliasing
-/// engine-internal state. All reads route through the thread's active
-/// `ReadView` (see `CurrentReadView()`): when the caller installs a pinned
-/// `DbSnapshot` — directly via the `ReadView` overloads below or with a
-/// `ScopedReadView` — execution is wait-free against writers and the
-/// engine never touches the live database. With no view installed, reads
-/// fall back to the live database, where the legacy contract applies: the
-/// caller must hold a `Database::ReadGuard`, enforced in debug builds by
-/// the epoch-stability assert at the end of every execution.
+/// engine-internal state. All reads route through `ReadViewOf(db)`: when
+/// the caller installs a pinned `DbSnapshot` — directly via the snapshot
+/// overloads below or with a `ScopedReadView` — execution is wait-free
+/// against writers and the engine never touches the live database. With no
+/// snapshot installed, reads go to the live store, where the legacy
+/// contract applies: the caller must hold a `Database::ReadGuard`, enforced
+/// in debug builds by the epoch-stability assert at the end of every
+/// execution.
 class QueryEngine {
  public:
   /// `db` (and `indexes`, when given) must outlive the engine.
@@ -103,7 +103,7 @@ class QueryEngine {
   /// pinned `DbSnapshot`): installs it as the thread's view for the
   /// duration, so every read — including index-fallback extent scans and
   /// subqueries — observes exactly that snapshot.
-  Result<ResultSet> Execute(const std::string& query, const ReadView& view,
+  Result<ResultSet> Execute(const std::string& query, const DbSnapshot& view,
                             const ExecutionContext* ctx = nullptr) const {
     ScopedReadView scope(&view);
     return Execute(query, ctx);
@@ -123,7 +123,7 @@ class QueryEngine {
   /// Profiled execution against an explicit read view; see the `Execute`
   /// overload above.
   Result<QueryProfile> ExecuteProfiled(
-      const std::string& query, const ReadView& view,
+      const std::string& query, const DbSnapshot& view,
       const ExecutionContext* ctx = nullptr) const {
     ScopedReadView scope(&view);
     return ExecuteProfiled(query, ctx);
@@ -145,12 +145,8 @@ class QueryEngine {
  private:
   struct RangeBinding;
 
-  /// The view reads route through: the thread's installed view when one is
-  /// active, otherwise the live database.
-  const ReadView& view() const {
-    const ReadView* v = CurrentReadView();
-    return v != nullptr ? *v : static_cast<const ReadView&>(*db_);
-  }
+  /// The store reads route through (see `ReadViewOf`).
+  const DbSnapshot& view() const { return ReadViewOf(*db_); }
 
   Result<Value> EvalPath(const Expr& expr, const Environment& env) const;
   Result<Value> EvalBinary(const Expr& expr, const Environment& env) const;

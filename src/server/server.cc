@@ -310,12 +310,6 @@ Server::Server(Database* db, Options options)
     }
     return Status::Ok();
   });
-  // Engage MVCC publication now, while construction is still
-  // single-threaded: the first AcquireSnapshot pays the full materialized
-  // build (it quiesces via a ReadGuard), and doing it here keeps that cost
-  // off the first query's latency — and off any code path that might
-  // otherwise first acquire while a writer churns.
-  (void)db_->AcquireSnapshot();
 }
 
 namespace {
@@ -341,15 +335,6 @@ std::size_t ApproxValueBytes(const Value& v) {
       break;
   }
   return n;
-}
-
-/// The read view catalog providers resolve against: the thread's installed
-/// view when a query pinned a snapshot, else the live database. Matches
-/// QueryEngine::view() so `sys.classes` / `sys.storage` rows are computed
-/// under the same MVCC cut as the query's other ranges.
-const ReadView& ProviderView(const Database* db) {
-  const ReadView* v = CurrentReadView();
-  return v != nullptr ? *v : static_cast<const ReadView&>(*db);
 }
 
 Value StringList(const std::vector<std::string>& items) {
@@ -529,7 +514,7 @@ void Server::RegisterSystemCatalog() {
               Value::Int(
                   static_cast<std::int64_t>(db_->oldest_pinned_epoch()))},
              {"epoch", Value::Int(static_cast<std::int64_t>(
-                           ProviderView(db_).epoch()))}}));
+                           ReadViewOf(*db_).epoch()))}}));
         return rows;
       });
 
@@ -538,12 +523,12 @@ void Server::RegisterSystemCatalog() {
   catalog_.Register(
       "sys.classes", "Every class definition in the schema",
       {"name", "abstract", "supers", "subclasses", "attributes"}, [this]() {
-        const ReadView& view = ProviderView(db_);
+        const DbSnapshot& view = ReadViewOf(*db_);
         std::vector<Value> rows;
         for (const ClassDef* cls : view.classes()) {
           std::vector<std::string> supers, subs, attrs;
           for (const ClassDef* s : cls->supers()) supers.push_back(s->name());
-          for (const ClassDef* s : cls->subclasses()) {
+          for (const ClassDef* s : view.SubclassesOf(cls)) {
             subs.push_back(s->name());
           }
           for (const AttributeDef& a : cls->attributes()) {
@@ -569,7 +554,7 @@ void Server::RegisterSystemCatalog() {
       {"class", "rows", "approx_bytes", "indexes", "scans", "index_hits",
        "rows_scanned"},
       [this]() {
-        const ReadView& view = ProviderView(db_);
+        const DbSnapshot& view = ReadViewOf(*db_);
         std::vector<pool::ExtentHeat::Counters> heat =
             pool::ExtentHeat::Instance().Snapshot();
         auto heat_for = [&heat](const std::string& name) {

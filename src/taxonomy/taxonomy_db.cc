@@ -373,13 +373,13 @@ Status TaxonomyDatabase::RecordPlacement(Oid name, Oid genus_name) {
 
 Oid TaxonomyDatabase::PlacementOf(Oid name) const {
   std::vector<Oid> targets =
-      view().Neighbors(name, kPlacementRel, Direction::kOut);
+      ReadViewOf(*db_).Neighbors(name, kPlacementRel, Direction::kOut);
   return targets.empty() ? kNullOid : targets.front();
 }
 
 std::vector<Oid> TaxonomyDatabase::TypesOf(Oid name,
                                            const TypeKind* kind) const {
-  const ReadView& rv = view();
+  const DbSnapshot& rv = ReadViewOf(*db_);
   std::vector<Oid> out;
   for (const char* rel : {kTypifiedBySpecimenRel, kTypifiedByNameRel}) {
     for (Oid lid : rv.IncidentLinks(name, Direction::kOut,
@@ -403,7 +403,9 @@ std::vector<Oid> TaxonomyDatabase::PrimaryTypeSpecimensOf(Oid name) const {
   for (TypeKind kind :
        {TypeKind::kHolotype, TypeKind::kLectotype, TypeKind::kNeotype}) {
     for (Oid type : TypesOf(name, &kind)) {
-      if (view().IsInstanceOf(type, kSpecimenClass)) out.push_back(type);
+      if (ReadViewOf(*db_).IsInstanceOf(type, kSpecimenClass)) {
+        out.push_back(type);
+      }
     }
   }
   return out;
@@ -412,7 +414,7 @@ std::vector<Oid> TaxonomyDatabase::PrimaryTypeSpecimensOf(Oid name) const {
 std::vector<Oid> TaxonomyDatabase::NamesTypifiedBy(Oid type) const {
   std::vector<Oid> out;
   for (const char* rel : {kTypifiedBySpecimenRel, kTypifiedByNameRel}) {
-    for (Oid src : view().Neighbors(type, rel, Direction::kIn)) {
+    for (Oid src : ReadViewOf(*db_).Neighbors(type, rel, Direction::kIn)) {
       out.push_back(src);
     }
   }
@@ -420,7 +422,7 @@ std::vector<Oid> TaxonomyDatabase::NamesTypifiedBy(Oid type) const {
 }
 
 Result<std::string> TaxonomyDatabase::FullName(Oid name) const {
-  const ReadView& rv = view();
+  const DbSnapshot& rv = ReadViewOf(*db_);
   if (!rv.IsInstanceOf(name, kNameClass)) {
     return Status::NotFound("@" + std::to_string(name) + " is not a name");
   }
@@ -456,7 +458,7 @@ Status TaxonomyDatabase::SetNameStatus(Oid name, NameStatus status) {
 
 Result<NameStatus> TaxonomyDatabase::NameStatusOf(Oid name) const {
   PROMETHEUS_ASSIGN_OR_RETURN(Value status,
-                              view().GetAttribute(name, "status"));
+                              ReadViewOf(*db_).GetAttribute(name, "status"));
   if (status.type() != ValueType::kString) {
     return Status::NotFound("no status recorded");
   }
@@ -478,13 +480,13 @@ Result<Oid> TaxonomyDatabase::AddDetermination(Oid specimen, Oid name,
 }
 
 std::vector<Oid> TaxonomyDatabase::DeterminationsOf(Oid specimen) const {
-  const ReadView& rv = view();
+  const DbSnapshot& rv = ReadViewOf(*db_);
   return rv.IncidentLinks(specimen, Direction::kOut,
                           rv.FindRelationship(kDeterminedAsRel));
 }
 
 std::vector<std::vector<Oid>> TaxonomyDatabase::FindHomonyms() const {
-  const ReadView& rv = view();
+  const DbSnapshot& rv = ReadViewOf(*db_);
   std::unordered_map<std::string, std::vector<Oid>> groups;
   for (Oid name : rv.Extent(kNameClass)) {
     auto element = rv.GetAttribute(name, "name_element");
@@ -552,19 +554,19 @@ Status TaxonomyDatabase::AscribeName(Oid taxon, Oid name) {
 
 Oid TaxonomyDatabase::AscribedNameOf(Oid taxon) const {
   std::vector<Oid> names =
-      view().Neighbors(taxon, kAscribedNameRel, Direction::kOut);
+      ReadViewOf(*db_).Neighbors(taxon, kAscribedNameRel, Direction::kOut);
   return names.empty() ? kNullOid : names.front();
 }
 
 Oid TaxonomyDatabase::CalculatedNameOf(Oid taxon) const {
   std::vector<Oid> names =
-      view().Neighbors(taxon, kCalculatedNameRel, Direction::kOut);
+      ReadViewOf(*db_).Neighbors(taxon, kCalculatedNameRel, Direction::kOut);
   return names.empty() ? kNullOid : names.front();
 }
 
 Result<Rank> TaxonomyDatabase::RankOf(Oid taxon_or_name) const {
-  PROMETHEUS_ASSIGN_OR_RETURN(Value rank,
-                              view().GetAttribute(taxon_or_name, "rank"));
+  PROMETHEUS_ASSIGN_OR_RETURN(
+      Value rank, ReadViewOf(*db_).GetAttribute(taxon_or_name, "rank"));
   if (rank.type() != ValueType::kString) {
     return Status::NotFound("no rank recorded");
   }

@@ -301,15 +301,6 @@ class TaxonomyDatabase {
                                                          Oid revision) const;
 
  private:
-  /// Read view the const helpers consult: the thread's pinned MVCC
-  /// snapshot when one is installed (a server worker answering a query),
-  /// else the live database. Mutators reuse the same helpers on writer
-  /// threads, where no view is installed, so they always see live state.
-  const ReadView& view() const {
-    const ReadView* v = CurrentReadView();
-    return v != nullptr ? *v : static_cast<const ReadView&>(*db_);
-  }
-
   Status DefineSchema();
   Result<Oid> GenusAncestorName(Oid classification, Oid taxon) const;
   Result<Oid> NewCombination(Oid base_name, Oid genus_name,

@@ -6,19 +6,6 @@
 
 namespace prometheus {
 
-namespace {
-
-/// Read view for evaluation paths: the thread's pinned snapshot when one
-/// is installed (a server worker evaluating a view for a query), else the
-/// live database. Maintenance (OnEvent) runs on the writer thread, which
-/// installs no view, so incremental updates always see live state.
-const ReadView& EvalView(const Database* db) {
-  const ReadView* v = CurrentReadView();
-  return v != nullptr ? *v : static_cast<const ReadView&>(*db);
-}
-
-}  // namespace
-
 ViewManager::ViewManager(Database* db) : db_(db), engine_(db) {
   listener_ = db_->bus().Subscribe(
       [this](const Event& e) {
@@ -117,7 +104,7 @@ ViewManager::CompiledView* ViewManager::FindMutable(const std::string& name) {
 
 Result<bool> ViewManager::Satisfies(const CompiledView& view, Oid oid) const {
   if (!view.def.class_name.empty() &&
-      !EvalView(db_).IsInstanceOf(oid, view.def.class_name)) {
+      !ReadViewOf(*db_).IsInstanceOf(oid, view.def.class_name)) {
     return false;
   }
   if (view.predicate != nullptr) {
@@ -129,7 +116,7 @@ Result<bool> ViewManager::Satisfies(const CompiledView& view, Oid oid) const {
 }
 
 bool ViewManager::IsMember(const CompiledView& view, Oid oid) const {
-  const ReadView& rv = EvalView(db_);
+  const DbSnapshot& rv = ReadViewOf(*db_);
   if (rv.GetObject(oid) == nullptr) return false;
   if (view.def.context != kNullOid) {
     // Context views require current participation in the classification.
@@ -190,7 +177,7 @@ void ViewManager::OnEvent(const Event& event) {
 
 Result<std::vector<Oid>> ViewManager::Candidates(
     const CompiledView& view) const {
-  const ReadView& rv = EvalView(db_);
+  const DbSnapshot& rv = ReadViewOf(*db_);
   std::vector<Oid> candidates;
   if (view.def.context != kNullOid) {
     std::unordered_set<Oid> seen;
@@ -237,7 +224,7 @@ Result<std::vector<Oid>> ViewManager::EvaluateEdges(
     return Status::FailedPrecondition("view '" + name +
                                       "' has no classification context");
   }
-  const ReadView& rv = EvalView(db_);
+  const DbSnapshot& rv = ReadViewOf(*db_);
   std::vector<Oid> out;
   for (Oid lid : rv.LinksInContext(view->def.context)) {
     const Link* l = rv.GetLink(lid);

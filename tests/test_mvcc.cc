@@ -305,6 +305,59 @@ TEST_F(MvccSnapshotTest, AbortedTransactionNeverVisibleInAnySnapshot) {
   EXPECT_EQ(snap->object_count(), db_.object_count());
 }
 
+TEST_F(MvccSnapshotTest, UntouchedRecordsAreOneCopyInStoreAndSnapshot) {
+  SnapshotHandle pinned = db_.AcquireSnapshot();
+  // Published, untouched records are the very same versions in the live
+  // store and in the snapshot: there is one copy of the data.
+  for (Oid oid : recs_) {
+    EXPECT_EQ(db_.GetObject(oid), pinned->GetObject(oid)) << "@" << oid;
+  }
+
+  {
+    Database::WriteGuard g(db_);
+    ASSERT_TRUE(db_.SetAttribute(recs_[2], "a", Value::Int(20)).ok());
+  }
+
+  // Only the written record was copied; the pinned snapshot keeps the old
+  // version and still shares every other record with the live store.
+  for (Oid oid : recs_) {
+    if (oid == recs_[2]) {
+      EXPECT_NE(db_.GetObject(oid), pinned->GetObject(oid));
+    } else {
+      EXPECT_EQ(db_.GetObject(oid), pinned->GetObject(oid)) << "@" << oid;
+    }
+  }
+  EXPECT_EQ(pinned->GetAttribute(recs_[2], "a").value().AsInt(), 2);
+
+  // The snapshot published by the write section shares every record.
+  SnapshotHandle now = db_.AcquireSnapshot();
+  for (Oid oid : recs_) {
+    EXPECT_EQ(db_.GetObject(oid), now->GetObject(oid)) << "@" << oid;
+  }
+}
+
+TEST_F(MvccSnapshotTest, UnguardedMutationVisibleToNextAcquire) {
+  SnapshotHandle first = db_.AcquireSnapshot();
+
+  // Single-threaded use needs no guard: these mutations close no write
+  // section and publish nothing by themselves.
+  ASSERT_TRUE(db_.SetAttribute(recs_[3], "a", Value::Int(33)).ok());
+  auto fresh = db_.CreateObject("Rec", {{"name", Value::String("unguarded")},
+                                        {"a", Value::Int(0)},
+                                        {"b", Value::Int(0)}});
+  ASSERT_TRUE(fresh.ok());
+
+  SnapshotHandle next = db_.AcquireSnapshot();
+  EXPECT_EQ(next->epoch(), first->epoch());  // no write section closed
+  EXPECT_EQ(next->GetAttribute(recs_[3], "a").value().AsInt(), 33);
+  EXPECT_NE(next->GetObject(fresh.value()), nullptr);
+  EXPECT_EQ(next->object_count(), db_.object_count());
+
+  // The earlier pin is untouched by the republish.
+  EXPECT_EQ(first->GetAttribute(recs_[3], "a").value().AsInt(), 3);
+  EXPECT_EQ(first->GetObject(fresh.value()), nullptr);
+}
+
 // --------------------------------------------------------------------- GC
 
 TEST(MvccGcTest, SupersededVersionsFreeWhenLastPinReleases) {
