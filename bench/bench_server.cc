@@ -61,6 +61,7 @@
 #include "net/http_server.h"
 #include "obs/wait_profiler.h"
 #include "oo7/oo7.h"
+#include "query/render.h"
 #include "replication/follower.h"
 #include "replication/source.h"
 #include "server/client.h"
@@ -80,6 +81,7 @@ using prometheus::bench::LatencyStats;
 using prometheus::bench::SummarizeLatencies;
 using prometheus::oo7::Config;
 using prometheus::oo7::PrometheusOo7;
+using prometheus::pool::RenderJson;
 using prometheus::server::Client;
 using prometheus::server::Priority;
 using prometheus::server::Request;
@@ -733,8 +735,8 @@ ReplicationBench RunReplication(const std::string& base, int clients,
     result.catchup_ms = MillisSince(t0);
     if (!caught) {
       std::fprintf(stderr, "E18: catch-up timed out\n  f1=%s\n  f2=%s\n",
-                   followers[0]->ProgressJson().c_str(),
-                   followers[1]->ProgressJson().c_str());
+                   RenderJson(followers[0]->ProgressRows().front()).c_str(),
+                   RenderJson(followers[1]->ProgressRows().front()).c_str());
     }
     if (caught && result.catchup_ms > 0) {
       result.ship_records_per_sec =

@@ -73,14 +73,15 @@
 
 #include "index/index_manager.h"
 #include "net/http_server.h"
-#include "obs/wait_profiler.h"
 #include "query/query_engine.h"
+#include "query/render.h"
 #include "replication/follower.h"
 #include "replication/source.h"
 #include "rules/pcl.h"
 #include "rules/rule_engine.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "server/telemetry.h"
 #include "storage/recovery.h"
 #include "storage/snapshot.h"
 
@@ -95,57 +96,22 @@ AttributeDef Attr(std::string name, ValueType type) {
   return a;
 }
 
-void PrintResultSet(const pool::ResultSet& rs) {
-  // Column widths from headers and cells.
-  std::vector<std::size_t> widths;
-  for (const std::string& c : rs.columns) widths.push_back(c.size());
-  std::vector<std::vector<std::string>> cells;
-  for (const auto& row : rs.rows) {
-    std::vector<std::string> line;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      std::string text = row[i].ToString();
-      if (i < widths.size() && text.size() > widths[i]) {
-        widths[i] = text.size();
-      }
-      line.push_back(std::move(text));
-    }
-    cells.push_back(std::move(line));
+/// Runs one of the server's fixed telemetry queries (server/telemetry.h)
+/// on this thread and prints its rows — no queue, so it answers while the
+/// server is saturated or degraded.
+void PrintCatalog(server::Server& server, const std::string& text) {
+  Result<pool::ResultSet> rows = server.QueryCatalog(text);
+  if (!rows.ok()) {
+    std::printf("%s\n", rows.status().ToString().c_str());
+    return;
   }
-  for (std::size_t i = 0; i < rs.columns.size(); ++i) {
-    std::printf("%-*s  ", static_cast<int>(widths[i]), rs.columns[i].c_str());
-  }
-  std::printf("\n");
-  for (const auto& line : cells) {
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      std::printf("%-*s  ", static_cast<int>(widths[i]), line[i].c_str());
-    }
-    std::printf("\n");
-  }
-  std::printf("(%zu rows)\n", rs.rows.size());
-}
-
-void PrintHealth(const server::Server::Health& h) {
-  std::printf("degraded:        %s\n", h.degraded ? "YES (read-only)" : "no");
-  if (!h.store_status.ok()) {
-    std::printf("store status:    %s\n", h.store_status.ToString().c_str());
-  }
-  std::printf("queue:           %zu/%zu  (est. wait %.0f us, %d workers)\n",
-              h.queue_depth, h.queue_capacity, h.estimated_wait_micros,
-              h.workers);
-  std::printf("requests:        accepted %llu, rejected %llu, timed out "
-              "%llu, shed %llu, unavailable %llu\n",
-              static_cast<unsigned long long>(h.stats.accepted),
-              static_cast<unsigned long long>(h.stats.rejected),
-              static_cast<unsigned long long>(h.stats.timed_out),
-              static_cast<unsigned long long>(h.stats.shed),
-              static_cast<unsigned long long>(h.stats.unavailable));
-  std::printf("sessions:        %zu active\n", h.sessions_active);
+  std::printf("%s", pool::RenderText(rows.value()).c_str());
 }
 
 /// The transport outcomes a remote client would have to handle, each with
 /// a shell-appropriate course of action. Returns true when `resp` carried
 /// an executed result the caller should go on to print.
-bool ExplainTransport(server::Client& client, const server::Response& resp) {
+bool ExplainTransport(server::Server& server, const server::Response& resp) {
   using server::ResponseCode;
   switch (resp.code) {
     case ResponseCode::kOk:
@@ -172,30 +138,13 @@ bool ExplainTransport(server::Client& client, const server::Response& resp) {
       std::printf("read-only mode: %s\n         -> queries still serve; "
                   "run .checkpoint to re-arm the store. Current health:\n",
                   resp.status.message().c_str());
-      PrintHealth(client.HealthInfo());
+      PrintCatalog(server, server::telemetry::kHealth);
       return false;
     case ResponseCode::kShutdown:
       std::printf("server is shutting down\n");
       return false;
   }
   return false;
-}
-
-void PrintRecent(const obs::FlightRecorder& recorder) {
-  const std::vector<obs::FlightRecorder::Entry> entries = recorder.Snapshot();
-  if (!recorder.enabled()) {
-    std::printf("flight recorder disabled (capacity 0)\n");
-    return;
-  }
-  for (const auto& e : entries) {
-    std::printf("#%-6llu %-9s %-7s %-11s wait %8.0fus  total %8.0fus  %s\n",
-                static_cast<unsigned long long>(e.request_id),
-                e.type.c_str(), e.priority.c_str(), e.code.c_str(),
-                e.queue_wait_micros, e.total_micros, e.detail.c_str());
-  }
-  std::printf("(%zu of the last %llu recorded requests retained)\n",
-              entries.size(),
-              static_cast<unsigned long long>(recorder.recorded_total()));
 }
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -537,27 +486,21 @@ int main(int argc, char** argv) {
       } else if (cmd == ".demo") {
         with_db([](Database& db) { return LoadDemo(db); });
       } else if (cmd == ".health") {
-        PrintHealth(client->HealthInfo());
+        PrintCatalog(*server, server::telemetry::kHealth);
       } else if (cmd == ".recent") {
-        PrintRecent(server->flight_recorder());
+        PrintCatalog(*server, server::telemetry::kRequests);
       } else if (cmd == ".contention") {
         std::string sub;
         in >> sub;
-        std::printf("%s",
-                    obs::RenderContentionText(sub == "window").c_str());
-      } else if (cmd == ".sys") {
-        // The system catalog's own listing; every class is queryable as an
-        // ordinary POOL range (`select m from sys.metrics m where ...`).
-        for (const pool::SystemCatalog::ClassInfo& info :
-             server->system_catalog().ListClasses()) {
-          std::string attrs;
-          for (const std::string& a : info.attributes) {
-            if (!attrs.empty()) attrs += ", ";
-            attrs += a;
-          }
-          std::printf("%-16s %s\n                 (%s)\n", info.name.c_str(),
-                      info.help.c_str(), attrs.c_str());
+        for (const server::telemetry::Section& section :
+             server::telemetry::ContentionSections(sub == "window")) {
+          std::printf("%s:\n", section.name);
+          PrintCatalog(*server, section.query);
         }
+      } else if (cmd == ".sys") {
+        // Every class is queryable as an ordinary POOL range
+        // (`select m from sys.metrics m where ...`).
+        PrintCatalog(*server, server::telemetry::kCatalog);
       } else if (cmd == ".cache") {
         std::string sub;
         in >> sub;
@@ -576,8 +519,8 @@ int main(int argc, char** argv) {
         // server and on a read replica (it is not a mutation).
         server::Response resp =
             client->Call(server::Request::CacheControl(op));
-        if (!ExplainTransport(*client, resp)) continue;
-        PrintResultSet(resp.result);
+        if (!ExplainTransport(*server, resp)) continue;
+        std::printf("%s", pool::RenderText(resp.result).c_str());
       } else if (cmd == ".checkpoint") {
         if (store == nullptr) {
           std::printf("no durable store attached — start the shell with "
@@ -597,21 +540,7 @@ int main(int argc, char** argv) {
           std::printf("not a replica — start the shell with "
                       "--follow <host:port>\n");
         } else {
-          const auto p = follower->progress();
-          std::printf("connected:   %s%s\n", p.connected ? "yes" : "NO",
-                      p.caught_up ? " (caught up)" : "");
-          std::printf("cursor:      generation %llu, journal %llu @ %llu\n",
-                      static_cast<unsigned long long>(p.generation),
-                      static_cast<unsigned long long>(p.journal_seq),
-                      static_cast<unsigned long long>(p.offset));
-          std::printf("lag:         %llu records, %llu bytes\n",
-                      static_cast<unsigned long long>(p.lag_records),
-                      static_cast<unsigned long long>(p.lag_bytes));
-          std::printf("history:     %llu reconnects, %llu rebootstraps, "
-                      "%llu corrupt frames\n",
-                      static_cast<unsigned long long>(p.reconnects),
-                      static_cast<unsigned long long>(p.rebootstraps),
-                      static_cast<unsigned long long>(p.corrupt_frames));
+          PrintCatalog(*server, server::telemetry::kReplication);
         }
       } else if (cmd == ".promote") {
         if (follower == nullptr) {
@@ -661,12 +590,12 @@ int main(int argc, char** argv) {
     server::Request req = server::Request::Query(line);
     if (deadline_ms.count() > 0) req.WithTimeout(deadline_ms);
     server::Response resp = client->Call(std::move(req));
-    if (!ExplainTransport(*client, resp)) continue;
+    if (!ExplainTransport(*server, resp)) continue;
     if (!resp.status.ok()) {
       std::printf("error: %s\n", resp.status.ToString().c_str());
       continue;
     }
-    PrintResultSet(resp.result);
+    std::printf("%s", pool::RenderText(resp.result).c_str());
     if (!resp.text.empty()) std::printf("%s", resp.text.c_str());
   }
   std::printf("\n");

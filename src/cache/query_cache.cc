@@ -28,36 +28,4 @@ std::vector<std::pair<std::string, std::string>> QueryCacheStats::Fields()
   return out;
 }
 
-std::string QueryCache::StatsJson() const {
-  const QueryCacheStats s = Stats();
-  const PlanCache::Stats& p = s.plan;
-  const ResultCache::Stats& r = s.result;
-  char rate[32];
-  std::snprintf(rate, sizeof(rate), "%.1f", r.hit_rate_percent);
-  std::string out = "{";
-  out += "\"enabled\":" + std::string(s.enabled ? "true" : "false");
-  out += ",\"result\":{";
-  out += "\"hits\":" + std::to_string(r.hits);
-  out += ",\"misses\":" + std::to_string(r.misses);
-  out += ",\"hit_rate_percent\":" + std::string(rate);
-  out += ",\"inserts\":" + std::to_string(r.inserts);
-  out += ",\"evictions\":" + std::to_string(r.evictions);
-  out += ",\"invalidations\":" + std::to_string(r.invalidations);
-  out += ",\"oversize\":" + std::to_string(r.oversize);
-  out += ",\"entries\":" + std::to_string(r.entries);
-  out += ",\"bytes\":" + std::to_string(r.bytes);
-  out += ",\"max_bytes\":" + std::to_string(r.max_bytes);
-  out += ",\"shards\":" + std::to_string(r.shards);
-  out += "},\"plan\":{";
-  out += "\"hits\":" + std::to_string(p.hits);
-  out += ",\"misses\":" + std::to_string(p.misses);
-  out += ",\"inserts\":" + std::to_string(p.inserts);
-  out += ",\"evictions\":" + std::to_string(p.evictions);
-  out += ",\"invalidations\":" + std::to_string(p.invalidations);
-  out += ",\"entries\":" + std::to_string(p.entries);
-  out += ",\"schema_generation\":" + std::to_string(p.schema_generation);
-  out += "}}";
-  return out;
-}
-
 }  // namespace prometheus::cache

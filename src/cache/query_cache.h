@@ -12,8 +12,8 @@
 namespace prometheus::cache {
 
 /// A point-in-time snapshot of both cache tiers plus one canonical
-/// field/value rendering. Every stats surface — `.cache stats` rows, the
-/// JSON payload, and the `sys.cache` catalog class — reads from this one
+/// field/value rendering. Every stats surface — the kCacheControl rows
+/// `.cache` prints and the `sys.cache` catalog class — reads from this one
 /// struct, so the surfaces can never drift.
 struct QueryCacheStats {
   bool enabled = false;
@@ -91,10 +91,6 @@ class QueryCache {
     s.plan = plans_.stats();
     return s;
   }
-
-  /// Both tiers' stats as one JSON object (the `.cache` / kCacheControl
-  /// payload).
-  std::string StatsJson() const;
 
  private:
   PlanCache plans_;

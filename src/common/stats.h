@@ -60,9 +60,8 @@ inline LatencyStats SummarizeLatencies(const std::vector<double>& samples) {
 // ------------------------------------------------------------------- JSON
 
 /// Minimal JSON emitter for machine-readable output (`BENCH_*.json` files,
-/// metrics snapshots): nested objects/arrays with automatic comma
-/// placement. No escaping beyond the characters metric and benchmark names
-/// actually use.
+/// metrics snapshots, telemetry bodies): nested objects/arrays with
+/// automatic comma placement and full string escaping.
 class JsonWriter {
  public:
   JsonWriter& BeginObject() { return Open('{'); }
@@ -109,6 +108,11 @@ class JsonWriter {
     out_ += v ? "true" : "false";
     return *this;
   }
+  JsonWriter& Null() {
+    Comma();
+    out_ += "null";
+    return *this;
+  }
 
   const std::string& str() const { return out_; }
 
@@ -135,8 +139,17 @@ class JsonWriter {
       depth_comma_.back() = true;
     }
   }
+  /// One pass, appending runs of plain bytes whole. Every byte below 0x20
+  /// is escaped (JSON forbids raw control characters in strings); bytes
+  /// from 0x80 up pass through, so valid UTF-8 stays valid.
   void Escape(const std::string& s) {
-    for (char c : s) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const unsigned char c = static_cast<unsigned char>(s[i]);
+      if (c >= 0x20 && c != '"' && c != '\\') continue;
+      out_.append(s, run, i - run);
+      run = i + 1;
       switch (c) {
         case '"':
           out_ += "\\\"";
@@ -153,10 +166,14 @@ class JsonWriter {
         case '\t':
           out_ += "\\t";
           break;
-        default:
-          out_ += c;
+        default: {
+          const char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+          out_.append(esc, sizeof esc);
+        }
       }
     }
+    out_.append(s, run, std::string::npos);
   }
 
   std::string out_;

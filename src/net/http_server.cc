@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -18,6 +17,8 @@
 #include "obs/metrics.h"
 #include "obs/wait_profiler.h"
 #include "query/query_engine.h"
+#include "query/render.h"
+#include "server/telemetry.h"
 
 namespace prometheus::net {
 
@@ -120,34 +121,6 @@ std::string RenderQueryJson(const server::Response& resp) {
     w.String(resp.text);
   }
   w.EndObject();
-  return w.str();
-}
-
-std::string RenderSlowLogJson(
-    const std::vector<obs::SlowQueryLog::Entry>& entries) {
-  stats::JsonWriter w;
-  w.BeginArray();
-  for (const auto& e : entries) {
-    w.BeginObject();
-    w.Key("id");
-    w.Uint(e.request_id);
-    w.Key("trace_id");
-    w.String(e.trace_id);
-    w.Key("query");
-    w.String(e.query);
-    w.Key("micros");
-    w.Number(e.micros);
-    w.Key("queue_micros");
-    w.Number(e.queue_micros);
-    w.Key("guard_wait_micros");
-    w.Number(e.guard_wait_micros);
-    w.Key("execute_micros");
-    w.Number(e.execute_micros);
-    w.Key("profile");
-    w.String(e.profile);
-    w.EndObject();
-  }
-  w.EndArray();
   return w.str();
 }
 
@@ -479,15 +452,32 @@ std::string HttpFrontEnd::Handle(const HttpRequest& req,
   SplitTarget(req.target, &path_view, &query_view);
   const std::string path(path_view);
 
-  // Telemetry routes are answered directly on the handler thread — they
-  // read only the metrics registry, the health snapshot and the bounded
-  // rings, never the database guard, so a scrape succeeds while a writer
-  // holds the exclusive lock or the work queue is saturated.
+  // Telemetry routes are answered directly on the handler thread: the
+  // registry, the health row, or a fixed `sys.*` query run by
+  // `Server::QueryCatalog` against a pinned snapshot — never the work
+  // queue or the database guard, so a scrape succeeds while a writer holds
+  // the exclusive lock or the work queue is saturated.
   if (req.method == "GET" || req.method == "HEAD") {
     const auto get_start = std::chrono::steady_clock::now();
     std::string body;
     std::string content_type = kJsonType;
     int status = 200;
+    auto bad_param = [&](const std::string& message) {
+      return SerializeHttpResponse(400, kJsonType, ErrorBody(message),
+                                   keep_alive);
+    };
+    // Runs a telemetry query and renders its rows; false (with `body` the
+    // error) when the catalog refused it.
+    auto catalog_json = [&](const std::string& text, std::string* out) {
+      Result<pool::ResultSet> rows = server_->QueryCatalog(text);
+      if (!rows.ok()) {
+        status = 500;
+        body = ErrorBody(rows.status().ToString());
+        return false;
+      }
+      *out = pool::RenderJson(rows.value());
+      return true;
+    };
     if (path == "/metrics") {
       obs::UpdateProcessUptime();
       obs::MetricsSnapshot snap = obs::Registry().Snapshot();
@@ -503,56 +493,40 @@ std::string HttpFrontEnd::Handle(const HttpRequest& req,
       body = obs::RenderJson(obs::Registry().Snapshot(),
                              {{"server_epoch", server_->server_epoch()}});
     } else if (path == "/health") {
+      // The `sys.health` row, rendered without the engine: lock-free, so
+      // the 503 a probe alerts on never waits for anything.
       const server::Server::Health h = server_->health();
-      body = h.ToJson();
+      body = pool::RenderJson(h.ToRow());
       if (h.degraded) status = 503;  // probes alert on the code alone
     } else if (path == "/slowlog") {
-      body = RenderSlowLogJson(server_->slow_query_log().entries());
+      catalog_json(server::telemetry::kSlowLog, &body);
     } else if (path == "/debug/requests") {
-      std::vector<obs::FlightRecorder::Entry> entries =
-          server_->flight_recorder().Snapshot();
+      // ?id= narrows to one trace id ("show me what request t-123 did on
+      // this node"). It is spliced into the query text, so it must pass
+      // the X-Trace-Id alphabet, which has no quote.
       std::string want_id;
-      if (QueryParam(query_view, "id", &want_id)) {
-        // Exact-match trace filter: the lookup a distributed trace needs
-        // ("show me what request t-123 did on this node").
-        std::vector<obs::FlightRecorder::Entry> matched;
-        for (auto& e : entries) {
-          if (e.trace_id == want_id) matched.push_back(std::move(e));
-        }
-        entries = std::move(matched);
+      if (QueryParam(query_view, "id", &want_id) && !ValidTraceId(want_id)) {
+        return bad_param("id must be 1-128 chars of [A-Za-z0-9._:-]");
       }
       // ?limit=N keeps only the N most recent entries. Strictly validated:
       // a malformed or out-of-range value is a client error, not a silent
       // full dump.
       std::string limit_str;
+      std::uint64_t limit = 0;
       if (QueryParam(query_view, "limit", &limit_str)) {
-        bool valid = !limit_str.empty() && limit_str.size() <= 7;
-        if (valid) {
-          for (char c : limit_str) {
-            if (!std::isdigit(static_cast<unsigned char>(c))) {
-              valid = false;
-              break;
-            }
-          }
-        }
-        const std::uint64_t limit =
-            valid ? std::strtoull(limit_str.c_str(), nullptr, 10) : 0;
-        if (!valid || limit < 1 || limit > 1000000) {
-          return SerializeHttpResponse(
-              400, kJsonType,
-              ErrorBody("limit must be an integer in [1, 1000000], got '" +
-                        limit_str + "'"),
-              keep_alive);
-        }
-        if (entries.size() > limit) {
-          entries.erase(entries.begin(),
-                        entries.end() - static_cast<std::ptrdiff_t>(limit));
+        const bool digits =
+            !limit_str.empty() && limit_str.size() <= 7 &&
+            limit_str.find_first_not_of("0123456789") == std::string::npos;
+        limit = digits ? std::strtoull(limit_str.c_str(), nullptr, 10) : 0;
+        if (limit < 1 || limit > 1000000) {
+          return bad_param("limit must be an integer in [1, 1000000], got '" +
+                           limit_str + "'");
         }
       }
-      body = obs::RenderFlightRecorderJson(entries);
+      catalog_json(server::telemetry::RequestsQuery(want_id, limit), &body);
     } else if (path == "/debug/contention") {
       // ?window=1 returns only what accumulated since the previous
-      // windowed call — the "what is blocking right now" view. The value
+      // windowed read — the "what is blocking right now" view. The value
       // is validated: a typo'd ?window=yes must not silently fall back to
       // the cumulative view an operator wasn't asking for.
       std::string window;
@@ -560,17 +534,20 @@ std::string HttpFrontEnd::Handle(const HttpRequest& req,
       if (QueryParam(query_view, "window", &window)) {
         if (window.empty() || window == "1" || window == "true") {
           windowed = true;
-        } else if (window == "0" || window == "false") {
-          windowed = false;
-        } else {
-          return SerializeHttpResponse(
-              400, kJsonType,
-              ErrorBody("window must be one of 1/0/true/false, got '" +
-                        window + "'"),
-              keep_alive);
+        } else if (window != "0" && window != "false") {
+          return bad_param("window must be one of 1/0/true/false, got '" +
+                           window + "'");
         }
       }
-      body = obs::RenderContentionJson(windowed);
+      std::string report =
+          std::string("{\"windowed\":") + (windowed ? "true" : "false");
+      for (const server::telemetry::Section& section :
+           server::telemetry::ContentionSections(windowed)) {
+        std::string rows;
+        if (!catalog_json(section.query, &rows)) break;
+        report += std::string(",\"") + section.name + "\":" + rows;
+      }
+      if (status == 200) body = report + "}";
     } else if (path == "/query" || path == "/profile") {
       return SerializeHttpResponse(
           405, kJsonType, ErrorBody("use POST with a POOL query body"),

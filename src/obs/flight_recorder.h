@@ -30,6 +30,9 @@ namespace prometheus::obs {
 class FlightRecorder {
  public:
   struct Entry {
+    /// 1-based recording order, set by the recorder: ascending `seq` is
+    /// oldest first, so `order by r.seq desc limit N` selects the newest N.
+    std::uint64_t seq = 0;
     std::uint64_t request_id = 0;
     std::string trace_id;   ///< trace-context id (`/debug/requests?id=`)
     std::string type;       ///< "ping", "query", "mutation", "stats", ...
@@ -80,18 +83,14 @@ class FlightRecorder {
   /// (each slot is copied under its own lock).
   std::vector<Entry> Snapshot() const {
     std::vector<Entry> out;
-    if (capacity_ == 0) return out;
-    std::vector<std::pair<std::uint64_t, Entry>> tagged;
-    tagged.reserve(capacity_);
+    out.reserve(capacity_);
     for (std::size_t i = 0; i < capacity_; ++i) {
       Slot& slot = slots_[i];
       std::lock_guard<std::mutex> lock(slot.mu);
-      if (slot.seq != 0) tagged.emplace_back(slot.seq, slot.entry);
+      if (slot.entry.seq != 0) out.push_back(slot.entry);
     }
-    std::sort(tagged.begin(), tagged.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    out.reserve(tagged.size());
-    for (auto& [seq, entry] : tagged) out.push_back(std::move(entry));
+    std::sort(out.begin(), out.end(),
+              [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
     return out;
   }
 
@@ -103,8 +102,7 @@ class FlightRecorder {
  private:
   struct Slot {
     mutable std::mutex mu;
-    std::uint64_t seq = 0;  ///< 1-based write sequence; 0 = unused
-    Entry entry;
+    Entry entry;  ///< entry.seq == 0: never written
   };
 
   void Install(std::uint64_t seq, Entry entry) {
@@ -113,18 +111,15 @@ class FlightRecorder {
     // On ring wrap a writer holding an older seq can reach the slot lock
     // after a newer writer; install monotonically so the stale entry is
     // dropped instead of overwriting the fresher one.
-    if (slot.seq > seq + 1) return;
+    if (slot.entry.seq > seq + 1) return;
     slot.entry = std::move(entry);
-    slot.seq = seq + 1;  // 0 stays "never written"
+    slot.entry.seq = seq + 1;  // 0 stays "never written"
   }
 
   const std::size_t capacity_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<std::uint64_t> next_{0};
 };
-
-/// Renders a snapshot as a JSON array, oldest first.
-std::string RenderFlightRecorderJson(const std::vector<FlightRecorder::Entry>& entries);
 
 }  // namespace prometheus::obs
 

@@ -90,22 +90,8 @@ struct WaitInstruments {
 Histogram::Snapshot SnapshotDelta(const Histogram::Snapshot& now,
                                   const Histogram::Snapshot& then);
 
-/// Assembles the contention report: one JSON object per wait state
-/// (count, total micros, mean, p50/p95/p99) plus the guard gauges. With
-/// `windowed`, each state reports the delta since the previous windowed
-/// call (the first windowed call reports since process start) — the
-/// windows are kept per-process under a mutex, matching the process-wide
-/// registry the states live in.
-std::string RenderContentionJson(bool windowed);
-
-/// The same report as a fixed-width text table (the shell's `.contention`).
-/// Windowed reads share the JSON renderer's window store.
-std::string RenderContentionText(bool windowed);
-
-/// One wait state's cumulative statistics — the structured face of the
-/// contention report (`sys.contention` rows). Deliberately cumulative-only:
-/// a structured read must never consume the shared windowed delta store the
-/// HTTP route and shell advance.
+/// One wait state's statistics: a `sys.contention` (cumulative) or
+/// `sys.contention_window` (since the previous windowed read) row.
 struct ContentionStat {
   std::string state;
   std::uint64_t count = 0;
@@ -116,10 +102,12 @@ struct ContentionStat {
   double p99_micros = 0;
 };
 
-/// Cumulative per-state statistics in report display order. Shares the
-/// histogram sources with the JSON/text renderers, so names and numbers can
-/// never drift between `/debug/contention` and `sys.contention`.
-std::vector<ContentionStat> SnapshotContention();
+/// Per-state statistics in report display order. With `windowed`, each
+/// state reports the delta since the previous windowed call (the first
+/// reports since process start); the window is kept per process under a
+/// mutex, matching the process-wide registry the states live in, so every
+/// windowed reader advances one shared window.
+std::vector<ContentionStat> SnapshotContention(bool windowed);
 
 }  // namespace prometheus::obs
 

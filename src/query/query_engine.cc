@@ -169,34 +169,51 @@ std::vector<Value> ResultSet::Column(std::size_t i) const {
   return out;
 }
 
+Result<std::shared_ptr<const cache::PlanEntry>> QueryEngine::PlanFor(
+    const std::string& text, obs::TraceNode* trace) const {
+  // Plan tier: a hit returns the cached immutable AST, skipping parse and
+  // the access-path analysis. Failed parses are never cached (the error
+  // path re-parses), and index existence is re-checked per execution.
+  // Traced, the profile stays self-describing: a `cache` span reports the
+  // plan hit/miss, and a `parse` span appears only when parsing ran.
+  if (plan_cache_ != nullptr) {
+    obs::TraceNode* span = trace != nullptr ? trace->AddChild("cache") : nullptr;
+    std::shared_ptr<const cache::PlanEntry> plan;
+    {
+      obs::SpanTimer timer(span);
+      plan = plan_cache_->Lookup(text);
+    }
+    if (span != nullptr) {
+      span->detail = plan != nullptr ? "plan hit (parse + analysis skipped)"
+                                     : "plan miss";
+    }
+    if (plan != nullptr) return plan;
+  }
+  obs::TraceNode* span = trace != nullptr ? trace->AddChild("parse") : nullptr;
+  Result<std::unique_ptr<SelectQuery>> parsed = [&] {
+    obs::SpanTimer timer(span);
+    return ParseQuery(text);
+  }();
+  if (!parsed.ok()) return parsed.status();
+  std::shared_ptr<const cache::PlanEntry> plan = BuildPlanEntry(
+      std::shared_ptr<const SelectQuery>(std::move(parsed).value()));
+  if (plan_cache_ != nullptr) plan_cache_->Insert(text, plan);
+  return plan;
+}
+
 Result<ResultSet> QueryEngine::Execute(const std::string& query,
                                        const ExecutionContext* ctx) const {
   const EngineMetrics& metrics = EngineMetrics::Get();
   metrics.queries->Increment();
   obs::ScopedTimer timer(metrics.latency);
-  // Plan tier: a hit executes the cached immutable AST, skipping parse and
-  // the access-path analysis. Failed parses are never cached (the error
-  // path re-parses), and index existence is re-checked per execution.
-  std::shared_ptr<const cache::PlanEntry> plan;
-  if (plan_cache_ != nullptr) plan = plan_cache_->Lookup(query);
-  if (plan == nullptr) {
-    Result<std::unique_ptr<SelectQuery>> parsed = ParseQuery(query);
-    if (!parsed.ok()) {
-      metrics.errors->Increment();
-      return parsed.status();
-    }
-    if (plan_cache_ == nullptr) {
-      Result<ResultSet> result =
-          ExecuteInternal(*parsed.value(), Environment{}, nullptr, ctx);
-      if (!result.ok()) metrics.errors->Increment();
-      return result;
-    }
-    plan = BuildPlanEntry(
-        std::shared_ptr<const SelectQuery>(std::move(parsed).value()));
-    plan_cache_->Insert(query, plan);
+  Result<std::shared_ptr<const cache::PlanEntry>> plan =
+      PlanFor(query, nullptr);
+  if (!plan.ok()) {
+    metrics.errors->Increment();
+    return plan.status();
   }
-  Result<ResultSet> result =
-      ExecuteInternal(*plan->ast, Environment{}, nullptr, ctx, plan.get());
+  Result<ResultSet> result = ExecuteInternal(
+      *plan.value()->ast, Environment{}, nullptr, ctx, plan.value().get());
   if (!result.ok()) metrics.errors->Increment();
   return result;
 }
@@ -214,45 +231,14 @@ Result<QueryProfile> QueryEngine::ExecuteProfiled(
   out.trace.detail = body;
   obs::SpanTimer total(&out.trace);
 
-  // With a plan cache attached the trace stays self-describing: a `cache`
-  // span reports the plan hit/miss, and the `parse` span appears only when
-  // parsing actually happened.
-  std::shared_ptr<const cache::PlanEntry> plan;
-  if (plan_cache_ != nullptr) {
-    obs::TraceNode cache_node("cache");
-    {
-      obs::SpanTimer span(&cache_node);
-      plan = plan_cache_->Lookup(body);
-    }
-    cache_node.detail = plan != nullptr
-                            ? "plan hit (parse + analysis skipped)"
-                            : "plan miss";
-    out.trace.children.push_back(std::move(cache_node));
+  Result<std::shared_ptr<const cache::PlanEntry>> plan =
+      PlanFor(body, &out.trace);
+  if (!plan.ok()) {
+    metrics.errors->Increment();
+    return plan.status();
   }
-  std::unique_ptr<SelectQuery> uncached;  ///< owns a cache-less parse
-  if (plan == nullptr) {
-    obs::TraceNode parse_node("parse");
-    Result<std::unique_ptr<SelectQuery>> parsed = [&] {
-      obs::SpanTimer span(&parse_node);
-      return ParseQuery(body);
-    }();
-    out.trace.children.push_back(std::move(parse_node));
-    if (!parsed.ok()) {
-      metrics.errors->Increment();
-      return parsed.status();
-    }
-    if (plan_cache_ != nullptr) {
-      plan = BuildPlanEntry(
-          std::shared_ptr<const SelectQuery>(std::move(parsed).value()));
-      plan_cache_->Insert(body, plan);
-    } else {
-      uncached = std::move(parsed).value();
-    }
-  }
-
-  const SelectQuery& ast = plan != nullptr ? *plan->ast : *uncached;
-  Result<ResultSet> rows = ExecuteInternal(ast, Environment{}, &out.trace,
-                                           ctx, plan.get());
+  Result<ResultSet> rows = ExecuteInternal(
+      *plan.value()->ast, Environment{}, &out.trace, ctx, plan.value().get());
   if (!rows.ok()) {
     metrics.errors->Increment();
     return rows.status();

@@ -186,6 +186,13 @@ class QueryEngine {
                                              const cache::PlanEntry* plan)
       const;
 
+  /// The plan for `text`: the cached entry when the plan cache holds one,
+  /// else a fresh parse wrapped by `BuildPlanEntry` (and inserted when a
+  /// plan cache is attached). `trace` (nullable) receives the `cache` and
+  /// `parse` spans.
+  Result<std::shared_ptr<const cache::PlanEntry>> PlanFor(
+      const std::string& text, obs::TraceNode* trace) const;
+
   /// Wraps a freshly parsed AST plus its structural access-path analysis
   /// into a cacheable plan entry.
   std::shared_ptr<const cache::PlanEntry> BuildPlanEntry(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <random>
-#include <sstream>
 #include <vector>
 
 #include "obs/flight_recorder.h"
@@ -135,7 +134,6 @@ Result<std::unique_ptr<Follower>> Follower::Start(Options options) {
   server_options.worker_threads = follower->options_.worker_threads;
   server_options.read_only = true;
   Follower* raw = follower.get();
-  server_options.replication_probe = [raw] { return raw->ProgressJson(); };
   server_options.replication_rows = [raw] { return raw->ProgressRows(); };
   follower->server_ = std::make_unique<server::Server>(
       follower->db_.get(), std::move(server_options));
@@ -190,22 +188,6 @@ Follower::Progress Follower::progress() const {
 void Follower::UpdateProgress(const Progress& p) {
   std::lock_guard<std::mutex> lock(progress_mu_);
   progress_ = p;
-}
-
-std::string Follower::ProgressJson() const {
-  const Progress p = progress();
-  std::ostringstream out;
-  out << "{\"connected\":" << (p.connected ? "true" : "false")
-      << ",\"caught_up\":" << (p.caught_up ? "true" : "false")
-      << ",\"generation\":" << p.generation
-      << ",\"journal_seq\":" << p.journal_seq << ",\"offset\":" << p.offset
-      << ",\"records_applied\":" << p.records_applied
-      << ",\"lag_records\":" << p.lag_records
-      << ",\"lag_bytes\":" << p.lag_bytes
-      << ",\"reconnects\":" << p.reconnects
-      << ",\"rebootstraps\":" << p.rebootstraps
-      << ",\"corrupt_frames\":" << p.corrupt_frames << "}";
-  return out.str();
 }
 
 std::vector<Value> Follower::ProgressRows() const {

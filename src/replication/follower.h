@@ -49,8 +49,8 @@ namespace prometheus::replication {
 /// The follower serves read-only POOL queries plus /metrics, /stats and
 /// /health behind its own `HttpFrontEnd`; mutations answer `kUnavailable`
 /// through the server's read-only role. Replication lag is exported as
-/// `replication_lag_records` / `replication_lag_bytes` gauges and embedded
-/// in /health via the server's replication probe.
+/// `replication_lag_records` / `replication_lag_bytes` gauges, served as
+/// `sys.replication` rows, and embedded in /health as "replication".
 ///
 /// `Promote()` turns the mirror into a standalone writable leader: the
 /// fetch loop and read-only plane stop, and the directory — a valid store
@@ -129,13 +129,9 @@ class Follower {
   };
   Progress progress() const;
 
-  /// The JSON object the server's /health embeds as "replication".
-  std::string ProgressJson() const;
-
-  /// The same progress as `sys.replication` rows: one struct Value for this
-  /// follower's link. Field for field identical to ProgressJson, read from
-  /// the same Progress snapshot, so the catalog can never drift from
-  /// /health.
+  /// The progress as `sys.replication` rows: one struct Value for this
+  /// follower's link. The server's health row (`/health`, `sys.health`)
+  /// embeds the same row as "replication", so the two can never drift.
   std::vector<Value> ProgressRows() const;
 
   /// Blocks until the follower is connected and at the leader's live tail

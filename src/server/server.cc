@@ -12,7 +12,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/wait_profiler.h"
+#include "query/render.h"
 #include "query/system_catalog.h"
+#include "server/telemetry.h"
 
 namespace prometheus::server {
 
@@ -181,7 +183,14 @@ std::string FlightDetail(const Request& req) {
     case RequestKind::kQuery: {
       constexpr std::size_t kMaxDetail = 200;
       if (req.query.size() <= kMaxDetail) return req.query;
-      return req.query.substr(0, kMaxDetail) + "…";
+      // Cut at a code-point boundary: back off UTF-8 continuation bytes
+      // (10xxxxxx) so the detail stays valid UTF-8.
+      std::size_t cut = kMaxDetail;
+      while (cut > 0 &&
+             (static_cast<unsigned char>(req.query[cut]) & 0xC0) == 0x80) {
+        --cut;
+      }
+      return req.query.substr(0, cut) + "…";
     }
     case RequestKind::kMutation:
       switch (req.mutation.kind) {
@@ -210,56 +219,37 @@ std::string FlightDetail(const Request& req) {
   }
 }
 
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
-std::string Server::Health::ToJson() const {
-  std::string out = "{";
-  out += "\"server_epoch\":" + std::to_string(server_epoch);
-  out += ",\"degraded\":" + std::string(degraded ? "true" : "false");
-  out += ",\"read_only\":" + std::string(read_only ? "true" : "false");
-  if (!replication.empty()) out += ",\"replication\":" + replication;
-  out += ",\"store_status\":\"" + JsonEscape(store_status.ToString()) + "\"";
-  out += ",\"queue_depth\":" + std::to_string(queue_depth);
-  out += ",\"queue_capacity\":" + std::to_string(queue_capacity);
-  out += ",\"workers\":" + std::to_string(workers);
-  out += ",\"estimated_wait_micros\":" +
-         std::to_string(static_cast<std::int64_t>(estimated_wait_micros));
-  out += ",\"accepted\":" + std::to_string(stats.accepted);
-  out += ",\"rejected\":" + std::to_string(stats.rejected);
-  out += ",\"timed_out\":" + std::to_string(stats.timed_out);
-  out += ",\"shed\":" + std::to_string(stats.shed);
-  out += ",\"unavailable\":" + std::to_string(stats.unavailable);
-  out += ",\"errors\":" + std::to_string(stats.errors);
-  out += ",\"sessions_active\":" + std::to_string(sessions_active);
-  out += "}";
-  return out;
+Value Server::Health::ToRow() const {
+  auto u64 = [](std::uint64_t v) {
+    return Value::Int(static_cast<std::int64_t>(v));
+  };
+  return Value::MakeStruct(
+      {{"server_epoch", u64(server_epoch)},
+       {"degraded", Value::Bool(degraded)},
+       {"read_only", Value::Bool(read_only)},
+       {"replication", replication},
+       {"store_status", Value::String(store_status.ToString())},
+       {"queue_depth", u64(queue_depth)},
+       {"queue_capacity", u64(queue_capacity)},
+       {"workers", Value::Int(workers)},
+       {"estimated_wait_micros",
+        Value::Int(static_cast<std::int64_t>(estimated_wait_micros))},
+       {"accepted", u64(stats.accepted)},
+       {"rejected", u64(stats.rejected)},
+       {"timed_out", u64(stats.timed_out)},
+       {"shed", u64(stats.shed)},
+       {"unavailable", u64(stats.unavailable)},
+       {"errors", u64(stats.errors)},
+       {"sessions_active", u64(sessions_active)}});
 }
 
 Server::Server(Database* db, Options options)
     : db_(db),
       query_cache_(options.cache),
       engine_(db, options.indexes),
+      catalog_engine_(db, options.indexes),
       slow_log_(options.slow_query_micros, options.slow_query_capacity),
       flight_recorder_(options.flight_recorder_capacity),
       executor_(ThreadPoolExecutor::Options{options.worker_threads,
@@ -270,7 +260,6 @@ Server::Server(Database* db, Options options)
       indexes_(options.indexes),
       read_only_(options.read_only),
       writer_wait_warn_micros_(options.writer_wait_warn_micros),
-      replication_probe_(std::move(options.replication_probe)),
       replication_rows_(std::move(options.replication_rows)),
       server_epoch_(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -298,6 +287,7 @@ Server::Server(Database* db, Options options)
   // providers run on query workers against internally synchronized state.
   RegisterSystemCatalog();
   engine_.set_system_catalog(&catalog_);
+  catalog_engine_.set_system_catalog(&catalog_);
   ddl_listener_ = db_->bus().Subscribe([this](const Event& e) {
     switch (e.kind) {
       case EventKind::kAfterDefineClass:
@@ -419,15 +409,17 @@ void Server::RegisterSystemCatalog() {
   catalog_.Register(
       "sys.requests",
       "The flight recorder: the last N completed requests, oldest first",
-      {"request_id", "trace_id", "type", "priority", "code", "ok", "executed",
-       "epoch", "queue_wait_micros", "total_micros", "guard_wait_micros",
-       "execute_micros", "journal_micros", "detail"},
+      {"seq", "request_id", "trace_id", "type", "priority", "code", "ok",
+       "executed", "epoch", "queue_wait_micros", "total_micros",
+       "guard_wait_micros", "execute_micros", "journal_micros", "detail",
+       "stages"},
       [this]() {
         std::vector<Value> rows;
         for (const obs::FlightRecorder::Entry& e :
              flight_recorder_.Snapshot()) {
           rows.push_back(Value::MakeStruct(
-              {{"request_id",
+              {{"seq", Value::Int(static_cast<std::int64_t>(e.seq))},
+               {"request_id",
                 Value::Int(static_cast<std::int64_t>(e.request_id))},
                {"trace_id", Value::String(e.trace_id)},
                {"type", Value::String(e.type)},
@@ -441,33 +433,67 @@ void Server::RegisterSystemCatalog() {
                {"guard_wait_micros", Value::Double(e.guard_wait_micros)},
                {"execute_micros", Value::Double(e.execute_micros)},
                {"journal_micros", Value::Double(e.journal_micros)},
-               {"detail", Value::String(e.detail)}}));
+               {"detail", Value::String(e.detail)},
+               {"stages", e.stages.empty() ? Value::Null()
+                                           : Value::String(e.stages)}}));
         }
         return rows;
       });
 
-  // sys.contention — cumulative wait-state statistics. Cumulative only:
-  // a catalog read must never consume the windowed delta the HTTP route
-  // and the shell share.
+  // sys.slowlog — the slow-query log, oldest first.
   catalog_.Register(
-      "sys.contention",
-      "Cumulative wait-state statistics (the contention report)",
-      {"state", "count", "total_micros", "mean_micros", "p50_micros",
-       "p95_micros", "p99_micros"},
-      []() {
+      "sys.slowlog",
+      "The slow-query log: queries over the threshold, oldest first",
+      {"request_id", "trace_id", "query", "micros", "queue_micros",
+       "guard_wait_micros", "execute_micros", "profile"},
+      [this]() {
         std::vector<Value> rows;
-        for (const obs::ContentionStat& s : obs::SnapshotContention()) {
+        for (const obs::SlowQueryLog::Entry& e : slow_log_.entries()) {
           rows.push_back(Value::MakeStruct(
-              {{"state", Value::String(s.state)},
-               {"count", Value::Int(static_cast<std::int64_t>(s.count))},
-               {"total_micros", Value::Double(s.total_micros)},
-               {"mean_micros", Value::Double(s.mean_micros)},
-               {"p50_micros", Value::Double(s.p50_micros)},
-               {"p95_micros", Value::Double(s.p95_micros)},
-               {"p99_micros", Value::Double(s.p99_micros)}}));
+              {{"request_id",
+                Value::Int(static_cast<std::int64_t>(e.request_id))},
+               {"trace_id", Value::String(e.trace_id)},
+               {"query", Value::String(e.query)},
+               {"micros", Value::Double(e.micros)},
+               {"queue_micros", Value::Double(e.queue_micros)},
+               {"guard_wait_micros", Value::Double(e.guard_wait_micros)},
+               {"execute_micros", Value::Double(e.execute_micros)},
+               {"profile", Value::String(e.profile)}}));
         }
         return rows;
       });
+
+  // sys.contention / sys.contention_window — wait-state statistics,
+  // cumulative or since the previous windowed read. Reading the window
+  // class consumes the window (one shared window per process), so
+  // `/debug/contention?window=1` and `.contention window` see each other's
+  // reads; the cumulative class never touches it.
+  auto contention = [](bool windowed) {
+    std::vector<Value> rows;
+    for (const obs::ContentionStat& s : obs::SnapshotContention(windowed)) {
+      rows.push_back(Value::MakeStruct(
+          {{"state", Value::String(s.state)},
+           {"count", Value::Int(static_cast<std::int64_t>(s.count))},
+           {"total_micros", Value::Double(s.total_micros)},
+           {"mean_micros", Value::Double(s.mean_micros)},
+           {"p50_micros", Value::Double(s.p50_micros)},
+           {"p95_micros", Value::Double(s.p95_micros)},
+           {"p99_micros", Value::Double(s.p99_micros)}}));
+    }
+    return rows;
+  };
+  const std::vector<std::string> contention_attributes = {
+      "state",      "count",      "total_micros", "mean_micros",
+      "p50_micros", "p95_micros", "p99_micros"};
+  catalog_.Register("sys.contention",
+                    "Cumulative wait-state statistics (the contention report)",
+                    contention_attributes,
+                    [contention]() { return contention(false); });
+  catalog_.Register(
+      "sys.contention_window",
+      "Wait-state statistics since the previous read of this class "
+      "(reading consumes the window)",
+      contention_attributes, [contention]() { return contention(true); });
 
   // sys.cache — the canonical QueryCacheStats::Fields() rows, shared with
   // `.cache stats` so the two surfaces can never drift.
@@ -494,6 +520,18 @@ void Server::RegisterSystemCatalog() {
         return replication_rows_ ? replication_rows_()
                                  : std::vector<Value>{};
       });
+
+  // sys.health — the health summary, one row (what /health renders). The
+  // attributes are the row's own field names.
+  const Value health_row = health().ToRow();
+  std::vector<std::string> health_fields;
+  for (const auto& field : health_row.AsStruct()) {
+    health_fields.push_back(field.first);
+  }
+  catalog_.Register(
+      "sys.health", "Overload/degradation summary (one row; /health)",
+      std::move(health_fields),
+      [this]() { return std::vector<Value>{health().ToRow()}; });
 
   // sys.snapshots — MVCC retention/pinning, one row.
   catalog_.Register(
@@ -634,7 +672,10 @@ Server::Health Server::health() const {
   h.server_epoch = server_epoch_;
   h.degraded = degraded_.load(std::memory_order_acquire);
   h.read_only = read_only_;
-  if (replication_probe_) h.replication = replication_probe_();
+  if (replication_rows_) {
+    std::vector<Value> links = replication_rows_();
+    if (!links.empty()) h.replication = std::move(links.front());
+  }
   {
     std::lock_guard<std::mutex> lock(store_status_mu_);
     h.store_status = store_status_;
@@ -1030,16 +1071,23 @@ Response Server::ExecuteCacheControl(RequestId id, const Request& req) {
       break;
   }
   // Every op reports the post-op state, so `.cache clear` shows the
-  // emptied cache it produced.
-  resp.text = query_cache_.StatsJson();
-  // One canonical rendering shared with `sys.cache`: the rows here are
-  // exactly QueryCacheStats::Fields(), so the two surfaces cannot drift.
-  resp.result.columns = {"field", "value"};
-  for (auto& [field, value] : query_cache_.Stats().Fields()) {
-    resp.result.rows.push_back(
-        {Value::String(field), Value::String(std::move(value))});
+  // emptied cache it produced: the `sys.cache` rows, field by field.
+  Result<pool::ResultSet> rows = QueryCatalog(telemetry::kCache);
+  if (rows.ok()) {
+    resp.result = std::move(rows).value();
+  } else {
+    resp.status = rows.status();
   }
   return resp;
+}
+
+Result<pool::ResultSet> Server::QueryCatalog(const std::string& text) {
+  if (!pool::QueryTouchesCatalog(text)) {
+    return Status::InvalidArgument(
+        "QueryCatalog serves sys.* queries only: " + text);
+  }
+  SnapshotHandle snap = db_->AcquireSnapshot();
+  return catalog_engine_.Execute(text, *snap);
 }
 
 Response Server::ExecuteQuery(RequestId id, const Request& req,
@@ -1193,28 +1241,10 @@ Response Server::ExecuteHealth(RequestId id, const Request&) {
   // Reads only server-cached state (atomics + the cached store status) —
   // like kStats it never queues behind a writer's lock, so it stays
   // answerable exactly when things go wrong.
-  Health h = health();
-  resp.text = h.ToJson();
-  resp.result.columns = {"field", "value"};
-  auto row = [&resp](const char* k, std::string v) {
-    resp.result.rows.push_back(
-        {Value::String(k), Value::String(std::move(v))});
-  };
-  row("server_epoch", std::to_string(h.server_epoch));
-  row("degraded", h.degraded ? "true" : "false");
-  row("read_only", h.read_only ? "true" : "false");
-  if (!h.replication.empty()) row("replication", h.replication);
-  row("store_status", h.store_status.ToString());
-  row("queue_depth", std::to_string(h.queue_depth) + "/" +
-                         std::to_string(h.queue_capacity));
-  row("estimated_wait_micros",
-      std::to_string(static_cast<std::int64_t>(h.estimated_wait_micros)));
-  row("accepted", std::to_string(h.stats.accepted));
-  row("rejected", std::to_string(h.stats.rejected));
-  row("timed_out", std::to_string(h.stats.timed_out));
-  row("shed", std::to_string(h.stats.shed));
-  row("unavailable", std::to_string(h.stats.unavailable));
-  row("sessions_active", std::to_string(h.sessions_active));
+  Value row = health().ToRow();
+  resp.text = pool::RenderJson(row);
+  resp.result.columns = {"h"};
+  resp.result.rows.push_back({std::move(row)});
   return resp;
 }
 

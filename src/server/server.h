@@ -91,15 +91,12 @@ class Server {
     /// `Follower::Promote()` (which builds a fresh writable server) exits
     /// the role.
     bool read_only = false;
-    /// Optional replication status probe rendered into kHealth/ToJson
-    /// (lag, connection state). Must be lock-light and thread-safe; on a
-    /// follower the `Follower` installs it.
-    std::function<std::string()> replication_probe;
-    /// Optional structured companion to `replication_probe`: the rows the
-    /// `sys.replication` catalog class materializes (one struct Value per
-    /// replication link). Same thread-safety contract; on a follower the
-    /// `Follower` installs it. A leader (or standalone server) without one
-    /// serves an empty `sys.replication` extent.
+    /// Optional replication status: the rows the `sys.replication` catalog
+    /// class materializes (one struct Value per replication link); the
+    /// health row embeds the first as "replication". Must be lock-light
+    /// and thread-safe; on a follower the `Follower` installs it. A leader
+    /// (or standalone server) without one serves an empty
+    /// `sys.replication` extent.
     std::function<std::vector<Value>()> replication_rows;
     /// Query-cache configuration (plan + result tiers), on by default.
     /// Result-cache hits resolve at Enqueue on the submitting thread —
@@ -154,13 +151,16 @@ class Server {
   };
   Stats stats() const;
 
-  /// Point-in-time overload/degradation summary — what kHealth renders.
-  /// Lock-free with respect to the database: never queues behind a writer.
+  /// Point-in-time overload/degradation summary — what `/health`, kHealth,
+  /// `.health` and `sys.health` render. Lock-free with respect to the
+  /// database: never queues behind a writer.
   struct Health {
     std::uint64_t server_epoch = 0;  ///< see Server::server_epoch()
     bool degraded = false;
     bool read_only = false;       ///< permanent follower role
-    std::string replication;      ///< probe's JSON object ("" when none)
+    /// The `sys.replication` row of this server's link; null when it
+    /// replicates from nobody.
+    Value replication;
     Status store_status;          ///< last observed store status
     std::size_t queue_depth = 0;
     std::size_t queue_capacity = 0;
@@ -169,18 +169,29 @@ class Server {
     Stats stats;
     std::size_t sessions_active = 0;
 
-    std::string ToJson() const;
+    /// The one struct row every health surface renders: the fields above
+    /// in order, with the `stats` counters inline (accepted, rejected,
+    /// timed_out, shed, unavailable, errors).
+    Value ToRow() const;
   };
   Health health() const;
 
   /// The two-tier query cache (see cache/query_cache.h). Thread-safe;
-  /// `query_cache().StatsJson()` / `Clear()` are what kCacheControl runs.
+  /// `query_cache().Stats()` / `Clear()` are what kCacheControl runs.
   cache::QueryCache& query_cache() { return query_cache_; }
 
   /// The virtual `sys.*` system catalog this server registered over its
   /// own internals (see query/system_catalog.h). Immutable after
-  /// construction; the shell's `.sys` renders its listing.
+  /// construction; `sys.catalog` (the shell's `.sys`) lists it.
   const pool::SystemCatalog& system_catalog() const { return catalog_; }
+
+  /// Runs a `sys.*` query on the calling thread against a pinned snapshot:
+  /// no queue, admission, flight record or guard, so the telemetry
+  /// surfaces answer while the work queue is full or a writer holds the
+  /// write guard. Refuses (InvalidArgument) any text that does not touch
+  /// the `sys.` namespace. The fixed texts the surfaces run live in
+  /// server/telemetry.h.
+  Result<pool::ResultSet> QueryCatalog(const std::string& text);
 
   /// Queries that exceeded Options::slow_query_micros (empty when disabled).
   const obs::SlowQueryLog& slow_query_log() const { return slow_log_; }
@@ -247,6 +258,9 @@ class Server {
   cache::QueryCache query_cache_;
   pool::SystemCatalog catalog_;
   pool::QueryEngine engine_;
+  /// `QueryCatalog`'s engine: the same catalog, no plan cache, so the
+  /// trace ids spliced into telemetry texts never evict workload plans.
+  pool::QueryEngine catalog_engine_;
   obs::SlowQueryLog slow_log_;
   obs::FlightRecorder flight_recorder_;
   ThreadPoolExecutor executor_;
@@ -255,7 +269,6 @@ class Server {
   IndexManager* indexes_;
   const bool read_only_;
   const double writer_wait_warn_micros_;
-  const std::function<std::string()> replication_probe_;
   const std::function<std::vector<Value>()> replication_rows_;
   const std::uint64_t server_epoch_;
   /// DDL listener bumping the plan cache's schema generation. Subscribed

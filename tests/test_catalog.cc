@@ -113,8 +113,9 @@ TEST(CatalogQueryTest, SysCatalogListsEveryClassIncludingItself) {
   std::set<std::string> names;
   for (const auto& row : r.value().rows) names.insert(row[0].AsString());
   for (const char* expected :
-       {"sys.catalog", "sys.metrics", "sys.requests", "sys.contention",
-        "sys.cache", "sys.replication", "sys.snapshots", "sys.classes",
+       {"sys.catalog", "sys.metrics", "sys.requests", "sys.slowlog",
+        "sys.contention", "sys.contention_window", "sys.cache",
+        "sys.replication", "sys.health", "sys.snapshots", "sys.classes",
         "sys.storage"}) {
     EXPECT_EQ(names.count(expected), 1u) << expected;
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/result.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/value.h"
 
@@ -180,6 +181,28 @@ INSTANTIATE_TEST_SUITE_P(
                       Value::MakeList({Value::Int(1), Value::Null()}),
                       Value::MakeStruct({{"k", Value::String("v")},
                                          {"n", Value::Int(9)}})));
+
+TEST(JsonWriterTest, EscapesEveryControlByteAndKeepsUtf8) {
+  std::string raw;
+  for (char c = 0; c < 0x20; ++c) raw += c;
+  stats::JsonWriter w;
+  w.String(raw + "\"\\caf\xC3\xA9");
+  std::string want = "\"";
+  const char* hex = "0123456789abcdef";
+  for (int c = 0; c < 0x20; ++c) {
+    if (c == '\n') {
+      want += "\\n";
+    } else if (c == '\r') {
+      want += "\\r";
+    } else if (c == '\t') {
+      want += "\\t";
+    } else {
+      want += std::string("\\u00") + hex[c >> 4] + hex[c & 0xF];
+    }
+  }
+  want += "\\\"\\\\caf\xC3\xA9\"";
+  EXPECT_EQ(w.str(), want);
+}
 
 }  // namespace
 }  // namespace prometheus

@@ -17,8 +17,10 @@
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
 #include "obs/wait_profiler.h"
+#include "query/render.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "server/telemetry.h"
 #include "storage/recovery.h"
 
 namespace {
@@ -33,19 +35,21 @@ using prometheus::ValueType;
 using prometheus::obs::GuardInstruments;
 using prometheus::obs::Histogram;
 using prometheus::obs::Registry;
-using prometheus::obs::RenderContentionJson;
-using prometheus::obs::RenderContentionText;
 using prometheus::obs::SnapshotDelta;
 using prometheus::obs::ThreadWait;
 using prometheus::obs::WaitInstruments;
 using prometheus::obs::WaitState;
 using prometheus::obs::WaitStateName;
+using prometheus::pool::RenderJson;
+using prometheus::pool::RenderText;
 using prometheus::server::Client;
 using prometheus::server::Request;
 using prometheus::server::Response;
 using prometheus::server::ResponseCode;
 using prometheus::server::RetryPolicy;
 using prometheus::server::Server;
+using prometheus::server::telemetry::ContentionSections;
+using prometheus::server::telemetry::Section;
 using prometheus::storage::DurableStore;
 
 AttributeDef Attr(std::string name, ValueType type) {
@@ -210,45 +214,72 @@ TEST(ThreadWaitAccumulatorTest, ResetsAndAccumulatesPerThread) {
 
 // ----------------------------------------------------- contention report
 
-TEST(ContentionReportTest, JsonListsEveryWaitState) {
+/// Every section of the contention report (`/debug/contention`,
+/// `.contention`) run through the server's catalog path and rendered.
+std::string ContentionReport(Server& server, bool windowed, bool text) {
+  std::string out;
+  for (const Section& section : ContentionSections(windowed)) {
+    auto rows = server.QueryCatalog(section.query);
+    EXPECT_TRUE(rows.ok()) << section.name << ": "
+                           << rows.status().ToString();
+    if (!rows.ok()) continue;
+    out += text ? RenderText(rows.value()) : RenderJson(rows.value());
+  }
+  return out;
+}
+
+TEST(ContentionReportTest, CatalogListsEveryWaitStateAndGuardGauge) {
   Registry().ResetForTest();
-  const std::string json = RenderContentionJson(/*windowed=*/false);
+  auto db = MakePartsDb();
+  Server server(db.get());
+  const std::string json = ContentionReport(server, false, false);
   for (WaitState s :
        {WaitState::kAdmission, WaitState::kQueue, WaitState::kGuardShared,
         WaitState::kGuardExclusive, WaitState::kExecute,
         WaitState::kJournalAppend, WaitState::kJournalSync,
         WaitState::kSerialize}) {
-    EXPECT_NE(json.find("\"" + std::string(WaitStateName(s)) + "\""),
-              std::string::npos)
+    EXPECT_NE(
+        json.find("\"state\":\"" + std::string(WaitStateName(s)) + "\""),
+        std::string::npos)
         << json;
   }
-  EXPECT_NE(json.find("\"windowed\":false"), std::string::npos);
-  EXPECT_NE(json.find("\"blocked_readers\""), std::string::npos);
-  EXPECT_NE(json.find("\"writer_last_hold_micros\""), std::string::npos);
+  EXPECT_NE(json.find("\"guard_blocked_readers\""), std::string::npos);
+  EXPECT_NE(json.find("\"guard_writer_last_hold_micros\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"retained_versions\""), std::string::npos);
 }
 
-TEST(ContentionReportTest, WindowedReportCoversOnlyTheInterval) {
+TEST(ContentionReportTest, WindowedClassCoversOnlyTheInterval) {
   Registry().ResetForTest();
+  auto db = MakePartsDb();
+  Server server(db.get());
+  auto execute_count = [&server](const char* cls) -> std::int64_t {
+    auto rows = server.QueryCatalog(std::string("select c.count from ") +
+                                    cls + " c where c.state = 'execute'");
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (!rows.ok() || rows.value().rows.size() != 1) return -1;
+    return rows.value().rows[0][0].AsInt();
+  };
   const WaitInstruments& w = WaitInstruments::Get();
   w.execute->Observe(100);
-  (void)RenderContentionJson(/*windowed=*/true);  // consume the window
-  const std::string empty_window = RenderContentionJson(/*windowed=*/true);
-  // Nothing happened between the two windowed calls: execute reports 0.
-  EXPECT_NE(empty_window.find("\"execute\":{\"count\":0"), std::string::npos)
-      << empty_window;
+  (void)execute_count("sys.contention_window");  // consume the window
+  // Nothing happened between the two windowed reads: execute reports 0.
+  EXPECT_EQ(execute_count("sys.contention_window"), 0);
 
   w.execute->Observe(250);
-  const std::string busy_window = RenderContentionJson(/*windowed=*/true);
-  EXPECT_NE(busy_window.find("\"execute\":{\"count\":1"), std::string::npos)
-      << busy_window;
+  // The cumulative class counts both and leaves the window alone.
+  EXPECT_EQ(execute_count("sys.contention"), 2);
+  EXPECT_EQ(execute_count("sys.contention_window"), 1);
 }
 
-TEST(ContentionReportTest, TextTableRendersAllStatesAndGuardLine) {
+TEST(ContentionReportTest, TextTableRendersAllStatesAndGuardGauges) {
   Registry().ResetForTest();
-  const std::string text = RenderContentionText(/*windowed=*/false);
+  auto db = MakePartsDb();
+  Server server(db.get());
+  const std::string text = ContentionReport(server, false, true);
   EXPECT_NE(text.find("guard_shared"), std::string::npos);
   EXPECT_NE(text.find("journal_sync"), std::string::npos);
-  EXPECT_NE(text.find("blocked_readers="), std::string::npos);
+  EXPECT_NE(text.find("guard_blocked_readers"), std::string::npos);
 }
 
 // -------------------------------------------- server-side wait breakdown

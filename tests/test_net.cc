@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "json_check.h"
 #include "net/http.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
@@ -39,6 +41,7 @@ using prometheus::net::ParseHttpResponse;
 using prometheus::net::ParseResult;
 using prometheus::net::SerializeHttpResponse;
 using prometheus::server::Server;
+using prometheus::testing::JsonChecker;
 using prometheus::testing::ParsePrometheusText;
 using prometheus::testing::PromExposition;
 using prometheus::testing::PromFamily;
@@ -301,11 +304,15 @@ TEST(PromParserTest, RegistryRenderIsConformant) {
 
 class NetTest : public ::testing::Test {
  protected:
+  /// Fixture variants adjust the server before it starts.
+  virtual void Configure(Server::Options*) {}
+
   void SetUp() override {
     db_ = MakePartsDb();
     Server::Options options;
     options.worker_threads = 2;
     options.queue_capacity = 64;
+    Configure(&options);
     server_ = std::make_unique<Server>(db_.get(), options);
     HttpFrontEnd::Options net_options;
     net_options.port = 0;  // ephemeral
@@ -477,8 +484,12 @@ TEST_F(NetTest, FlightRecorderSurfacesServedRequests) {
   EXPECT_EQ(recents.status_code, 200);
   EXPECT_NE(recents.body.find("\"type\":\"query\""), std::string::npos);
   EXPECT_NE(recents.body.find("select p.name"), std::string::npos);
-  // The profiled request kept its per-stage span tree.
-  EXPECT_NE(recents.body.find("\"stages\""), std::string::npos);
+  // The profiled request kept its per-stage span tree (rooted at "query",
+  // with an execute span); the plain one has none.
+  const std::size_t stages = recents.body.find("\"stages\":\"query");
+  ASSERT_NE(stages, std::string::npos) << recents.body;
+  EXPECT_NE(recents.body.find("execute", stages), std::string::npos);
+  EXPECT_NE(recents.body.find("\"stages\":null"), std::string::npos);
 }
 
 TEST_F(NetTest, TraceIdRoundTripsAndFiltersDebugRequests) {
@@ -504,6 +515,13 @@ TEST_F(NetTest, TraceIdRoundTripsAndFiltersDebugRequests) {
   const HttpResponse none = Fetch("GET", "/debug/requests?id=absent");
   EXPECT_EQ(none.status_code, 200);
   EXPECT_EQ(none.body, "[]");
+  // The id is spliced into a POOL text, so anything outside the X-Trace-Id
+  // alphabet — a quote above all — is refused before it gets there.
+  for (const char* bad : {"id=a'b", "id=", "id=a%27b", "id=a%20b"}) {
+    const HttpResponse resp =
+        Fetch("GET", std::string("/debug/requests?") + bad);
+    EXPECT_EQ(resp.status_code, 400) << bad << ": " << resp.body;
+  }
 }
 
 TEST_F(NetTest, TraceIdAssignedWhenAbsent) {
@@ -555,7 +573,10 @@ TEST_F(NetTest, DebugContentionServesCumulativeAndWindowedReports) {
               std::string::npos)
         << state << " missing from " << report.body;
   }
-  EXPECT_NE(report.body.find("\"blocked_readers\""), std::string::npos);
+  EXPECT_NE(report.body.find("\"guard_blocked_readers\""),
+            std::string::npos);
+  EXPECT_NE(report.body.find("\"mvcc\":[{\"retained_versions\""),
+            std::string::npos);
 
   const HttpResponse windowed = Fetch("GET", "/debug/contention?window=1");
   EXPECT_EQ(windowed.status_code, 200);
@@ -567,17 +588,28 @@ TEST_F(NetTest, DebugContentionServesCumulativeAndWindowedReports) {
 TEST_F(NetTest, DebugRequestsValidatesTheLimitParameter) {
   ASSERT_EQ(Fetch("POST", "/query", "select p.name from Part p").status_code,
             200);
-  // A valid limit trims to the N most recent entries: exactly one "id"
-  // key survives however many requests ran before.
+  ASSERT_EQ(Fetch("POST", "/query", "select p.a from Part p").status_code,
+            200);
+  // A valid limit trims to the N most recent entries: exactly one
+  // "request_id" key survives however many requests ran before.
   const HttpResponse limited = Fetch("GET", "/debug/requests?limit=1");
   EXPECT_EQ(limited.status_code, 200);
-  const std::string id_key = "\"id\":";
+  EXPECT_NE(limited.body.find("select p.a from Part p"), std::string::npos)
+      << limited.body;
+  const std::string id_key = "\"request_id\":";
   std::size_t ids = 0;
   for (std::size_t at = limited.body.find(id_key); at != std::string::npos;
        at = limited.body.find(id_key, at + id_key.size())) {
     ++ids;
   }
   EXPECT_EQ(ids, 1u) << limited.body;
+  // The newest N are still returned oldest first.
+  const HttpResponse two = Fetch("GET", "/debug/requests?limit=2");
+  const std::size_t older = two.body.find("select p.name from Part p");
+  const std::size_t newer = two.body.find("select p.a from Part p");
+  ASSERT_NE(older, std::string::npos) << two.body;
+  ASSERT_NE(newer, std::string::npos) << two.body;
+  EXPECT_LT(older, newer);
   // Malformed or out-of-range values answer 400, not a silent default.
   for (const char* bad :
        {"limit=0", "limit=-1", "limit=abc", "limit=", "limit=1e3",
@@ -679,6 +711,145 @@ TEST_F(NetTest, StopIsIdempotentAndRejectsRestart) {
   front_->Stop();
   front_->Stop();
   EXPECT_FALSE(front_->running());
+}
+
+// ------------------------------------------------- telemetry golden shapes
+
+TEST(JsonCheckTest, AcceptsRfc8259AndRejectsWhatScrapersReject) {
+  std::vector<std::string> keys;
+  EXPECT_EQ(JsonChecker::Validate(
+                " {\"a\":[1,-0.5e3,true,null,\"\\u00e9\\ud83d\\ude00\"],"
+                "\"b\":{}} ",
+                &keys),
+            "");
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
+  keys.clear();
+  EXPECT_EQ(JsonChecker::Validate("[{\"x\":1},{\"y\":2}]", &keys), "");
+  EXPECT_EQ(keys, (std::vector<std::string>{"x"}));
+  EXPECT_EQ(JsonChecker::Validate("\"caf\xC3\xA9\""), "");
+  for (const std::string& bad :
+       {std::string("{\"q\":\"a\x01" "b\"}"), std::string("\"\xC3\""),
+        std::string("\"\xC3\xA9\xA9\""), std::string("\"\xED\xA0\x80\""),
+        std::string("\"\xC0\xAF\""), std::string("[nan]"),
+        std::string("[1,]"), std::string("{\"a\":1,\"a\":2}"),
+        std::string("[01]"), std::string("{} x"), std::string("\"\\ud800\""),
+        std::string("'a'"), std::string("")}) {
+    EXPECT_NE(JsonChecker::Validate(bad), "") << bad;
+  }
+}
+
+// Every query lands in the slow-query log, so /slowlog has rows to shape.
+class TelemetryGoldenTest : public NetTest {
+ protected:
+  void Configure(Server::Options* options) override {
+    options->slow_query_micros = 0;
+  }
+};
+
+TEST_F(TelemetryGoldenTest, EveryTelemetryGetAnswersValidJsonWithItsKeys) {
+  // Hostile query text: a raw control byte, and 199 bytes followed by a
+  // two-byte character that the flight recorder's 200-byte cut would
+  // split in half.
+  const std::string control =
+      "select p.name from Part p where p.name = 'a\x01" "b'";
+  std::string split = "select p.name from Part p where p.name = '";
+  split.append(199 - split.size(), 'x');
+  split += "\xC3\xA9'";
+  for (const std::string& q : {control, split}) {
+    const HttpResponse resp =
+        Fetch("POST", "/query", q, {{"X-Trace-Id", "golden-1"}});
+    EXPECT_EQ(resp.status_code, 200) << resp.body;
+    EXPECT_EQ(JsonChecker::Validate(resp.body), "") << resp.body;
+  }
+  ASSERT_EQ(Fetch("POST", "/profile", "select p from Part p").status_code,
+            200);
+
+  const std::vector<std::string> request_keys = {
+      "seq", "request_id", "trace_id", "type", "priority", "code", "ok",
+      "executed", "epoch", "queue_wait_micros", "total_micros",
+      "guard_wait_micros", "execute_micros", "journal_micros", "detail",
+      "stages"};
+  const std::vector<std::string> slowlog_keys = {
+      "request_id", "trace_id", "query", "micros", "queue_micros",
+      "guard_wait_micros", "execute_micros", "profile"};
+  const std::vector<std::string> health_keys = {
+      "server_epoch", "degraded", "read_only", "replication",
+      "store_status", "queue_depth", "queue_capacity", "workers",
+      "estimated_wait_micros", "accepted", "rejected", "timed_out",
+      "shed", "unavailable", "errors", "sessions_active"};
+  const std::vector<std::string> contention_keys = {"windowed", "states",
+                                                    "guard", "mvcc"};
+  const std::vector<std::pair<std::string, std::vector<std::string>>> routes =
+      {{"/health", health_keys},
+       {"/stats", {"server_epoch", "counters", "gauges", "histograms"}},
+       {"/slowlog", slowlog_keys},
+       {"/debug/requests", request_keys},
+       {"/debug/requests?limit=2", request_keys},
+       {"/debug/requests?id=golden-1", request_keys},
+       {"/debug/contention", contention_keys},
+       {"/debug/contention?window=1", contention_keys}};
+  std::string requests_body;
+  std::string slowlog_body;
+  for (const auto& [target, want] : routes) {
+    const HttpResponse resp = Fetch("GET", target);
+    EXPECT_EQ(resp.status_code, 200) << target;
+    std::vector<std::string> keys;
+    EXPECT_EQ(JsonChecker::Validate(resp.body, &keys), "")
+        << target << ": " << resp.body;
+    EXPECT_EQ(keys, want) << target << ": " << resp.body;
+    if (target == "/debug/requests") requests_body = resp.body;
+    if (target == "/slowlog") slowlog_body = resp.body;
+  }
+  // The control byte travels escaped; the long text is cut before the
+  // two-byte character, not through it.
+  EXPECT_NE(requests_body.find("a\\u0001b"), std::string::npos);
+  EXPECT_NE(slowlog_body.find("a\\u0001b"), std::string::npos);
+  EXPECT_NE(requests_body.find("xxx\xE2\x80\xA6"), std::string::npos)
+      << requests_body;
+}
+
+// One worker, one queue slot: a blocked mutation plus one queued request
+// saturate the server, and a query over HTTP is refused — yet every
+// telemetry GET still answers, because it never enters the queue.
+class SaturatedNetTest : public NetTest {
+ protected:
+  void Configure(Server::Options* options) override {
+    options->worker_threads = 1;
+    options->queue_capacity = 1;
+  }
+};
+
+TEST_F(SaturatedNetTest, TelemetryGetsAnswerWhileTheWorkQueueIsFull) {
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  auto session = server_->Connect();
+  auto block = [&](Database&) {
+    started.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Status::Ok();
+  };
+  auto running = session->Submit(prometheus::server::Request::Custom(block));
+  while (!started.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto queued = session->Submit(prometheus::server::Request::Custom(block));
+  ASSERT_EQ(Fetch("POST", "/query", "select p from Part p").status_code, 429);
+
+  for (const char* target :
+       {"/health", "/stats", "/metrics", "/slowlog", "/debug/requests",
+        "/debug/requests?limit=1", "/debug/contention",
+        "/debug/contention?window=1"}) {
+    const HttpResponse resp = Fetch("GET", target);
+    EXPECT_EQ(resp.status_code, 200) << target << ": " << resp.body;
+  }
+  EXPECT_NE(Fetch("GET", "/health").body.find("\"queue_depth\":1"),
+            std::string::npos);
+
+  release.store(true);
+  EXPECT_TRUE(running.get().ok());
+  EXPECT_TRUE(queued.get().ok());
 }
 
 }  // namespace

@@ -20,8 +20,10 @@
 #include "obs/trace.h"
 #include "prometheus_text_parser.h"
 #include "query/query_engine.h"
+#include "query/render.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "server/telemetry.h"
 #include "storage/recovery.h"
 
 namespace {
@@ -584,10 +586,18 @@ TEST(ServerObsTest, FlightRecorderTracesServedRequests) {
   EXPECT_EQ(entries[2].type, "mutation");
   EXPECT_NE(entries[2].detail.find("create Part"), std::string::npos);
 
-  const std::string json =
-      prometheus::obs::RenderFlightRecorderJson(entries);
+  // The same entries as `sys.requests` rows, through the one renderer:
+  // only the profiled request carries stages, the others a null.
+  auto rows = server.QueryCatalog(prometheus::server::telemetry::kRequests);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows.value().rows.size(), 3u);
+  const std::string json = prometheus::pool::RenderJson(rows.value());
   EXPECT_NE(json.find("\"type\":\"query\""), std::string::npos);
-  EXPECT_NE(json.find("\"stages\""), std::string::npos);
+  EXPECT_TRUE(rows.value().rows[0][0].Field("stages")->is_null());
+  const Value* stages = rows.value().rows[1][0].Field("stages");
+  ASSERT_EQ(stages->type(), ValueType::kString);
+  EXPECT_NE(stages->AsString().find("execute"), std::string::npos);
+  EXPECT_TRUE(rows.value().rows[2][0].Field("stages")->is_null());
 }
 
 // ----------------------------------------------- exposition conformance

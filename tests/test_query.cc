@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "classification/classification.h"
 #include "query/parser.h"
 #include "query/query_engine.h"
+#include "query/render.h"
 
 namespace prometheus::pool {
 namespace {
@@ -623,6 +625,49 @@ TEST_P(IndexConsistency, ScanAndIndexAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IndexConsistency,
                          ::testing::Values(0, 1, 7, 50, 200));
+
+// ------------------------------------------------------------- renderer
+
+TEST(RenderTest, JsonKeepsTypesAndMapsNonFiniteToNull) {
+  const Value row = Value::MakeStruct(
+      {{"b", Value::Bool(true)},
+       {"i", Value::Int(-3)},
+       {"d", Value::Double(0.5)},
+       {"nan", Value::Double(std::nan(""))},
+       {"inf", Value::Double(HUGE_VAL)},
+       {"n", Value::Null()},
+       {"s", Value::String("a\"b")},
+       {"r", Value::Ref(7)},
+       {"l", Value::MakeList({Value::Int(1), Value::String("x")})}});
+  EXPECT_EQ(RenderJson(row),
+            "{\"b\":true,\"i\":-3,\"d\":0.5,\"nan\":null,\"inf\":null,"
+            "\"n\":null,\"s\":\"a\\\"b\",\"r\":\"@7\",\"l\":[1,\"x\"]}");
+}
+
+TEST(RenderTest, RowsRenderAsTheirStructOrKeyedByColumn) {
+  ResultSet structs;
+  structs.columns = {"r"};
+  structs.rows.push_back({Value::MakeStruct({{"k", Value::Int(1)}})});
+  EXPECT_EQ(RenderJson(structs), "[{\"k\":1}]");
+  ResultSet plain;
+  plain.columns = {"name", "n"};
+  plain.rows.push_back({Value::String("p0"), Value::Int(2)});
+  EXPECT_EQ(RenderJson(plain), "[{\"name\":\"p0\",\"n\":2}]");
+  EXPECT_EQ(RenderJson(ResultSet{}), "[]");
+}
+
+TEST(RenderTest, TextAlignsColumnsAndExpandsStructRows) {
+  ResultSet plain;
+  plain.columns = {"name", "n"};
+  plain.rows.push_back({Value::String("long name"), Value::Int(2)});
+  EXPECT_EQ(RenderText(plain),
+            "name         n  \n\"long name\"  2  \n(1 rows)\n");
+  ResultSet structs;
+  structs.columns = {"r"};
+  structs.rows.push_back(
+      {Value::MakeStruct({{"k", Value::Int(1)}, {"v", Value::Null()}})});
+  EXPECT_EQ(RenderText(structs), "k  v     \n1  null  \n(1 rows)\n");
+}
 
 }  // namespace
 }  // namespace prometheus::pool

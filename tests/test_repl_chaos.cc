@@ -25,6 +25,7 @@
 
 #include "core/database.h"
 #include "net/http_server.h"
+#include "query/render.h"
 #include "replication/follower.h"
 #include "replication/source.h"
 #include "server/client.h"
@@ -41,6 +42,7 @@ using prometheus::Status;
 using prometheus::Value;
 using prometheus::ValueType;
 using prometheus::net::HttpFrontEnd;
+using prometheus::pool::RenderJson;
 using prometheus::replication::Follower;
 using prometheus::replication::ReplicationSource;
 using prometheus::server::Client;
@@ -240,8 +242,10 @@ TEST(ReplChaosTest, FailoverLoopLosesNothingAndLeaksNothing) {
     // pick by cursor to exercise the comparison the operator would make).
     const auto p0 = followers[0]->progress();
     const auto p1 = followers[1]->progress();
-    const std::string pj0 = followers[0]->ProgressJson();
-    const std::string pj1 = followers[1]->ProgressJson();
+    const std::string pj0 =
+        RenderJson(followers[0]->ProgressRows().front());
+    const std::string pj1 =
+        RenderJson(followers[1]->ProgressRows().front());
     const int newest =
         (p1.journal_seq > p0.journal_seq ||
          (p1.journal_seq == p0.journal_seq && p1.offset > p0.offset))
