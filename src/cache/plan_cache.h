@@ -12,36 +12,62 @@
 
 namespace prometheus::pool {
 struct SelectQuery;
+struct FromRange;
 struct Expr;
 }  // namespace prometheus::pool
 
 namespace prometheus::cache {
 
+/// The structural access-path analysis of one extent range: every
+/// where-clause conjunct an index could serve, recorded whether or not an
+/// index (or even the class) exists right now. Literals point into the
+/// analysed AST, which must outlive the record.
+struct RangeAccess {
+  /// `var.attr = literal`, in either operand order.
+  struct Equality {
+    std::string attribute;
+    const pool::Expr* literal;
+  };
+  /// The `<`, `<=`, `>`, `>=` conjuncts on one attribute, merged to the
+  /// tightest lower and upper literal (`literal op var.attr` is flipped).
+  /// A null bound is open.
+  struct Bounds {
+    std::string attribute;
+    const pool::Expr* lower = nullptr;
+    const pool::Expr* upper = nullptr;
+    bool lower_strict = false;
+    bool upper_strict = false;
+    /// Two literals on one side do not order against each other (e.g. an
+    /// int and a string), so there is no tightest bound to probe with.
+    bool incomparable = false;
+  };
+  std::vector<Equality> equalities;  ///< in conjunct order
+  std::vector<Bounds> ranges;        ///< one per attribute, first-seen order
+};
+
+/// Per-range analyses of one query, keyed by the `FromRange`'s address in
+/// its AST. An absent key means the where-clause pins nothing for that
+/// range (extent scan).
+using AccessAnalysis =
+    std::unordered_map<const pool::FromRange*, RangeAccess>;
+
 /// A cached query plan: the parsed AST plus the structural access-path
 /// analysis the optimiser derives from it. Both are pure functions of the
 /// query text, so one entry serves every execution of that text.
 ///
-/// The plan deliberately stops at *structure*: per range it records every
-/// `var.attr = literal` equality conjunct as a candidate, without checking
-/// whether an index exists. `HasIndex` is re-checked at execution, so an
-/// index created or dropped after the plan was cached is picked up
-/// immediately — index DDL does not raise schema events and must not need
-/// to. Schema DDL (class/template/relationship definition) *does* raise
-/// events, which bump the cache's generation and lazily drop stale plans.
+/// The plan deliberately stops at *structure*: it records index
+/// candidates without checking whether an index exists. `HasIndex` is
+/// re-checked at execution, so an index created or dropped after the plan
+/// was cached is picked up immediately — index DDL does not raise schema
+/// events and must not need to. Schema DDL (class/template/relationship
+/// definition) *does* raise events, which bump the cache's generation and
+/// lazily drop stale plans.
 struct PlanEntry {
   /// The immutable AST. Shared so concurrent executions and the cache can
   /// hold it together; nothing mutates a SelectQuery after parse.
   std::shared_ptr<const pool::SelectQuery> ast;
-
-  struct EqConjunct {
-    std::string attribute;        ///< the path attribute (`var.attr`)
-    const pool::Expr* literal;    ///< the literal side, owned by *ast
-  };
-  /// Per-range candidates, keyed by the `FromRange`'s address inside
-  /// `*ast` — stable because the AST is immutable and shared. Execution
-  /// takes the first candidate with a live index; an absent key means the
-  /// where-clause pins nothing for that range (extent scan).
-  std::unordered_map<const void*, std::vector<EqConjunct>> eq_conjuncts;
+  /// The access-path analysis of `*ast`; keys and literals point into it.
+  AccessAnalysis access;
 };
 
 /// Text -> PlanEntry map with count-bounded LRU eviction, keyed on

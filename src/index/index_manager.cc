@@ -117,6 +117,13 @@ bool IndexManager::HasIndex(const std::string& class_name,
   return FindIndex(class_name, attr) != nullptr;
 }
 
+bool IndexManager::HasOrderedIndex(const std::string& class_name,
+                                   const std::string& attr) const {
+  std::shared_lock lock(mu_);
+  const Index* ix = FindIndex(class_name, attr);
+  return ix != nullptr && ix->ordered;
+}
+
 /// Caller must hold mu_ (shared suffices).
 const IndexManager::Index* IndexManager::FindIndex(
     const std::string& class_name, const std::string& attr) const {
@@ -167,18 +174,24 @@ Result<std::vector<Oid>> IndexManager::RangeLookup(
     return Status::Unavailable("index on " + class_name + "." + attr +
                                " has run ahead of snapshot epoch");
   }
-  IndexMetrics::Get().lookup_hits->Increment();
   if (!ix->ordered) {
     return Status::FailedPrecondition("index on " + class_name + "." + attr +
                                       " is a hash index; range lookups "
                                       "require an ordered index");
+  }
+  IndexMetrics::Get().lookup_hits->Increment();
+  std::vector<Oid> out;
+  // An inverted range is empty; walking it would run lower_bound(lo) past
+  // an upper_bound(hi) that lies before it.
+  if (!lo.is_null() && !hi.is_null() &&
+      OrderedKey::FromValue(hi) < OrderedKey::FromValue(lo)) {
+    return out;
   }
   auto begin = lo.is_null()
                    ? ix->tree.begin()
                    : ix->tree.lower_bound(OrderedKey::FromValue(lo));
   auto end = hi.is_null() ? ix->tree.end()
                           : ix->tree.upper_bound(OrderedKey::FromValue(hi));
-  std::vector<Oid> out;
   for (auto it = begin; it != end; ++it) out.push_back(it->second);
   return out;
 }

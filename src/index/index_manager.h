@@ -57,6 +57,10 @@ class IndexManager {
   /// True when `class_name.attr` is indexed.
   bool HasIndex(const std::string& class_name, const std::string& attr) const;
 
+  /// True when `class_name.attr` has an ordered (range-capable) index.
+  bool HasOrderedIndex(const std::string& class_name,
+                       const std::string& attr) const;
+
   /// Exact-match lookup. Returns kNotFound when no such index exists;
   /// kUnavailable when the index has been mutated past `as_of` (the
   /// caller's snapshot epoch) — fall back to an extent scan.
@@ -66,8 +70,9 @@ class IndexManager {
       std::uint64_t as_of = std::numeric_limits<std::uint64_t>::max()) const;
 
   /// Range lookup over an ordered index: lo <= value <= hi; a null bound is
-  /// open. Returns kFailedPrecondition on a hash index; kUnavailable when
-  /// the index has been mutated past `as_of`.
+  /// open, and an inverted range (hi < lo) is empty. Returns
+  /// kFailedPrecondition on a hash index; kUnavailable when the index has
+  /// been mutated past `as_of`.
   Result<std::vector<Oid>> RangeLookup(
       const std::string& class_name, const std::string& attr, const Value& lo,
       const Value& hi,

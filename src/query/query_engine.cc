@@ -213,7 +213,7 @@ Result<ResultSet> QueryEngine::Execute(const std::string& query,
     return plan.status();
   }
   Result<ResultSet> result = ExecuteInternal(
-      *plan.value()->ast, Environment{}, nullptr, ctx, plan.value().get());
+      *plan.value()->ast, Environment{}, nullptr, ctx, &plan.value()->access);
   if (!result.ok()) metrics.errors->Increment();
   return result;
 }
@@ -238,7 +238,7 @@ Result<QueryProfile> QueryEngine::ExecuteProfiled(
     return plan.status();
   }
   Result<ResultSet> rows = ExecuteInternal(
-      *plan.value()->ast, Environment{}, &out.trace, ctx, plan.value().get());
+      *plan.value()->ast, Environment{}, &out.trace, ctx, &plan.value()->access);
   if (!rows.ok()) {
     metrics.errors->Increment();
     return rows.status();
@@ -981,83 +981,86 @@ Result<Value> QueryEngine::EvalGrouped(
 
 // ----------------------------------------------------------------- queries
 
-struct QueryEngine::RangeBinding {
-  const FromRange* range;
-  std::vector<Value> candidates;  ///< for extent ranges (pre-computed)
-  std::string strategy;           ///< access path chosen (profiling)
-};
+namespace {
 
-const Expr* QueryEngine::FindIndexableConjunct(const SelectQuery& query,
-                                               const FromRange& range,
-                                               std::string* attr) const {
-  if (indexes_ == nullptr || query.where == nullptr ||
-      range.source_expr != nullptr) {
-    return nullptr;
+/// Appends the `and`-conjuncts of `e` to `out` — the planner's one view of
+/// a where-clause.
+void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out) {
+  if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
+    FlattenConjuncts(e->children[0].get(), out);
+    FlattenConjuncts(e->children[1].get(), out);
+  } else {
+    out->push_back(e);
   }
-  const std::string& name = range.source_name;
-  if (view().FindClass(name) == nullptr) return nullptr;
-  std::vector<const Expr*> conjuncts;
-  std::function<void(const Expr*)> flatten = [&](const Expr* e) {
-    if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
-      flatten(e->children[0].get());
-      flatten(e->children[1].get());
-    } else {
-      conjuncts.push_back(e);
-    }
-  };
-  flatten(query.where.get());
-  for (const Expr* c : conjuncts) {
-    if (c->kind != ExprKind::kBinary || c->binary_op != BinaryOp::kEq) {
-      continue;
-    }
-    const Expr* path = c->children[0].get();
-    const Expr* lit = c->children[1].get();
-    if (path->kind != ExprKind::kPath) std::swap(path, lit);
-    if (path->kind != ExprKind::kPath || lit->kind != ExprKind::kLiteral) {
-      continue;
-    }
-    const Expr* base = path->children[0].get();
-    if (base->kind != ExprKind::kVariable || base->name != range.variable) {
-      continue;
-    }
-    if (!indexes_->HasIndex(name, path->name)) continue;
-    *attr = path->name;
-    return lit;
-  }
-  return nullptr;
 }
 
-std::shared_ptr<const cache::PlanEntry> QueryEngine::BuildPlanEntry(
-    std::shared_ptr<const SelectQuery> ast) const {
-  auto entry = std::make_shared<cache::PlanEntry>();
-  entry->ast = std::move(ast);
-  const SelectQuery& query = *entry->ast;
-  if (query.where == nullptr) return entry;
-  // The same conjunct flattening FindIndexableConjunct does, but purely
-  // structural: every `var.attr = literal` is recorded as a candidate
-  // whether or not an index (or even the class) exists right now — those
-  // checks belong to execution time, so the cached plan survives index
-  // DDL and stays correct across it.
+/// `op` with its operands swapped: `5 < x` is `x > 5`.
+BinaryOp Flipped(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLe:
+      return BinaryOp::kGe;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGe:
+      return BinaryOp::kLe;
+    default:
+      return op;
+  }
+}
+
+/// Merges the conjunct `var.attr op literal` into `bounds`: a lower bound
+/// keeps the larger literal, an upper bound the smaller; on a tie the
+/// strict one wins.
+void Tighten(BinaryOp op, const Expr* literal,
+             cache::RangeAccess::Bounds* bounds) {
+  const bool lower = op == BinaryOp::kGt || op == BinaryOp::kGe;
+  const bool strict = op == BinaryOp::kGt || op == BinaryOp::kLt;
+  const Expr*& bound = lower ? bounds->lower : bounds->upper;
+  bool& bound_strict = lower ? bounds->lower_strict : bounds->upper_strict;
+  if (bound == nullptr) {
+    bound = literal;
+    bound_strict = strict;
+    return;
+  }
+  Result<int> c = literal->literal.Compare(bound->literal);
+  if (!c.ok()) {
+    bounds->incomparable = true;
+    return;
+  }
+  if (c.value() == 0) {
+    bound_strict = bound_strict || strict;
+  } else if (lower == (c.value() > 0)) {
+    bound = literal;
+    bound_strict = strict;
+  }
+}
+
+/// The structural access-path analysis of `query` (see cache::RangeAccess):
+/// per extent range, its `var.attr = literal` conjuncts and the merged
+/// bounds of its `var.attr <op> literal` conjuncts.
+cache::AccessAnalysis AnalyzeAccess(const SelectQuery& query) {
+  cache::AccessAnalysis out;
+  if (query.where == nullptr) return out;
   std::vector<const Expr*> conjuncts;
-  std::function<void(const Expr*)> flatten = [&](const Expr* e) {
-    if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
-      flatten(e->children[0].get());
-      flatten(e->children[1].get());
-    } else {
-      conjuncts.push_back(e);
-    }
-  };
-  flatten(query.where.get());
+  FlattenConjuncts(query.where.get(), &conjuncts);
   for (const FromRange& range : query.from) {
     if (range.source_expr != nullptr) continue;
-    std::vector<cache::PlanEntry::EqConjunct> found;
+    cache::RangeAccess access;
     for (const Expr* c : conjuncts) {
-      if (c->kind != ExprKind::kBinary || c->binary_op != BinaryOp::kEq) {
+      if (c->kind != ExprKind::kBinary) continue;
+      BinaryOp op = c->binary_op;
+      if (op != BinaryOp::kEq && op != BinaryOp::kLt &&
+          op != BinaryOp::kLe && op != BinaryOp::kGt && op != BinaryOp::kGe) {
         continue;
       }
       const Expr* path = c->children[0].get();
       const Expr* lit = c->children[1].get();
-      if (path->kind != ExprKind::kPath) std::swap(path, lit);
+      if (path->kind != ExprKind::kPath) {
+        std::swap(path, lit);
+        op = Flipped(op);
+      }
       if (path->kind != ExprKind::kPath || lit->kind != ExprKind::kLiteral) {
         continue;
       }
@@ -1065,19 +1068,121 @@ std::shared_ptr<const cache::PlanEntry> QueryEngine::BuildPlanEntry(
       if (base->kind != ExprKind::kVariable || base->name != range.variable) {
         continue;
       }
-      found.push_back({path->name, lit});
+      if (op == BinaryOp::kEq) {
+        access.equalities.push_back({path->name, lit});
+        continue;
+      }
+      auto it = std::find_if(access.ranges.begin(), access.ranges.end(),
+                             [&](const cache::RangeAccess::Bounds& b) {
+                               return b.attribute == path->name;
+                             });
+      if (it == access.ranges.end()) {
+        it = access.ranges.insert(access.ranges.end(), {path->name});
+      }
+      Tighten(op, lit, &*it);
     }
-    if (!found.empty()) {
-      entry->eq_conjuncts.emplace(&range, std::move(found));
+    if (!access.equalities.empty() || !access.ranges.empty()) {
+      out.emplace(&range, std::move(access));
     }
   }
+  return out;
+}
+
+/// True when an ordered index over an attribute declared `declared` orders
+/// `bound` (null: open) exactly as the where-clause compares it. Other
+/// pairings are left to the scan, so the index never hides the TypeError
+/// a comparison over an untyped or mismatched attribute raises.
+bool BoundFitsDeclaredType(ValueType declared, const Expr* bound) {
+  if (bound == nullptr) return true;
+  const ValueType t = bound->literal.type();
+  switch (declared) {
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      return t == ValueType::kInt || t == ValueType::kDouble;
+    case ValueType::kString:
+      return t == ValueType::kString;
+    default:
+      return false;
+  }
+}
+
+/// The access path for an extent range over a class, chosen at execution
+/// time in a fixed order: an equality conjunct with a live index, then a
+/// range with a live ordered index whose declared type fits its bounds,
+/// else (both null) an extent scan.
+struct AccessPath {
+  const cache::RangeAccess::Equality* lookup = nullptr;
+  const cache::RangeAccess::Bounds* range = nullptr;
+
+  /// The strategy string PROFILE and EXPLAIN report.
+  std::string Strategy(const std::string& class_name) const {
+    if (lookup != nullptr) {
+      return "index lookup on " + class_name + "." + lookup->attribute;
+    }
+    if (range != nullptr) {
+      std::string lo = "(-inf";
+      if (range->lower != nullptr) {
+        lo = (range->lower_strict ? "(" : "[") +
+             range->lower->literal.ToString();
+      }
+      std::string hi = "+inf)";
+      if (range->upper != nullptr) {
+        hi = range->upper->literal.ToString() +
+             (range->upper_strict ? ")" : "]");
+      }
+      return "index range on " + class_name + "." + range->attribute + " " +
+             lo + ", " + hi;
+    }
+    return "extent scan of class " + class_name;
+  }
+};
+
+AccessPath ChooseAccessPath(const IndexManager* indexes,
+                            const DbSnapshot& view,
+                            const std::string& class_name,
+                            const cache::RangeAccess* access) {
+  AccessPath path;
+  if (indexes == nullptr || access == nullptr) return path;
+  for (const cache::RangeAccess::Equality& eq : access->equalities) {
+    if (indexes->HasIndex(class_name, eq.attribute)) {
+      path.lookup = &eq;
+      return path;
+    }
+  }
+  const ClassDef* cls = view.FindClass(class_name);
+  for (const cache::RangeAccess::Bounds& b : access->ranges) {
+    if (b.incomparable) continue;
+    const AttributeDef* def = cls->FindAttribute(b.attribute);
+    if (def == nullptr || !BoundFitsDeclaredType(def->type, b.lower) ||
+        !BoundFitsDeclaredType(def->type, b.upper) ||
+        !indexes->HasOrderedIndex(class_name, b.attribute)) {
+      continue;
+    }
+    path.range = &b;
+    return path;
+  }
+  return path;
+}
+
+}  // namespace
+
+struct QueryEngine::RangeBinding {
+  const FromRange* range;
+  std::vector<Value> candidates;  ///< for extent ranges (pre-computed)
+  std::string strategy;           ///< access path chosen (profiling)
+};
+
+std::shared_ptr<const cache::PlanEntry> QueryEngine::BuildPlanEntry(
+    std::shared_ptr<const SelectQuery> ast) const {
+  auto entry = std::make_shared<cache::PlanEntry>();
+  entry->ast = std::move(ast);
+  entry->access = AnalyzeAccess(*entry->ast);
   return entry;
 }
 
 Result<std::vector<Value>> QueryEngine::RangeCandidates(
-    const SelectQuery& query, const FromRange& range, const Environment& env,
-    std::string* strategy, const cache::PlanEntry* plan) const {
-  (void)env;
+    const FromRange& range, const cache::RangeAccess* access,
+    std::string* strategy) const {
   auto refs = [](const std::vector<Oid>& oids) {
     std::vector<Value> out;
     out.reserve(oids.size());
@@ -1109,50 +1214,43 @@ Result<std::vector<Value>> QueryEngine::RangeCandidates(
   if (!is_class && view().FindRelationship(name) == nullptr) {
     return Status::NotFound("no extent named '" + name + "'");
   }
-  // Index optimization (6.1.5.2/3): when the where clause contains a
-  // conjunct `var.attr = literal` with an index on (class, attr), replace
-  // the extent scan by an index lookup. With a cached plan the conjunct
-  // walk is pre-done; only the index-existence probe runs here.
-  std::string attr;
-  const Expr* literal = nullptr;
-  if (plan != nullptr) {
-    if (indexes_ != nullptr && is_class) {
-      auto it = plan->eq_conjuncts.find(&range);
-      if (it != plan->eq_conjuncts.end()) {
-        for (const cache::PlanEntry::EqConjunct& cand : it->second) {
-          if (indexes_->HasIndex(name, cand.attribute)) {
-            attr = cand.attribute;
-            literal = cand.literal;
-            break;
-          }
-        }
+  // Index optimization (6.1.5.2/3): replace the extent scan by an index
+  // lookup or range. The candidates are a superset filter — the where
+  // clause still runs on each — so the answer never depends on the path.
+  if (is_class) {
+    const AccessPath path = ChooseAccessPath(indexes_, view(), name, access);
+    if (path.lookup != nullptr || path.range != nullptr) {
+      // The index probes that chose the path and this lookup are distinct
+      // critical sections, and under MVCC the index may also have run ahead of the
+      // snapshot this query reads through. Either way the lookup itself is
+      // the source of truth: any failure falls through to the extent scan,
+      // which is always correct against the current view. Strict range
+      // bounds probe inclusively; the where clause trims the endpoints.
+      auto bound = [](const Expr* e) {
+        return e != nullptr ? e->literal : Value::Null();
+      };
+      Result<std::vector<Oid>> oids =
+          path.lookup != nullptr
+              ? indexes_->Lookup(name, path.lookup->attribute,
+                                 path.lookup->literal->literal,
+                                 view().index_epoch_ceiling())
+              : indexes_->RangeLookup(name, path.range->attribute,
+                                      bound(path.range->lower),
+                                      bound(path.range->upper),
+                                      view().index_epoch_ceiling());
+      if (oids.ok()) {
+        metrics.index_lookups->Increment();
+        ExtentHeat::Instance().RecordIndexHit(name, oids.value().size());
+        if (strategy != nullptr) *strategy = path.Strategy(name);
+        return refs(oids.value());
       }
+      metrics.index_fallbacks->Increment();
     }
-  } else {
-    literal = FindIndexableConjunct(query, range, &attr);
-  }
-  if (literal != nullptr) {
-    // The HasIndex probe above and this lookup are distinct critical
-    // sections, and under MVCC the index may also have run ahead of the
-    // snapshot this query reads through. Either way the lookup itself is
-    // the source of truth: any failure falls through to the extent scan,
-    // which is always correct against the current view.
-    Result<std::vector<Oid>> oids = indexes_->Lookup(
-        name, attr, literal->literal, view().index_epoch_ceiling());
-    if (oids.ok()) {
-      metrics.index_lookups->Increment();
-      ExtentHeat::Instance().RecordIndexHit(name, oids.value().size());
-      if (strategy != nullptr) {
-        *strategy = "index lookup on " + name + "." + attr;
-      }
-      return refs(oids.value());
-    }
-    metrics.index_fallbacks->Increment();
   }
   metrics.extent_scans->Increment();
   if (strategy != nullptr) {
-    *strategy = std::string("extent scan of ") +
-                (is_class ? "class " : "relationship ") + name;
+    *strategy = is_class ? AccessPath().Strategy(name)
+                         : "extent scan of relationship " + name;
   }
   std::vector<Oid> oids = is_class ? view().Extent(name) : view().LinkExtent(name);
   ExtentHeat::Instance().RecordScan(name, oids.size());
@@ -1162,6 +1260,7 @@ Result<std::vector<Value>> QueryEngine::RangeCandidates(
 Result<std::string> QueryEngine::Explain(const std::string& query) const {
   PROMETHEUS_ASSIGN_OR_RETURN(std::unique_ptr<SelectQuery> parsed,
                               ParseQuery(query));
+  const cache::AccessAnalysis analysis = AnalyzeAccess(*parsed);
   std::string out;
   for (const FromRange& range : parsed->from) {
     out += range.variable;
@@ -1175,12 +1274,10 @@ Result<std::string> QueryEngine::Explain(const std::string& query) const {
       }
       out += "catalog materialization of " + range.source_name;
     } else if (view().FindClass(range.source_name) != nullptr) {
-      std::string attr;
-      if (FindIndexableConjunct(*parsed, range, &attr) != nullptr) {
-        out += "index lookup on " + range.source_name + "." + attr;
-      } else {
-        out += "extent scan of class " + range.source_name;
-      }
+      auto it = analysis.find(&range);
+      out += ChooseAccessPath(indexes_, view(), range.source_name,
+                              it != analysis.end() ? &it->second : nullptr)
+                 .Strategy(range.source_name);
     } else if (view().FindRelationship(range.source_name) != nullptr) {
       out += "extent scan of relationship " + range.source_name;
     } else {
@@ -1203,8 +1300,8 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
                                                const Environment& outer,
                                                obs::TraceNode* trace,
                                                const ExecutionContext* ctx,
-                                               const cache::PlanEntry* plan)
-    const {
+                                               const cache::AccessAnalysis*
+                                                   access) const {
   // Const-execution contract: this path never mutates the database. When
   // the thread reads through a pinned snapshot the epoch is immutable by
   // construction; when it reads the live database the caller must hold
@@ -1220,6 +1317,13 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
   // One catalog materialization per top-level query (no-op when a scope is
   // already active, i.e. for subqueries and dependent ranges).
   ScopedCatalogScope catalog_scope;
+  // Without a cached plan (subqueries, parsed queries) the access-path
+  // analysis runs here, once per call — and only when an index could use it.
+  cache::AccessAnalysis local_access;
+  if (access == nullptr && indexes_ != nullptr) {
+    local_access = AnalyzeAccess(query);
+    access = &local_access;
+  }
   // Plan stage: pre-compute extent candidates (dependent ranges evaluate
   // per binding) and order the join. Built as a local node and attached
   // when complete, so sibling spans never invalidate it.
@@ -1231,10 +1335,15 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
     RangeBinding rb;
     rb.range = &r;
     if (r.source_expr == nullptr) {
+      const cache::RangeAccess* range_access = nullptr;
+      if (access != nullptr) {
+        auto it = access->find(&r);
+        if (it != access->end()) range_access = &it->second;
+      }
       PROMETHEUS_ASSIGN_OR_RETURN(
           rb.candidates,
-          RangeCandidates(query, r, outer,
-                          trace != nullptr ? &rb.strategy : nullptr, plan));
+          RangeCandidates(r, range_access,
+                          trace != nullptr ? &rb.strategy : nullptr));
     } else {
       rb.strategy = "dependent expression (evaluated per outer binding)";
     }

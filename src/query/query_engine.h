@@ -49,7 +49,8 @@ struct QueryProfile {
 /// uniformly; expressions provide path navigation, selective downcast,
 /// graph traversal (`traverse`, `children`, `parents`, `leaves`), context
 /// restriction and subqueries. When an `IndexManager` is supplied, equality
-/// conjuncts over indexed attributes replace extent scans (6.1.5.2/3).
+/// and range conjuncts over indexed attributes replace extent scans
+/// (6.1.5.2/3); the where-clause still filters every candidate.
 ///
 /// Const discipline / concurrency: the const execution paths (`Execute`,
 /// `Eval`, `Explain`) perform **no** `Database` mutation — results copy
@@ -133,8 +134,9 @@ class QueryEngine {
   Result<Value> Eval(const std::string& expr, const Environment& env) const;
 
   /// Describes the execution strategy chosen for `query`, one line per
-  /// range: extent scan, index lookup (with the attribute), or dependent
-  /// expression — the observable face of the optimiser (6.1.5.3).
+  /// range: extent scan, index lookup or index range (with the attribute),
+  /// or dependent expression — the observable face of the optimiser
+  /// (6.1.5.3). The strategy strings are the ones PROFILE reports.
   Result<std::string> Explain(const std::string& query) const;
 
   /// Evaluates a parsed expression under `env`.
@@ -166,25 +168,19 @@ class QueryEngine {
 
   /// Runs a parsed query; `trace` (nullable) receives plan/execute/sort/
   /// project child spans when profiling; `ctx` (nullable) is checked once
-  /// per enumerated binding; `plan` (nullable) supplies the cached
-  /// access-path analysis so the where-clause need not be re-walked.
-  Result<ResultSet> ExecuteInternal(const SelectQuery& query,
-                                    const Environment& outer,
-                                    obs::TraceNode* trace,
-                                    const ExecutionContext* ctx,
-                                    const cache::PlanEntry* plan = nullptr)
-      const;
+  /// per enumerated binding; `access` (nullable) is the cached access-path
+  /// analysis of `query` — without one it is derived here, once per call.
+  Result<ResultSet> ExecuteInternal(
+      const SelectQuery& query, const Environment& outer,
+      obs::TraceNode* trace, const ExecutionContext* ctx,
+      const cache::AccessAnalysis* access = nullptr) const;
 
-  /// Candidate oids for an extent range, narrowed through an index when the
-  /// where-clause pins `var.attr` to a constant. `strategy` (nullable)
-  /// receives the human-readable access path chosen; `plan` (nullable)
-  /// short-circuits the conjunct walk with the cached candidates.
-  Result<std::vector<Value>> RangeCandidates(const SelectQuery& query,
-                                             const FromRange& range,
-                                             const Environment& env,
-                                             std::string* strategy,
-                                             const cache::PlanEntry* plan)
-      const;
+  /// Candidate oids for an extent range, narrowed through an index when
+  /// `access` (nullable: the range's analysis) offers a conjunct an index
+  /// can serve. `strategy` (nullable) receives the access path taken.
+  Result<std::vector<Value>> RangeCandidates(const FromRange& range,
+                                             const cache::RangeAccess* access,
+                                             std::string* strategy) const;
 
   /// The plan for `text`: the cached entry when the plan cache holds one,
   /// else a fresh parse wrapped by `BuildPlanEntry` (and inserted when a
@@ -197,12 +193,6 @@ class QueryEngine {
   /// into a cacheable plan entry.
   std::shared_ptr<const cache::PlanEntry> BuildPlanEntry(
       std::shared_ptr<const SelectQuery> ast) const;
-
-  /// The where-clause conjunct `range.var.attr = literal` usable through
-  /// an existing index, or nullptr. `*attr` receives the attribute name.
-  const Expr* FindIndexableConjunct(const SelectQuery& query,
-                                    const FromRange& range,
-                                    std::string* attr) const;
 
   Database* db_;
   IndexManager* indexes_;

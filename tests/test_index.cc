@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <random>
+#include <thread>
 
 #include "index/index_manager.h"
+#include "obs/metrics.h"
+#include "query/query_engine.h"
 
 namespace prometheus {
 namespace {
@@ -87,12 +92,31 @@ TEST_F(IndexFixture, OrderedRangeLookup) {
   EXPECT_EQ(upto.value(), std::vector<Oid>{a});
 }
 
+TEST_F(IndexFixture, InvertedRangeIsEmpty) {
+  ASSERT_TRUE(idx->CreateIndex("Taxon", "year", /*ordered=*/true).ok());
+  NewTaxon("a", 1753);
+  NewTaxon("b", 1800);  // lies between the inverted bounds
+  NewTaxon("c", 1824);
+  auto r = idx->RangeLookup("Taxon", "year", Value::Int(1824),
+                            Value::Int(1753));
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.value().empty());
+  auto strings = idx->RangeLookup("Taxon", "year", Value::String("z"),
+                                  Value::Int(1800));
+  ASSERT_TRUE(strings.ok());
+  EXPECT_TRUE(strings.value().empty());
+}
+
 TEST_F(IndexFixture, RangeOnHashIndexRejected) {
   ASSERT_TRUE(idx->CreateIndex("Taxon", "year").ok());
+  EXPECT_FALSE(idx->HasOrderedIndex("Taxon", "year"));
+  obs::Counter* hits = obs::Registry().GetCounter("index_lookup_hits_total");
+  const std::uint64_t hits_before = hits->value();
   EXPECT_EQ(idx->RangeLookup("Taxon", "year", Value::Int(0), Value::Int(9999))
                 .status()
                 .code(),
             Status::Code::kFailedPrecondition);
+  EXPECT_EQ(hits->value(), hits_before);
 }
 
 TEST_F(IndexFixture, ErrorsOnUnknownTargets) {
@@ -142,6 +166,75 @@ TEST_F(IndexFixture, NumericKeysUnifyIntAndDouble) {
   Oid a = NewTaxon("a", 1753);
   EXPECT_EQ(idx->Lookup("Taxon", "year", Value::Double(1753.0)).value(),
             std::vector<Oid>{a});
+}
+
+// Range queries read through pinned snapshots while a writer moves the
+// indexed attribute. An index that ran ahead of a snapshot must send the
+// query to a scan of that snapshot; either way the answer is the scan's.
+TEST_F(IndexFixture, ConcurrentRangeReadsMatchAScanOfTheirSnapshot) {
+  ASSERT_TRUE(idx->CreateIndex("Taxon", "year", /*ordered=*/true).ok());
+  std::vector<Oid> taxa;
+  for (int i = 0; i < 64; ++i) {
+    taxa.push_back(NewTaxon("t" + std::to_string(i), 1750 + i));
+  }
+  pool::QueryEngine indexed(&db, idx.get());
+  pool::QueryEngine scan(&db);
+  // Pinned before any write: every later write runs the index past it.
+  SnapshotHandle before = db.AcquireSnapshot();
+  obs::Counter* fallbacks =
+      obs::Registry().GetCounter("pool_index_fallbacks_total");
+  const std::uint64_t fallbacks_before = fallbacks->value();
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> writes{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::thread writer([&] {
+    std::mt19937 rng(7);
+    while (!stop.load(std::memory_order_acquire)) {
+      Database::WriteGuard guard(db);
+      const Oid taxon = taxa[rng() % taxa.size()];
+      const auto year = static_cast<std::int64_t>(1750 + rng() % 64);
+      if (!db.SetAttribute(taxon, "year", Value::Int(year)).ok()) {
+        mismatches.fetch_add(1);
+      }
+      writes.fetch_add(1, std::memory_order_release);
+    }
+  });
+  while (writes.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+
+  auto sorted_rows = [](const Result<pool::ResultSet>& r) {
+    std::vector<std::string> out;
+    if (!r.ok()) return std::vector<std::string>{r.status().ToString()};
+    for (const auto& row : r.value().rows) out.push_back(row[0].ToString());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<std::thread> readers;
+  for (unsigned r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      std::mt19937 rng(r + 11);
+      for (int i = 0; i < 150; ++i) {
+        SnapshotHandle fresh = db.AcquireSnapshot();
+        const DbSnapshot& snap = i % 2 == 0 ? *fresh : *before;
+        const unsigned lo = 1750 + rng() % 64;
+        const std::string q =
+            "select t from Taxon t where t.year >= " + std::to_string(lo) +
+            " and t.year < " + std::to_string(lo + rng() % 16);
+        if (sorted_rows(indexed.Execute(q, snap)) !=
+            sorted_rows(scan.Execute(q, snap))) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  stop.store(true, std::memory_order_release);
+  writer.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(fallbacks->value(), fallbacks_before);
 }
 
 }  // namespace

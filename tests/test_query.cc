@@ -551,6 +551,64 @@ TEST_F(QueryFixture, ExplainReportsStrategy) {
   EXPECT_NE(rel_plan.value().find("order by"), std::string::npos);
 }
 
+TEST_F(QueryFixture, RangeConjunctsProbeAnOrderedIndex) {
+  IndexManager idx(&db);
+  ASSERT_TRUE(idx.CreateIndex("Taxon", "year", /*ordered=*/true).ok());
+  QueryEngine with_index(&db, &idx);
+  // Bounds merge to the tightest pair; `literal op path` flips.
+  const std::string q =
+      "select t.name from Taxon t where t.year >= 1753 and 1824 > t.year "
+      "and t.year > 1700 order by t.name";
+  auto plan = with_index.Explain(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan.value(),
+            "t: index range on Taxon.year [1753, 1824)\norder by: sort\n");
+  auto profiled = with_index.ExecuteProfiled(q);
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+  const obs::TraceNode* range = profiled.value().trace.Child("plan")->Child(
+      "range t");
+  ASSERT_NE(range, nullptr);
+  EXPECT_EQ(range->detail, "index range on Taxon.year [1753, 1824)");
+  EXPECT_EQ(range->rows, 4);  // inclusive probe; the where clause trims
+  auto scanned = engine->Execute(q);
+  ASSERT_TRUE(scanned.ok());
+  ASSERT_EQ(profiled.value().rows.rows.size(), 3u);
+  EXPECT_EQ(profiled.value().rows.rows, scanned.value().rows);
+  // An equality conjunct with an index wins over the range.
+  ASSERT_TRUE(idx.CreateIndex("Taxon", "name").ok());
+  EXPECT_EQ(with_index
+                .Explain("select t from Taxon t where t.year < 1800 and "
+                         "t.name = 'Apium'")
+                .value(),
+            "t: index lookup on Taxon.name\n");
+  // Literals that do not fit the declared type leave the range to a scan.
+  EXPECT_EQ(with_index.Explain("select t from Taxon t where t.year > 'x'")
+                .value(),
+            "t: extent scan of class Taxon\n");
+  EXPECT_EQ(with_index
+                .Explain("select t from Taxon t where t.year > 1800 and "
+                         "t.year >= 'x'")
+                .value(),
+            "t: extent scan of class Taxon\n");
+}
+
+TEST(RangePlanTest, UntypedMixedAttributeStillRaisesTypeError) {
+  Database db;
+  ASSERT_TRUE(db.DefineClass("Box", {}, {Attr("v", ValueType::kNull)}).ok());
+  ASSERT_TRUE(db.CreateObject("Box", {{"v", Value::Int(3)}}).ok());
+  ASSERT_TRUE(db.CreateObject("Box", {{"v", Value::String("x")}}).ok());
+  IndexManager idx(&db);
+  ASSERT_TRUE(idx.CreateIndex("Box", "v", /*ordered=*/true).ok());
+  QueryEngine engine(&db, &idx);
+  // The ordered index holds only the int under a numeric bound; a scan
+  // compares the string too, and that comparison is a type error.
+  const std::string q = "select b from Box b where b.v >= 1";
+  EXPECT_EQ(engine.Execute(q).status().code(), Status::Code::kTypeError);
+  auto plan = engine.Explain(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan.value(), "b: extent scan of class Box\n");
+}
+
 TEST_F(QueryFixture, OrderByAscendingAndDescending) {
   auto asc = engine->Execute("select t.year from Taxon t order by t.year");
   ASSERT_TRUE(asc.ok());
