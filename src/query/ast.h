@@ -12,7 +12,7 @@ namespace prometheus::pool {
 /// Expression node kinds of the POOL AST.
 enum class ExprKind : std::uint8_t {
   kLiteral,    ///< constant Value
-  kVariable,   ///< range variable or rule binding ($self, $link, ...)
+  kVariable,   ///< range variable (frame slot) or caller binding (self, ...)
   kPath,       ///< base '.' member (attribute / source / target / context)
   kDowncast,   ///< base '[' ClassName ']' — selective downcast (5.1.1.2)
   kUnary,      ///< not / negation
@@ -49,7 +49,9 @@ enum class UnaryOp : std::uint8_t {
 struct SelectQuery;
 
 /// A POOL expression tree node. Plain data; evaluation lives in the
-/// evaluator so the same tree can serve queries, views and rules.
+/// evaluator so the same tree can serve queries, views and rules. The
+/// parser resolves every variable before it returns a tree, and nothing
+/// changes the tree afterwards, so executions may share it.
 struct Expr {
   ExprKind kind = ExprKind::kLiteral;
 
@@ -57,6 +59,10 @@ struct Expr {
   Value literal;
   // kVariable
   std::string name;
+  /// kVariable: the frame slot of the range that binds `name` — the
+  /// innermost enclosing one — resolved by the parser; -1 when no range
+  /// binds it and the name is looked up in the caller's Environment.
+  int slot = -1;
   // kPath / kDowncast / kUnary: operand in children[0]; kPath uses `name`
   // as the member, kDowncast uses `name` as the class.
   // kBinary: children[0], children[1].
@@ -80,6 +86,11 @@ struct FromRange {
   std::string variable;
   std::string source_name;            ///< extent name; empty for expressions
   std::unique_ptr<Expr> source_expr;  ///< dependent range; null for extents
+  int slot = -1;  ///< frame slot the range's bindings are written to
+  /// Dependent ranges: positions in the query's `from` of the sibling
+  /// ranges `source_expr` reads (its subqueries included), so the join
+  /// binds them first.
+  std::vector<std::size_t> depends_on;
 };
 
 /// One projected column.
@@ -107,6 +118,10 @@ struct SelectQuery {
   };
   std::vector<OrderKey> order_by;
   std::int64_t limit = -1;          ///< -1: no limit
+  /// Frame slots this query and its subqueries need. Slots are numbered
+  /// across the whole tree — a subquery's follow its caller's — so one
+  /// frame serves a query and every subquery it runs.
+  std::size_t frame_size = 0;
 };
 
 }  // namespace prometheus::pool

@@ -1,5 +1,6 @@
 #include "query/parser.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "query/token.h"
@@ -7,6 +8,87 @@
 namespace prometheus::pool {
 
 namespace {
+
+/// Lexical binding, run once over a whole parsed tree (a query's select
+/// list precedes its FROM in the text, so names resolve only when the tree
+/// is complete). Numbers every range with a frame slot — across the whole
+/// tree, so a subquery's slots follow its caller's — and resolves each
+/// variable to the slot of the innermost enclosing range with its name.
+/// Within one FROM list a later range shadows an earlier one; a dependent
+/// range's expression sees its siblings but not itself. Names no range
+/// binds keep slot -1 and are looked up in the caller's Environment.
+class Binder {
+ public:
+  void BindQuery(SelectQuery* q) {
+    const std::size_t scope_base = scope_.size();
+    for (std::size_t i = 0; i < q->from.size(); ++i) {
+      FromRange& range = q->from[i];
+      range.slot = next_slot_++;
+      scope_.push_back({&range.variable, range.slot, q, i});
+    }
+    for (FromRange& range : q->from) {
+      if (range.source_expr == nullptr) continue;
+      pending_.push_back({q, range.slot, &range.depends_on});
+      BindExpr(range.source_expr.get());
+      pending_.pop_back();
+    }
+    for (SelectItem& item : q->items) BindExpr(item.expr.get());
+    BindExpr(q->where.get());
+    for (auto& key : q->group_by) BindExpr(key.get());
+    BindExpr(q->having.get());
+    for (auto& key : q->order_by) BindExpr(key.expr.get());
+    scope_.resize(scope_base);
+    q->frame_size = static_cast<std::size_t>(next_slot_);
+  }
+
+  void BindExpr(Expr* e) {
+    if (e == nullptr) return;
+    if (e->kind == ExprKind::kVariable) Resolve(e);
+    for (auto& child : e->children) BindExpr(child.get());
+    if (e->subquery != nullptr) BindQuery(e->subquery.get());
+  }
+
+ private:
+  struct Binding {
+    const std::string* name;
+    int slot;
+    const SelectQuery* query;  ///< the query whose FROM declares it
+    std::size_t position;      ///< its index in that FROM list
+  };
+
+  /// A dependent range whose source expression is being bound. The range
+  /// is not bound while its source is evaluated, so it is invisible there;
+  /// `reads` collects the sibling ranges the source reads, also from
+  /// inside nested subqueries.
+  struct Pending {
+    const SelectQuery* query;
+    int slot;
+    std::vector<std::size_t>* reads;
+  };
+
+  void Resolve(Expr* e) {
+    auto pending = [&](int slot) {
+      return std::any_of(pending_.begin(), pending_.end(),
+                         [&](const Pending& p) { return p.slot == slot; });
+    };
+    for (auto it = scope_.rbegin(); it != scope_.rend(); ++it) {
+      if (*it->name != e->name || pending(it->slot)) continue;
+      e->slot = it->slot;
+      for (Pending& p : pending_) {
+        if (p.query == it->query &&
+            std::find(p.reads->begin(), p.reads->end(), it->position) ==
+                p.reads->end()) {
+          p.reads->push_back(it->position);
+        }
+      }
+      return;
+    }
+  }
+
+  std::vector<Binding> scope_;  ///< innermost last
+  std::vector<Pending> pending_;  ///< innermost last
+  int next_slot_ = 0;
+};
 
 /// Recursive-descent parser over the token stream. Grammar (5.1.1):
 ///
@@ -27,6 +109,7 @@ class Parser {
     auto q = ParseSelect();
     if (!q.ok()) return q.status();
     PROMETHEUS_RETURN_IF_ERROR(Expect(TokenKind::kEnd, "end of query"));
+    Binder().BindQuery(q.value().get());
     return std::move(q).value();
   }
 
@@ -34,6 +117,7 @@ class Parser {
     auto e = ParseExpr();
     if (!e.ok()) return e.status();
     PROMETHEUS_RETURN_IF_ERROR(Expect(TokenKind::kEnd, "end of expression"));
+    Binder().BindExpr(e.value().get());
     return std::move(e).value();
   }
 

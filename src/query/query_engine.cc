@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cctype>
-#include <functional>
 #include <unordered_set>
 
 #include "obs/metrics.h"
@@ -212,8 +211,9 @@ Result<ResultSet> QueryEngine::Execute(const std::string& query,
     metrics.errors->Increment();
     return plan.status();
   }
-  Result<ResultSet> result = ExecuteInternal(
-      *plan.value()->ast, Environment{}, nullptr, ctx, &plan.value()->access);
+  Result<ResultSet> result =
+      ExecuteInternal(*plan.value()->ast, nullptr, Environment{}, nullptr,
+                      ctx, &plan.value()->access);
   if (!result.ok()) metrics.errors->Increment();
   return result;
 }
@@ -237,8 +237,9 @@ Result<QueryProfile> QueryEngine::ExecuteProfiled(
     metrics.errors->Increment();
     return plan.status();
   }
-  Result<ResultSet> rows = ExecuteInternal(
-      *plan.value()->ast, Environment{}, &out.trace, ctx, &plan.value()->access);
+  Result<ResultSet> rows =
+      ExecuteInternal(*plan.value()->ast, nullptr, Environment{}, &out.trace,
+                      ctx, &plan.value()->access);
   if (!rows.ok()) {
     metrics.errors->Increment();
     return rows.status();
@@ -258,234 +259,384 @@ Result<Value> QueryEngine::Eval(const std::string& expr,
 
 // ------------------------------------------------------------- expressions
 
-Result<Value> QueryEngine::Eval(const Expr& expr,
-                                const Environment& env) const {
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      return expr.literal;
-    case ExprKind::kVariable: {
-      auto it = env.find(expr.name);
-      if (it == env.end()) {
-        return Status::NotFound("unbound variable '" + expr.name + "'");
-      }
-      return it->second;
-    }
-    case ExprKind::kPath:
-      return EvalPath(expr, env);
-    case ExprKind::kDowncast: {
-      PROMETHEUS_ASSIGN_OR_RETURN(Value base, Eval(*expr.children[0], env));
-      // Selective downcast (5.1.1.2): keep only values of the named class.
-      if (base.type() == ValueType::kRef) {
-        return view().IsInstanceOf(base.AsRef(), expr.name) ? base
-                                                          : Value::Null();
-      }
-      if (base.type() == ValueType::kList) {
-        Value::List filtered;
-        for (const Value& v : base.AsList()) {
-          if (v.type() == ValueType::kRef &&
-              view().IsInstanceOf(v.AsRef(), expr.name)) {
-            filtered.push_back(v);
-          }
-        }
-        return Value::MakeList(std::move(filtered));
-      }
-      if (base.is_null()) return Value::Null();
-      return Status::TypeError("downcast applies to objects and lists");
-    }
-    case ExprKind::kUnary: {
-      PROMETHEUS_ASSIGN_OR_RETURN(Value operand,
-                                  Eval(*expr.children[0], env));
-      if (expr.unary_op == UnaryOp::kNot) {
-        PROMETHEUS_ASSIGN_OR_RETURN(bool b, Truthy(operand));
-        return Value::Bool(!b);
-      }
-      PROMETHEUS_ASSIGN_OR_RETURN(double d, operand.ToNumeric());
-      if (operand.type() == ValueType::kInt) {
-        return Value::Int(-operand.AsInt());
-      }
-      return Value::Double(-d);
-    }
-    case ExprKind::kBinary:
-      return EvalBinary(expr, env);
-    case ExprKind::kCall:
-      return EvalCall(expr, env);
-    case ExprKind::kSubquery: {
-      PROMETHEUS_ASSIGN_OR_RETURN(ResultSet rs,
-                                  Execute(*expr.subquery, env));
-      Value::List out;
-      for (const auto& row : rs.rows) {
-        if (row.size() == 1) {
-          out.push_back(row[0]);
-        } else {
-          out.push_back(Value::MakeList(row));
-        }
-      }
-      return Value::MakeList(std::move(out));
-    }
-  }
-  return Status::TypeError("malformed expression");
-}
+/// What an evaluation reads: the snapshot pinned for the execution, the
+/// frame its range variables are bound in (slots resolved by the parser),
+/// and the caller's Environment for every name no range binds. Under
+/// `group by`, `group` holds the frames of the group being projected and
+/// `frame` is its first: aggregate calls reduce over every frame, all
+/// other expressions read the first (they must be group-constant).
+struct QueryEngine::Scope {
+  const DbSnapshot& view;
+  std::vector<Value>& frame;
+  const Environment& env;
+  std::vector<std::vector<Value>>* group = nullptr;
+};
 
-Result<Value> QueryEngine::MemberOf(Oid oid, const std::string& member) const {
-  if (const Link* link = view().GetLink(oid)) {
-    if (member == "source") return Value::Ref(link->source);
-    if (member == "target") return Value::Ref(link->target);
-    if (member == "context") {
-      return link->context == kNullOid ? Value::Null()
-                                       : Value::Ref(link->context);
-    }
-    if (member == "relationship") return Value::String(link->def->name());
-    return view().GetLinkAttribute(oid, member);
-  }
-  if (view().GetObject(oid) != nullptr) {
+namespace {
+
+/// The null every null-propagating step borrows.
+const Value kNullValue;
+
+/// Member `member` of the object or link `oid`, read in place: attributes
+/// point into the record; `class`, the link members and inherited
+/// attributes land in `scratch`.
+Result<const Value*> MemberOf(const DbSnapshot& view, Oid oid,
+                              const std::string& member, Value& scratch) {
+  // Objects and links share one oid space: one lookup finds an object,
+  // a second only for links.
+  if (const Object* obj = view.GetObject(oid)) {
     if (member == "class") {
-      return Value::String(view().GetObject(oid)->cls->name());
+      scratch = Value::String(obj->cls->name());
+      return &scratch;
     }
-    return view().GetAttribute(oid, member);
+    auto it = obj->attrs.find(member);
+    if (it != obj->attrs.end()) return &it->second;
+    // Not stored on the object: inherited over an `inherit_attributes`
+    // link (thesis 4.4.5), or NotFound.
+    PROMETHEUS_ASSIGN_OR_RETURN(scratch, view.GetAttribute(oid, member));
+    return &scratch;
+  }
+  if (const Link* link = view.GetLink(oid)) {
+    if (member == "source") {
+      scratch = Value::Ref(link->source);
+    } else if (member == "target") {
+      scratch = Value::Ref(link->target);
+    } else if (member == "context") {
+      scratch = link->context == kNullOid ? Value::Null()
+                                          : Value::Ref(link->context);
+    } else if (member == "relationship") {
+      scratch = Value::String(link->def->name());
+    } else {
+      auto it = link->attrs.find(member);
+      if (it != link->attrs.end()) return &it->second;
+      return view.GetLinkAttribute(oid, member).status();
+    }
+    return &scratch;
   }
   return Status::NotFound("no object or link @" + std::to_string(oid));
 }
 
-Result<Value> QueryEngine::EvalPath(const Expr& expr,
-                                    const Environment& env) const {
-  PROMETHEUS_ASSIGN_OR_RETURN(Value base, Eval(*expr.children[0], env));
-  if (base.is_null()) return Value::Null();  // null propagation
-  if (base.type() == ValueType::kRef) {
-    return MemberOf(base.AsRef(), expr.name);
+/// Binary operators over evaluated operands (no short-circuiting):
+/// `Compare` for comparisons, `like` and `in`, `Arithmetic` for `+ - * /
+/// %`.
+bool IsArithmetic(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kAdd:
+    case BinaryOp::kSub:
+    case BinaryOp::kMul:
+    case BinaryOp::kDiv:
+    case BinaryOp::kMod:
+      return true;
+    default:
+      return false;
   }
-  if (base.type() == ValueType::kStruct) {
-    // Catalog rows: field access by name. A missing field is an error, not
-    // null — typos on sys.* attributes should be loud.
-    if (const Value* field = base.Field(expr.name)) return *field;
-    return Status::NotFound("struct has no field '" + expr.name + "'");
-  }
-  if (base.type() == ValueType::kList) {
-    // Path through a collection maps over its elements.
-    Value::List out;
-    for (const Value& v : base.AsList()) {
-      if (v.is_null()) continue;
-      if (v.type() != ValueType::kRef) {
-        return Status::TypeError("path through a list requires objects");
-      }
-      PROMETHEUS_ASSIGN_OR_RETURN(Value member, MemberOf(v.AsRef(), expr.name));
-      out.push_back(std::move(member));
-    }
-    return Value::MakeList(std::move(out));
-  }
-  return Status::TypeError("path step '." + expr.name +
-                           "' applies to objects, links and lists");
 }
 
-Result<Value> QueryEngine::EvalBinary(const Expr& expr,
-                                      const Environment& env) const {
-  // Short-circuit boolean operators first.
-  if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
-    PROMETHEUS_ASSIGN_OR_RETURN(Value lv, Eval(*expr.children[0], env));
-    PROMETHEUS_ASSIGN_OR_RETURN(bool lb, Truthy(lv));
-    if (expr.binary_op == BinaryOp::kAnd && !lb) return Value::Bool(false);
-    if (expr.binary_op == BinaryOp::kOr && lb) return Value::Bool(true);
-    PROMETHEUS_ASSIGN_OR_RETURN(Value rv, Eval(*expr.children[1], env));
-    PROMETHEUS_ASSIGN_OR_RETURN(bool rb, Truthy(rv));
-    return Value::Bool(rb);
-  }
-  PROMETHEUS_ASSIGN_OR_RETURN(Value lhs, Eval(*expr.children[0], env));
-  PROMETHEUS_ASSIGN_OR_RETURN(Value rhs, Eval(*expr.children[1], env));
-  return ApplyBinaryOp(expr.binary_op, lhs, rhs);
-}
-
-Result<Value> QueryEngine::ApplyBinaryOp(BinaryOp op, const Value& lhs,
-                                         const Value& rhs) {
+Result<bool> Compare(BinaryOp op, const Value& lhs, const Value& rhs) {
   switch (op) {
     case BinaryOp::kEq:
-      return Value::Bool(lhs.Equals(rhs));
+      return lhs.Equals(rhs);
     case BinaryOp::kNe:
-      return Value::Bool(!lhs.Equals(rhs));
+      return !lhs.Equals(rhs);
     case BinaryOp::kLt:
     case BinaryOp::kLe:
     case BinaryOp::kGt:
     case BinaryOp::kGe: {
-      if (lhs.is_null() || rhs.is_null()) return Value::Bool(false);
+      if (lhs.is_null() || rhs.is_null()) return false;
       PROMETHEUS_ASSIGN_OR_RETURN(int c, lhs.Compare(rhs));
       switch (op) {
         case BinaryOp::kLt:
-          return Value::Bool(c < 0);
+          return c < 0;
         case BinaryOp::kLe:
-          return Value::Bool(c <= 0);
+          return c <= 0;
         case BinaryOp::kGt:
-          return Value::Bool(c > 0);
+          return c > 0;
         default:
-          return Value::Bool(c >= 0);
+          return c >= 0;
       }
     }
     case BinaryOp::kLike: {
-      if (lhs.is_null()) return Value::Bool(false);
+      if (lhs.is_null()) return false;
       if (lhs.type() != ValueType::kString ||
           rhs.type() != ValueType::kString) {
         return Status::TypeError("'like' requires strings");
       }
-      return Value::Bool(LikeMatch(lhs.AsString(), rhs.AsString()));
+      return LikeMatch(lhs.AsString(), rhs.AsString());
     }
     case BinaryOp::kIn: {
       if (rhs.type() != ValueType::kList) {
         return Status::TypeError("'in' requires a list or subquery");
       }
       for (const Value& v : rhs.AsList()) {
-        if (lhs.Equals(v)) return Value::Bool(true);
+        if (lhs.Equals(v)) return true;
       }
-      return Value::Bool(false);
-    }
-    case BinaryOp::kAdd: {
-      if (lhs.type() == ValueType::kString ||
-          rhs.type() == ValueType::kString) {
-        auto text = [](const Value& v) {
-          return v.type() == ValueType::kString ? v.AsString() : v.ToString();
-        };
-        return Value::String(text(lhs) + text(rhs));
-      }
-      [[fallthrough]];
-    }
-    case BinaryOp::kSub:
-    case BinaryOp::kMul:
-    case BinaryOp::kDiv:
-    case BinaryOp::kMod: {
-      PROMETHEUS_ASSIGN_OR_RETURN(double a, lhs.ToNumeric());
-      PROMETHEUS_ASSIGN_OR_RETURN(double b, rhs.ToNumeric());
-      const bool ints = lhs.type() == ValueType::kInt &&
-                        rhs.type() == ValueType::kInt;
-      switch (op) {
-        case BinaryOp::kAdd:
-          return ints ? Value::Int(lhs.AsInt() + rhs.AsInt())
-                      : Value::Double(a + b);
-        case BinaryOp::kSub:
-          return ints ? Value::Int(lhs.AsInt() - rhs.AsInt())
-                      : Value::Double(a - b);
-        case BinaryOp::kMul:
-          return ints ? Value::Int(lhs.AsInt() * rhs.AsInt())
-                      : Value::Double(a * b);
-        case BinaryOp::kDiv:
-          if (b == 0) return Status::InvalidArgument("division by zero");
-          return ints ? Value::Int(lhs.AsInt() / rhs.AsInt())
-                      : Value::Double(a / b);
-        default:
-          if (!ints) return Status::TypeError("'%' requires integers");
-          if (rhs.AsInt() == 0) {
-            return Status::InvalidArgument("division by zero");
-          }
-          return Value::Int(lhs.AsInt() % rhs.AsInt());
-      }
+      return false;
     }
     default:
       return Status::TypeError("unsupported binary operator");
   }
 }
 
+Result<Value> Arithmetic(BinaryOp op, const Value& lhs, const Value& rhs) {
+  if (op == BinaryOp::kAdd && (lhs.type() == ValueType::kString ||
+                               rhs.type() == ValueType::kString)) {
+    auto text = [](const Value& v) {
+      return v.type() == ValueType::kString ? v.AsString() : v.ToString();
+    };
+    return Value::String(text(lhs) + text(rhs));
+  }
+  PROMETHEUS_ASSIGN_OR_RETURN(double a, lhs.ToNumeric());
+  PROMETHEUS_ASSIGN_OR_RETURN(double b, rhs.ToNumeric());
+  const bool ints =
+      lhs.type() == ValueType::kInt && rhs.type() == ValueType::kInt;
+  switch (op) {
+    case BinaryOp::kAdd:
+      return ints ? Value::Int(lhs.AsInt() + rhs.AsInt())
+                  : Value::Double(a + b);
+    case BinaryOp::kSub:
+      return ints ? Value::Int(lhs.AsInt() - rhs.AsInt())
+                  : Value::Double(a - b);
+    case BinaryOp::kMul:
+      return ints ? Value::Int(lhs.AsInt() * rhs.AsInt())
+                  : Value::Double(a * b);
+    case BinaryOp::kDiv:
+      if (b == 0) return Status::InvalidArgument("division by zero");
+      return ints ? Value::Int(lhs.AsInt() / rhs.AsInt())
+                  : Value::Double(a / b);
+    case BinaryOp::kMod:
+      if (!ints) return Status::TypeError("'%' requires integers");
+      if (rhs.AsInt() == 0) return Status::InvalidArgument("division by zero");
+      return Value::Int(lhs.AsInt() % rhs.AsInt());
+    default:
+      return Status::TypeError("unsupported binary operator");
+  }
+}
+
+/// True for a call that aggregates over a group: `count`, `sum`, `min`,
+/// `max` or `avg` of one argument.
+bool IsAggregate(const Expr& call) {
+  const std::string& fn = call.name;
+  return call.children.size() == 1 &&
+         (fn == "count" || fn == "sum" || fn == "min" || fn == "max" ||
+          fn == "avg");
+}
+
+/// `sum`, `avg`, `min` or `max` of `values`: null when there are none;
+/// the sum of ints stays an int.
+Result<Value> Reduce(const std::string& fn, const std::vector<Value>& values) {
+  if (values.empty()) return Value::Null();
+  if (fn == "min" || fn == "max") {
+    const Value* best = &values.front();
+    for (std::size_t i = 1; i < values.size(); ++i) {
+      PROMETHEUS_ASSIGN_OR_RETURN(int c, values[i].Compare(*best));
+      if ((fn == "min" && c < 0) || (fn == "max" && c > 0)) best = &values[i];
+    }
+    return *best;
+  }
+  double total = 0;
+  bool all_int = true;
+  for (const Value& v : values) {
+    PROMETHEUS_ASSIGN_OR_RETURN(double d, v.ToNumeric());
+    total += d;
+    all_int = all_int && v.type() == ValueType::kInt;
+  }
+  if (fn == "avg") return Value::Double(total / values.size());
+  return all_int ? Value::Int(static_cast<std::int64_t>(total))
+                 : Value::Double(total);
+}
+
+}  // namespace
+
+Result<Value> QueryEngine::Eval(const Expr& expr,
+                                const Environment& env) const {
+  // A standalone expression binds no range; a subquery in it sizes its own
+  // frame.
+  std::vector<Value> frame;
+  return EvalCopy(expr, Scope{view(), frame, env});
+}
+
+Result<Value> QueryEngine::EvalCopy(const Expr& expr,
+                                    const Scope& scope) const {
+  Value scratch;
+  PROMETHEUS_ASSIGN_OR_RETURN(const Value* v, Eval(expr, scope, scratch));
+  if (v == &scratch) return scratch;
+  return *v;
+}
+
+Result<bool> QueryEngine::Test(const Expr& expr, const Scope& scope) const {
+  if (expr.kind == ExprKind::kUnary && expr.unary_op == UnaryOp::kNot) {
+    PROMETHEUS_ASSIGN_OR_RETURN(bool b, Test(*expr.children[0], scope));
+    return !b;
+  }
+  if (expr.kind == ExprKind::kBinary && !IsArithmetic(expr.binary_op)) {
+    if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
+      // Short-circuit: `and` stops at false, `or` at true.
+      PROMETHEUS_ASSIGN_OR_RETURN(bool lb, Test(*expr.children[0], scope));
+      if (lb == (expr.binary_op == BinaryOp::kOr)) return lb;
+      return Test(*expr.children[1], scope);
+    }
+    Value lhs_scratch;
+    Value rhs_scratch;
+    PROMETHEUS_ASSIGN_OR_RETURN(const Value* lhs,
+                                Eval(*expr.children[0], scope, lhs_scratch));
+    PROMETHEUS_ASSIGN_OR_RETURN(const Value* rhs,
+                                Eval(*expr.children[1], scope, rhs_scratch));
+    return Compare(expr.binary_op, *lhs, *rhs);
+  }
+  Value scratch;
+  PROMETHEUS_ASSIGN_OR_RETURN(const Value* v, Eval(expr, scope, scratch));
+  return Truthy(*v);
+}
+
+Result<const Value*> QueryEngine::Eval(const Expr& expr, const Scope& scope,
+                                       Value& scratch) const {
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+      return &expr.literal;
+    case ExprKind::kVariable: {
+      if (expr.slot >= 0) {
+        assert(static_cast<std::size_t>(expr.slot) < scope.frame.size());
+        return &scope.frame[expr.slot];
+      }
+      auto it = scope.env.find(expr.name);
+      if (it == scope.env.end()) {
+        return Status::NotFound("unbound variable '" + expr.name + "'");
+      }
+      return &it->second;
+    }
+    case ExprKind::kPath:
+      return EvalPath(expr, scope, scratch);
+    case ExprKind::kDowncast: {
+      PROMETHEUS_ASSIGN_OR_RETURN(const Value* base,
+                                  Eval(*expr.children[0], scope, scratch));
+      // Selective downcast (5.1.1.2): keep only values of the named class.
+      if (base->type() == ValueType::kRef) {
+        return scope.view.IsInstanceOf(base->AsRef(), expr.name) ? base
+                                                                 : &kNullValue;
+      }
+      if (base->type() == ValueType::kList) {
+        Value::List filtered;
+        for (const Value& v : base->AsList()) {
+          if (v.type() == ValueType::kRef &&
+              scope.view.IsInstanceOf(v.AsRef(), expr.name)) {
+            filtered.push_back(v);
+          }
+        }
+        scratch = Value::MakeList(std::move(filtered));
+        return &scratch;
+      }
+      if (base->is_null()) return &kNullValue;
+      return Status::TypeError("downcast applies to objects and lists");
+    }
+    case ExprKind::kUnary: {
+      if (expr.unary_op == UnaryOp::kNot) {
+        PROMETHEUS_ASSIGN_OR_RETURN(bool b, Test(expr, scope));
+        scratch = Value::Bool(b);
+        return &scratch;
+      }
+      PROMETHEUS_ASSIGN_OR_RETURN(const Value* operand,
+                                  Eval(*expr.children[0], scope, scratch));
+      PROMETHEUS_ASSIGN_OR_RETURN(double d, operand->ToNumeric());
+      scratch = operand->type() == ValueType::kInt
+                    ? Value::Int(-operand->AsInt())
+                    : Value::Double(-d);
+      return &scratch;
+    }
+    case ExprKind::kBinary: {
+      if (!IsArithmetic(expr.binary_op)) {
+        PROMETHEUS_ASSIGN_OR_RETURN(bool b, Test(expr, scope));
+        scratch = Value::Bool(b);
+        return &scratch;
+      }
+      Value rhs_scratch;
+      PROMETHEUS_ASSIGN_OR_RETURN(const Value* lhs,
+                                  Eval(*expr.children[0], scope, scratch));
+      PROMETHEUS_ASSIGN_OR_RETURN(const Value* rhs,
+                                  Eval(*expr.children[1], scope, rhs_scratch));
+      PROMETHEUS_ASSIGN_OR_RETURN(Value out,
+                                  Arithmetic(expr.binary_op, *lhs, *rhs));
+      scratch = std::move(out);
+      return &scratch;
+    }
+    case ExprKind::kCall: {
+      if (scope.group != nullptr && IsAggregate(expr)) {
+        PROMETHEUS_ASSIGN_OR_RETURN(scratch, Aggregate(expr, scope));
+      } else {
+        PROMETHEUS_ASSIGN_OR_RETURN(scratch, EvalCall(expr, scope));
+      }
+      return &scratch;
+    }
+    case ExprKind::kSubquery: {
+      // A nested query runs in its caller's frame, which the parser sized
+      // for it; one inside a standalone expression brings its own.
+      const SelectQuery& sub = *expr.subquery;
+      std::vector<Value>* frame =
+          scope.frame.size() >= sub.frame_size ? &scope.frame : nullptr;
+      PROMETHEUS_ASSIGN_OR_RETURN(
+          ResultSet rs,
+          ExecuteInternal(sub, frame, scope.env, nullptr, nullptr));
+      Value::List out;
+      out.reserve(rs.rows.size());
+      for (auto& row : rs.rows) {
+        if (row.size() == 1) {
+          out.push_back(std::move(row[0]));
+        } else {
+          out.push_back(Value::MakeList(std::move(row)));
+        }
+      }
+      scratch = Value::MakeList(std::move(out));
+      return &scratch;
+    }
+  }
+  return Status::TypeError("malformed expression");
+}
+
+Result<const Value*> QueryEngine::EvalPath(const Expr& expr,
+                                           const Scope& scope,
+                                           Value& scratch) const {
+  PROMETHEUS_ASSIGN_OR_RETURN(const Value* base,
+                              Eval(*expr.children[0], scope, scratch));
+  switch (base->type()) {
+    case ValueType::kNull:
+      return &kNullValue;  // null propagation
+    case ValueType::kRef:
+      return MemberOf(scope.view, base->AsRef(), expr.name, scratch);
+    case ValueType::kStruct:
+      // Catalog rows: field access by name. A missing field is an error,
+      // not null — typos on sys.* attributes should be loud.
+      if (const Value* field = base->Field(expr.name)) return field;
+      return Status::NotFound("struct has no field '" + expr.name + "'");
+    case ValueType::kList: {
+      // Path through a collection maps over its elements.
+      Value::List out;
+      Value member_scratch;
+      for (const Value& v : base->AsList()) {
+        if (v.is_null()) continue;
+        if (v.type() != ValueType::kRef) {
+          return Status::TypeError("path through a list requires objects");
+        }
+        PROMETHEUS_ASSIGN_OR_RETURN(
+            const Value* member,
+            MemberOf(scope.view, v.AsRef(), expr.name, member_scratch));
+        out.push_back(*member);
+      }
+      scratch = Value::MakeList(std::move(out));
+      return &scratch;
+    }
+    default:
+      return Status::TypeError("path step '." + expr.name +
+                               "' applies to objects, links and lists");
+  }
+}
+
 Result<Value> QueryEngine::EvalCall(const Expr& expr,
-                                    const Environment& env) const {
+                                    const Scope& scope) const {
   const std::string& fn = expr.name;
+  const DbSnapshot& view = scope.view;
   std::vector<Value> args;
   args.reserve(expr.children.size());
   for (const auto& child : expr.children) {
-    PROMETHEUS_ASSIGN_OR_RETURN(Value v, Eval(*child, env));
+    PROMETHEUS_ASSIGN_OR_RETURN(Value v, EvalCopy(*child, scope));
     args.push_back(std::move(v));
   }
   auto want = [&](std::size_t lo, std::size_t hi) -> Status {
@@ -542,27 +693,7 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
   if (fn == "sum" || fn == "avg" || fn == "min" || fn == "max") {
     PROMETHEUS_RETURN_IF_ERROR(want(1, 1));
     PROMETHEUS_ASSIGN_OR_RETURN(Value::List l, as_list(0));
-    if (l.empty()) return Value::Null();
-    if (fn == "min" || fn == "max") {
-      Value best = l.front();
-      for (std::size_t i = 1; i < l.size(); ++i) {
-        PROMETHEUS_ASSIGN_OR_RETURN(int c, l[i].Compare(best));
-        if ((fn == "min" && c < 0) || (fn == "max" && c > 0)) best = l[i];
-      }
-      return best;
-    }
-    double total = 0;
-    for (const Value& v : l) {
-      PROMETHEUS_ASSIGN_OR_RETURN(double d, v.ToNumeric());
-      total += d;
-    }
-    if (fn == "avg") return Value::Double(total / l.size());
-    // sum of ints stays int.
-    bool all_int = std::all_of(l.begin(), l.end(), [](const Value& v) {
-      return v.type() == ValueType::kInt;
-    });
-    return all_int ? Value::Int(static_cast<std::int64_t>(total))
-                   : Value::Double(total);
+    return Reduce(fn, l);
   }
   if (fn == "flatten") {
     PROMETHEUS_RETURN_IF_ERROR(want(1, 1));
@@ -638,10 +769,10 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
   if (fn == "class_of") {
     PROMETHEUS_RETURN_IF_ERROR(want(1, 1));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, as_ref(0));
-    if (const Object* obj = view().GetObject(oid)) {
+    if (const Object* obj = view.GetObject(oid)) {
       return Value::String(obj->cls->name());
     }
-    if (const Link* link = view().GetLink(oid)) {
+    if (const Link* link = view.GetLink(oid)) {
       return Value::String(link->def->name());
     }
     return Value::Null();
@@ -650,7 +781,7 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     PROMETHEUS_RETURN_IF_ERROR(want(2, 2));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, as_ref(0));
     PROMETHEUS_ASSIGN_OR_RETURN(std::string cls, as_str(1));
-    return Value::Bool(view().IsInstanceOf(oid, cls));
+    return Value::Bool(view.IsInstanceOf(oid, cls));
   }
   if (fn == "oid") {
     PROMETHEUS_RETURN_IF_ERROR(want(1, 1));
@@ -660,11 +791,11 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
   if (fn == "extent") {
     PROMETHEUS_RETURN_IF_ERROR(want(1, 1));
     PROMETHEUS_ASSIGN_OR_RETURN(std::string name, as_str(0));
-    if (view().FindClass(name) != nullptr) {
-      return refs_to_list(view().Extent(name));
+    if (view.FindClass(name) != nullptr) {
+      return refs_to_list(view.Extent(name));
     }
-    if (view().FindRelationship(name) != nullptr) {
-      return refs_to_list(view().LinkExtent(name));
+    if (view.FindRelationship(name) != nullptr) {
+      return refs_to_list(view.LinkExtent(name));
     }
     return Status::NotFound("no extent named '" + name + "'");
   }
@@ -672,25 +803,28 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     PROMETHEUS_RETURN_IF_ERROR(want(2, 2));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, as_ref(0));
     PROMETHEUS_ASSIGN_OR_RETURN(std::string name, as_str(1));
-    return MemberOf(oid, name);
+    Value scratch;
+    PROMETHEUS_ASSIGN_OR_RETURN(const Value* member,
+                                MemberOf(view, oid, name, scratch));
+    return *member;
   }
 
   // --- synonym functions (4.5) ---
   if (fn == "canonical") {
     PROMETHEUS_RETURN_IF_ERROR(want(1, 1));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, as_ref(0));
-    return Value::Ref(view().CanonicalOf(oid));
+    return Value::Ref(view.CanonicalOf(oid));
   }
   if (fn == "synonyms") {
     PROMETHEUS_RETURN_IF_ERROR(want(1, 1));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid oid, as_ref(0));
-    return refs_to_list(view().SynonymSet(oid));
+    return refs_to_list(view.SynonymSet(oid));
   }
   if (fn == "are_synonyms") {
     PROMETHEUS_RETURN_IF_ERROR(want(2, 2));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid a, as_ref(0));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid b, as_ref(1));
-    return Value::Bool(view().AreSynonyms(a, b));
+    return Value::Bool(view.AreSynonyms(a, b));
   }
 
   // --- graph functions (5.1.1.3) ---
@@ -726,7 +860,7 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     PROMETHEUS_ASSIGN_OR_RETURN(Oid ctx, opt_context(ctx_arg));
     PROMETHEUS_ASSIGN_OR_RETURN(
         std::vector<Oid> oids,
-        view().Traverse(start, rel, static_cast<std::uint32_t>(args[2].AsInt()),
+        view.Traverse(start, rel, static_cast<std::uint32_t>(args[2].AsInt()),
                       static_cast<std::uint32_t>(args[3].AsInt()), dir, ctx));
     return refs_to_list(oids);
   }
@@ -737,7 +871,7 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     PROMETHEUS_ASSIGN_OR_RETURN(std::string rel, as_str(1));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid ctx, opt_context(2));
     Direction dir = fn == "children" ? Direction::kOut : Direction::kIn;
-    return refs_to_list(view().Neighbors(obj, rel, dir, ctx));
+    return refs_to_list(view.Neighbors(obj, rel, dir, ctx));
   }
   if (fn == "leaves") {
     // leaves(obj, 'rel' [, context]): descendants (or obj) with no children.
@@ -746,11 +880,11 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     PROMETHEUS_ASSIGN_OR_RETURN(std::string rel, as_str(1));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid ctx, opt_context(2));
     PROMETHEUS_ASSIGN_OR_RETURN(std::vector<Oid> all,
-                                view().Traverse(obj, rel, 0, 0,
-                                              Direction::kOut, ctx));
+                                view.Traverse(obj, rel, 0, 0,
+                                            Direction::kOut, ctx));
     std::vector<Oid> leaves;
     for (Oid o : all) {
-      if (view().Neighbors(o, rel, Direction::kOut, ctx).empty()) {
+      if (view.Neighbors(o, rel, Direction::kOut, ctx).empty()) {
         leaves.push_back(o);
       }
     }
@@ -763,20 +897,20 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     const RelationshipDef* def = nullptr;
     if (!args[1].is_null()) {
       PROMETHEUS_ASSIGN_OR_RETURN(std::string rel, as_str(1));
-      def = view().FindRelationship(rel);
+      def = view.FindRelationship(rel);
       if (def == nullptr) {
         return Status::NotFound("unknown relationship '" + rel + "'");
       }
     }
     PROMETHEUS_ASSIGN_OR_RETURN(Direction dir, parse_dir(2));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid ctx, opt_context(3));
-    return refs_to_list(view().IncidentLinks(obj, dir, def, ctx));
+    return refs_to_list(view.IncidentLinks(obj, dir, def, ctx));
   }
   if (fn == "in_context") {
     // in_context(classification) -> the classification's links.
     PROMETHEUS_RETURN_IF_ERROR(want(1, 1));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid ctx, as_ref(0));
-    return refs_to_list(view().LinksInContext(ctx));
+    return refs_to_list(view.LinksInContext(ctx));
   }
   if (fn == "reachable") {
     // reachable(from, to, 'rel' [, context]) -> bool.
@@ -787,7 +921,7 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     PROMETHEUS_ASSIGN_OR_RETURN(Oid ctx, opt_context(3));
     PROMETHEUS_ASSIGN_OR_RETURN(
         std::vector<Oid> oids,
-        view().Traverse(from, rel, 1, 0, Direction::kOut, ctx));
+        view.Traverse(from, rel, 1, 0, Direction::kOut, ctx));
     return Value::Bool(std::find(oids.begin(), oids.end(), to) !=
                        oids.end());
   }
@@ -800,7 +934,7 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     PROMETHEUS_ASSIGN_OR_RETURN(Oid to, as_ref(1));
     PROMETHEUS_ASSIGN_OR_RETURN(std::string rel, as_str(2));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid ctx, opt_context(3));
-    if (view().FindRelationship(rel) == nullptr) {
+    if (view.FindRelationship(rel) == nullptr) {
       return Status::NotFound("unknown relationship '" + rel + "'");
     }
     std::unordered_map<Oid, Oid> parent;
@@ -810,7 +944,7 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     while (!found && !frontier.empty()) {
       std::vector<Oid> next;
       for (Oid cur : frontier) {
-        for (Oid n : view().Neighbors(cur, rel, Direction::kOut, ctx)) {
+        for (Oid n : view.Neighbors(cur, rel, Direction::kOut, ctx)) {
           if (parent.count(n)) continue;
           parent[n] = cur;
           if (n == to) {
@@ -844,7 +978,7 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     PROMETHEUS_ASSIGN_OR_RETURN(Oid start, as_ref(0));
     PROMETHEUS_ASSIGN_OR_RETURN(std::string rel, as_str(1));
     PROMETHEUS_ASSIGN_OR_RETURN(Oid ctx, opt_context(2));
-    const RelationshipDef* def = view().FindRelationship(rel);
+    const RelationshipDef* def = view.FindRelationship(rel);
     if (def == nullptr) {
       return Status::NotFound("unknown relationship '" + rel + "'");
     }
@@ -854,8 +988,8 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
     while (!frontier.empty()) {
       Oid cur = frontier.back();
       frontier.pop_back();
-      for (Oid lid : view().IncidentLinks(cur, Direction::kOut, def, ctx)) {
-        const Link* link = view().GetLink(lid);
+      for (Oid lid : view.IncidentLinks(cur, Direction::kOut, def, ctx)) {
+        const Link* link = view.GetLink(lid);
         out.push_back(Value::Ref(lid));
         if (visited.insert(link->target).second) {
           frontier.push_back(link->target);
@@ -894,89 +1028,22 @@ Result<Value> QueryEngine::EvalCall(const Expr& expr,
   return Status::NotFound("unknown function '" + fn + "'");
 }
 
-Result<Value> QueryEngine::EvalGrouped(
-    const Expr& expr, const std::vector<Environment>& group) const {
-  if (group.empty()) return Value::Null();
-  switch (expr.kind) {
-    case ExprKind::kCall: {
-      const std::string& fn = expr.name;
-      if ((fn == "count" || fn == "sum" || fn == "min" || fn == "max" ||
-           fn == "avg") &&
-          expr.children.size() == 1) {
-        // Aggregate the argument across the group's bindings.
-        std::vector<Value> values;
-        values.reserve(group.size());
-        for (const Environment& env : group) {
-          PROMETHEUS_ASSIGN_OR_RETURN(Value v, Eval(*expr.children[0], env));
-          if (!v.is_null()) values.push_back(std::move(v));
-        }
-        if (fn == "count") {
-          return Value::Int(static_cast<std::int64_t>(values.size()));
-        }
-        if (values.empty()) return Value::Null();
-        if (fn == "min" || fn == "max") {
-          Value best = values.front();
-          for (std::size_t i = 1; i < values.size(); ++i) {
-            PROMETHEUS_ASSIGN_OR_RETURN(int c, values[i].Compare(best));
-            if ((fn == "min" && c < 0) || (fn == "max" && c > 0)) {
-              best = values[i];
-            }
-          }
-          return best;
-        }
-        double total = 0;
-        bool all_int = true;
-        for (const Value& v : values) {
-          PROMETHEUS_ASSIGN_OR_RETURN(double d, v.ToNumeric());
-          total += d;
-          all_int = all_int && v.type() == ValueType::kInt;
-        }
-        if (fn == "avg") return Value::Double(total / values.size());
-        return all_int ? Value::Int(static_cast<std::int64_t>(total))
-                       : Value::Double(total);
-      }
-      // Non-aggregate calls evaluate under the group's representative.
-      return Eval(expr, group.front());
-    }
-    case ExprKind::kBinary: {
-      if (expr.binary_op == BinaryOp::kAnd ||
-          expr.binary_op == BinaryOp::kOr) {
-        PROMETHEUS_ASSIGN_OR_RETURN(Value lv,
-                                    EvalGrouped(*expr.children[0], group));
-        PROMETHEUS_ASSIGN_OR_RETURN(bool lb, Truthy(lv));
-        if (expr.binary_op == BinaryOp::kAnd && !lb) {
-          return Value::Bool(false);
-        }
-        if (expr.binary_op == BinaryOp::kOr && lb) return Value::Bool(true);
-        PROMETHEUS_ASSIGN_OR_RETURN(Value rv,
-                                    EvalGrouped(*expr.children[1], group));
-        PROMETHEUS_ASSIGN_OR_RETURN(bool rb, Truthy(rv));
-        return Value::Bool(rb);
-      }
-      PROMETHEUS_ASSIGN_OR_RETURN(Value lhs,
-                                  EvalGrouped(*expr.children[0], group));
-      PROMETHEUS_ASSIGN_OR_RETURN(Value rhs,
-                                  EvalGrouped(*expr.children[1], group));
-      return ApplyBinaryOp(expr.binary_op, lhs, rhs);
-    }
-    case ExprKind::kUnary: {
-      PROMETHEUS_ASSIGN_OR_RETURN(Value operand,
-                                  EvalGrouped(*expr.children[0], group));
-      if (expr.unary_op == UnaryOp::kNot) {
-        PROMETHEUS_ASSIGN_OR_RETURN(bool b, Truthy(operand));
-        return Value::Bool(!b);
-      }
-      PROMETHEUS_ASSIGN_OR_RETURN(double d, operand.ToNumeric());
-      if (operand.type() == ValueType::kInt) {
-        return Value::Int(-operand.AsInt());
-      }
-      return Value::Double(-d);
-    }
-    default:
-      // Group-constant expressions (the group-by keys themselves, paths
-      // over them, literals) evaluate under the representative binding.
-      return Eval(expr, group.front());
+Result<Value> QueryEngine::Aggregate(const Expr& call,
+                                     const Scope& scope) const {
+  // The argument evaluates in each frame of the group, nulls skipped; an
+  // aggregate nested inside it is not grouped again.
+  std::vector<Value> values;
+  values.reserve(scope.group->size());
+  for (std::vector<Value>& frame : *scope.group) {
+    PROMETHEUS_ASSIGN_OR_RETURN(
+        Value v, EvalCopy(*call.children[0], Scope{scope.view, frame,
+                                                   scope.env}));
+    if (!v.is_null()) values.push_back(std::move(v));
   }
+  if (call.name == "count") {
+    return Value::Int(static_cast<std::int64_t>(values.size()));
+  }
+  return Reduce(call.name, values);
 }
 
 // ----------------------------------------------------------------- queries
@@ -1065,7 +1132,7 @@ cache::AccessAnalysis AnalyzeAccess(const SelectQuery& query) {
         continue;
       }
       const Expr* base = path->children[0].get();
-      if (base->kind != ExprKind::kVariable || base->name != range.variable) {
+      if (base->kind != ExprKind::kVariable || base->slot != range.slot) {
         continue;
       }
       if (op == BinaryOp::kEq) {
@@ -1166,10 +1233,17 @@ AccessPath ChooseAccessPath(const IndexManager* indexes,
 
 }  // namespace
 
+/// One range of an execution's join, in join order.
 struct QueryEngine::RangeBinding {
   const FromRange* range;
   std::vector<Value> candidates;  ///< for extent ranges (pre-computed)
   std::string strategy;           ///< access path chosen (profiling)
+  /// A dependent range's list under the current outer bindings.
+  Value source;
+  /// The candidates being enumerated (`candidates` or `source`'s list) and
+  /// the next one to bind.
+  const std::vector<Value>* rows = nullptr;
+  std::size_t next = 0;
 };
 
 std::shared_ptr<const cache::PlanEntry> QueryEngine::BuildPlanEntry(
@@ -1293,11 +1367,12 @@ Result<std::string> QueryEngine::Explain(const std::string& query) const {
 Result<ResultSet> QueryEngine::Execute(const SelectQuery& query,
                                        const Environment& outer,
                                        const ExecutionContext* ctx) const {
-  return ExecuteInternal(query, outer, nullptr, ctx);
+  return ExecuteInternal(query, nullptr, outer, nullptr, ctx);
 }
 
 Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
-                                               const Environment& outer,
+                                               std::vector<Value>* shared,
+                                               const Environment& env,
                                                obs::TraceNode* trace,
                                                const ExecutionContext* ctx,
                                                const cache::AccessAnalysis*
@@ -1352,23 +1427,10 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
 
   // Join-order optimisation (6.1.5.3): drive the nested loops with the
   // most selective extent ranges first. Dependent ranges wait until every
-  // range variable their expression references is bound.
+  // sibling range their expression reads (resolved by the parser) is bound.
   {
-    auto references = [](const Expr* e, const std::string& var) {
-      std::function<bool(const Expr*)> walk = [&](const Expr* node) -> bool {
-        if (node->kind == ExprKind::kVariable && node->name == var) {
-          return true;
-        }
-        for (const auto& child : node->children) {
-          if (walk(child.get())) return true;
-        }
-        return false;
-      };
-      return walk(e);
-    };
     std::vector<RangeBinding> ordered;
     std::vector<bool> placed(ranges.size(), false);
-    std::unordered_set<std::string> bound;
     while (ordered.size() < ranges.size()) {
       // Prefer the eligible extent range with the fewest candidates;
       // otherwise the first eligible dependent range.
@@ -1377,17 +1439,11 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
         if (placed[i]) continue;
         const RangeBinding& rb = ranges[i];
         if (rb.range->source_expr != nullptr) {
-          bool ready = true;
-          for (const RangeBinding& other : ranges) {
-            if (other.range == rb.range) continue;
-            if (!bound.count(other.range->variable) &&
-                references(rb.range->source_expr.get(),
-                           other.range->variable)) {
-              ready = false;
-              break;
-            }
+          const std::vector<std::size_t>& deps = rb.range->depends_on;
+          if (!std::all_of(deps.begin(), deps.end(),
+                           [&](std::size_t d) { return placed[d]; })) {
+            continue;
           }
-          if (!ready) continue;
           // A dependent range is only chosen when no extent range is
           // available (they usually shrink with more bindings).
           if (best == ranges.size()) best = i;
@@ -1404,7 +1460,6 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
             "circular dependency between from-ranges");
       }
       placed[best] = true;
-      bound.insert(ranges[best].range->variable);
       ordered.push_back(std::move(ranges[best]));
     }
     ranges = std::move(ordered);
@@ -1432,55 +1487,97 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
     }
   }
 
-  // Rows paired with their order-by key tuple.
-  std::vector<std::pair<Value::List, std::vector<Value>>> keyed_rows;
-  Environment env = outer;
   const bool grouped = !query.group_by.empty();
   if (grouped && query.select_star) {
     return Status::ParseError("'select *' cannot be combined with group by");
   }
+  // A top-level execution owns its frame; a subquery shares its caller's.
+  std::vector<Value> own;
+  if (shared == nullptr) own.resize(query.frame_size);
+  std::vector<Value>& frame = shared != nullptr ? *shared : own;
+  const Scope scope{view(), frame, env};
 
   /// Bindings enumerated by the join loops — the query's "rows scanned"
   /// cardinality (profile + metrics).
   std::uint64_t scanned = 0;
 
-  /// Runs the nested-loop join; `emit` is called once per binding that
-  /// passes the where clause.
-  std::function<Status(std::size_t, const std::function<Status()>&)>
-      recurse = [&](std::size_t depth,
-                    const std::function<Status()>& emit) -> Status {
-    if (depth == ranges.size()) {
-      if (query.where != nullptr) {
-        PROMETHEUS_ASSIGN_OR_RETURN(Value cond, Eval(*query.where, env));
-        PROMETHEUS_ASSIGN_OR_RETURN(bool pass, Truthy(cond));
-        if (!pass) return Status::Ok();
-      }
-      return emit();
+  // Positions `rb` at its first candidate. A dependent range evaluates its
+  // expression under the bindings of the ranges before it in join order.
+  auto open = [&](RangeBinding& rb) -> Status {
+    rb.next = 0;
+    if (rb.range->source_expr == nullptr) {
+      rb.rows = &rb.candidates;
+      return Status::Ok();
     }
-    RangeBinding& rb = ranges[depth];
-    const std::vector<Value>* candidates = &rb.candidates;
-    std::vector<Value> dynamic;
-    if (rb.range->source_expr != nullptr) {
-      PROMETHEUS_ASSIGN_OR_RETURN(Value src,
-                                  Eval(*rb.range->source_expr, env));
-      if (src.type() != ValueType::kList) {
-        return Status::TypeError("range expression for '" +
-                                 rb.range->variable +
-                                 "' must produce a list");
-      }
-      dynamic = src.AsList();
-      candidates = &dynamic;
+    PROMETHEUS_ASSIGN_OR_RETURN(
+        const Value* src, Eval(*rb.range->source_expr, scope, rb.source));
+    if (src->type() != ValueType::kList) {
+      return Status::TypeError("range expression for '" +
+                               rb.range->variable + "' must produce a list");
     }
-    for (const Value& v : *candidates) {
+    if (src != &rb.source) rb.source = *src;
+    rb.rows = &rb.source.AsList();
+    return Status::Ok();
+  };
+
+  // The nested-loop join as one flat loop over `ranges`: each enumerated
+  // binding writes its candidate into the range's frame slot, and
+  // `on_binding` runs once per complete binding that passes the where
+  // clause.
+  auto join = [&](auto&& on_binding) -> Status {
+    std::size_t depth = 0;
+    PROMETHEUS_RETURN_IF_ERROR(open(ranges[0]));
+    for (;;) {
+      RangeBinding& rb = ranges[depth];
+      if (rb.next == rb.rows->size()) {
+        if (depth == 0) return Status::Ok();
+        --depth;
+        continue;
+      }
       // Cooperative deadline / cancellation: one check per enumerated
       // binding bounds the abort latency by a single binding's work
       // (including its subqueries and the emit path).
       if (ctx != nullptr) PROMETHEUS_RETURN_IF_ERROR(ctx->Check());
       ++scanned;
-      env[rb.range->variable] = v;
-      PROMETHEUS_RETURN_IF_ERROR(recurse(depth + 1, emit));
+      frame[rb.range->slot] = (*rb.rows)[rb.next++];
+      if (depth + 1 < ranges.size()) {
+        PROMETHEUS_RETURN_IF_ERROR(open(ranges[++depth]));
+        continue;
+      }
+      if (query.where != nullptr) {
+        PROMETHEUS_ASSIGN_OR_RETURN(bool pass, Test(*query.where, scope));
+        if (!pass) continue;
+      }
+      PROMETHEUS_RETURN_IF_ERROR(on_binding());
     }
-    env.erase(rb.range->variable);
+  };
+
+  // Emitted rows, and their order-by key tuples when there is an order by.
+  std::vector<std::vector<Value>> rows;
+  std::vector<Value::List> keys;
+  auto emit = [&](const Scope& row_scope) -> Status {
+    std::vector<Value> row;
+    if (query.select_star) {
+      row.reserve(query.from.size());
+      for (const FromRange& r : query.from) {
+        row.push_back(row_scope.frame[r.slot]);
+      }
+    } else {
+      row.reserve(query.items.size());
+      for (const SelectItem& item : query.items) {
+        PROMETHEUS_ASSIGN_OR_RETURN(Value v, EvalCopy(*item.expr, row_scope));
+        row.push_back(std::move(v));
+      }
+    }
+    if (!query.order_by.empty()) {
+      Value::List key;
+      for (const SelectQuery::OrderKey& ok : query.order_by) {
+        PROMETHEUS_ASSIGN_OR_RETURN(Value v, EvalCopy(*ok.expr, row_scope));
+        key.push_back(std::move(v));
+      }
+      keys.push_back(std::move(key));
+    }
+    rows.push_back(std::move(row));
     return Status::Ok();
   };
 
@@ -1488,100 +1585,82 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
   obs::SpanTimer exec_span(trace != nullptr ? &exec_node : nullptr);
 
   if (grouped) {
-    // Group the bindings by the group-by key, then evaluate the select
-    // list (and having / order by) once per group, aggregate-aware.
-    std::vector<std::string> group_order;
-    std::unordered_map<std::string, std::vector<Environment>> groups;
-    PROMETHEUS_RETURN_IF_ERROR(recurse(0, [&]() -> Status {
+    // Group the bindings by the group-by key, keeping a copy of each
+    // binding's frame, then emit one row per group (having, select list
+    // and order by read the group's frames).
+    std::vector<std::vector<std::vector<Value>>*> group_order;
+    std::unordered_map<std::string, std::vector<std::vector<Value>>> groups;
+    PROMETHEUS_RETURN_IF_ERROR(join([&]() -> Status {
       std::string key;
+      Value scratch;
       for (const auto& expr : query.group_by) {
-        PROMETHEUS_ASSIGN_OR_RETURN(Value v, Eval(*expr, env));
-        std::string part = v.IndexKey();
+        PROMETHEUS_ASSIGN_OR_RETURN(const Value* v,
+                                    Eval(*expr, scope, scratch));
+        std::string part = v->IndexKey();
         key += std::to_string(part.size());
         key += ':';
         key += part;
       }
-      auto [it, fresh] = groups.try_emplace(key);
-      if (fresh) group_order.push_back(key);
-      it->second.push_back(env);
+      auto [it, fresh] = groups.try_emplace(std::move(key));
+      if (fresh) group_order.push_back(&it->second);
+      it->second.push_back(frame);
       return Status::Ok();
     }));
-    for (const std::string& key : group_order) {
-      const std::vector<Environment>& group = groups[key];
+    for (std::vector<std::vector<Value>>* group : group_order) {
+      const Scope group_scope{scope.view, group->front(), env, group};
       if (query.having != nullptr) {
-        PROMETHEUS_ASSIGN_OR_RETURN(Value cond,
-                                    EvalGrouped(*query.having, group));
-        PROMETHEUS_ASSIGN_OR_RETURN(bool pass, Truthy(cond));
+        PROMETHEUS_ASSIGN_OR_RETURN(bool pass,
+                                    Test(*query.having, group_scope));
         if (!pass) continue;
       }
-      std::vector<Value> row;
-      for (const SelectItem& item : query.items) {
-        PROMETHEUS_ASSIGN_OR_RETURN(Value v, EvalGrouped(*item.expr, group));
-        row.push_back(std::move(v));
-      }
-      Value::List order_key;
-      for (const SelectQuery::OrderKey& key : query.order_by) {
-        PROMETHEUS_ASSIGN_OR_RETURN(Value v,
-                                    EvalGrouped(*key.expr, group));
-        order_key.push_back(std::move(v));
-      }
-      keyed_rows.emplace_back(std::move(order_key), std::move(row));
+      PROMETHEUS_RETURN_IF_ERROR(emit(group_scope));
     }
   } else {
-    PROMETHEUS_RETURN_IF_ERROR(recurse(0, [&]() -> Status {
-      std::vector<Value> row;
-      if (query.select_star) {
-        for (const FromRange& r : query.from) row.push_back(env[r.variable]);
-      } else {
-        for (const SelectItem& item : query.items) {
-          PROMETHEUS_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, env));
-          row.push_back(std::move(v));
-        }
-      }
-      Value::List key;
-      for (const SelectQuery::OrderKey& ok : query.order_by) {
-        PROMETHEUS_ASSIGN_OR_RETURN(Value v, Eval(*ok.expr, env));
-        key.push_back(std::move(v));
-      }
-      keyed_rows.emplace_back(std::move(key), std::move(row));
-      return Status::Ok();
-    }));
+    PROMETHEUS_RETURN_IF_ERROR(join([&] { return emit(scope); }));
   }
   exec_span.Stop();
   if (trace != nullptr) {
     exec_node.detail = std::to_string(scanned) + " bindings scanned";
-    exec_node.rows = static_cast<std::int64_t>(keyed_rows.size());
+    exec_node.rows = static_cast<std::int64_t>(rows.size());
     trace->children.push_back(std::move(exec_node));
   }
 
+  // The order rows are projected in: emission order, or sorted by key.
+  std::vector<std::size_t> order(rows.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   obs::TraceNode sort_node("sort");
   obs::SpanTimer sort_span(
       trace != nullptr && !query.order_by.empty() ? &sort_node : nullptr);
   if (!query.order_by.empty()) {
     // Lexicographic multi-key sort, each key with its own direction.
-    std::stable_sort(
-        keyed_rows.begin(), keyed_rows.end(),
-        [&](const auto& a, const auto& b) {
-          for (std::size_t k = 0; k < query.order_by.size(); ++k) {
-            if (k >= a.first.size() || k >= b.first.size()) break;
-            auto c = a.first[k].Compare(b.first[k]);
-            if (!c.ok() || c.value() == 0) continue;  // tie or incomparable
-            return query.order_by[k].desc ? c.value() > 0 : c.value() < 0;
-          }
-          return false;
-        });
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       for (std::size_t k = 0; k < query.order_by.size();
+                            ++k) {
+                         if (k >= keys[a].size() || k >= keys[b].size()) {
+                           break;
+                         }
+                         auto c = keys[a][k].Compare(keys[b][k]);
+                         // Tie or incomparable: the next key decides.
+                         if (!c.ok() || c.value() == 0) continue;
+                         return query.order_by[k].desc ? c.value() > 0
+                                                       : c.value() < 0;
+                       }
+                       return false;
+                     });
   }
   sort_span.Stop();
   if (trace != nullptr && !query.order_by.empty()) {
     sort_node.detail = std::to_string(query.order_by.size()) + " key(s)";
-    sort_node.rows = static_cast<std::int64_t>(keyed_rows.size());
+    sort_node.rows = static_cast<std::int64_t>(rows.size());
     trace->children.push_back(std::move(sort_node));
   }
 
   obs::TraceNode project_node("project");
   obs::SpanTimer project_span(trace != nullptr ? &project_node : nullptr);
   std::vector<std::string> seen;  // distinct keys, sorted for binary search
-  for (auto& [key, row] : keyed_rows) {
+  for (std::size_t i : order) {
+    std::vector<Value>& row = rows[i];
     if (query.distinct) {
       std::string k;
       for (const Value& v : row) {

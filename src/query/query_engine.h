@@ -18,8 +18,10 @@
 
 namespace prometheus::pool {
 
-/// Variable bindings visible to an expression: range variables during query
-/// evaluation, `$self` / `$link` / `$old` / `$new` in rule conditions.
+/// The caller's bindings: names no range of the query binds, such as
+/// `self` / `old` / `new` in rule conditions and `self` in view predicates.
+/// Range variables never live here — the parser resolves them to frame
+/// slots (see `Expr::slot`).
 using Environment = std::unordered_map<std::string, Value>;
 
 /// A query result: named columns over rows of Values. Object-valued results
@@ -110,7 +112,8 @@ class QueryEngine {
     return Execute(query, ctx);
   }
 
-  /// Runs a parsed query; `outer` provides correlated bindings.
+  /// Runs a parsed query; `outer` provides the names its ranges do not
+  /// bind (correlated bindings).
   Result<ResultSet> Execute(const SelectQuery& query, const Environment& outer,
                             const ExecutionContext* ctx = nullptr) const;
 
@@ -146,33 +149,42 @@ class QueryEngine {
 
  private:
   struct RangeBinding;
+  struct Scope;
 
   /// The store reads route through (see `ReadViewOf`).
   const DbSnapshot& view() const { return ReadViewOf(*db_); }
 
-  Result<Value> EvalPath(const Expr& expr, const Environment& env) const;
-  Result<Value> EvalBinary(const Expr& expr, const Environment& env) const;
-  Result<Value> EvalCall(const Expr& expr, const Environment& env) const;
-  Result<Value> MemberOf(Oid oid, const std::string& member) const;
+  // The one evaluator. `Eval` reads an operand in place: the result points
+  // at a literal, a frame slot, an Environment entry or a member inside
+  // the snapshot's immutable record, or at `scratch` when the value had to
+  // be computed. Such a borrowed pointer is used only within the
+  // expression evaluation that took it — the next binding overwrites the
+  // frame and the caller's scratch dies with its evaluation. `Test`
+  // evaluates a filter (comparisons, `and`/`or`/`not`) to a bool without
+  // building a Value; `EvalCopy` copies a result out, for emitted rows.
+  Result<const Value*> Eval(const Expr& expr, const Scope& scope,
+                            Value& scratch) const;
+  Result<bool> Test(const Expr& expr, const Scope& scope) const;
+  Result<Value> EvalCopy(const Expr& expr, const Scope& scope) const;
+  Result<const Value*> EvalPath(const Expr& expr, const Scope& scope,
+                                Value& scratch) const;
+  Result<Value> EvalCall(const Expr& expr, const Scope& scope) const;
 
-  /// Applies an already-evaluated binary operator (no short-circuiting).
-  static Result<Value> ApplyBinaryOp(BinaryOp op, const Value& lhs,
-                                     const Value& rhs);
+  /// An aggregate call (`count`, `sum`, `min`, `max`, `avg` of one
+  /// argument) over the frames of `scope.group`.
+  Result<Value> Aggregate(const Expr& call, const Scope& scope) const;
 
-  /// Evaluates an expression over a *group* of bindings: `count`, `sum`,
-  /// `min`, `max` and `avg` calls aggregate their argument across the
-  /// group; all other subexpressions evaluate under the group's first
-  /// binding (they must be group-constant for meaningful results).
-  Result<Value> EvalGrouped(const Expr& expr,
-                            const std::vector<Environment>& group) const;
-
-  /// Runs a parsed query; `trace` (nullable) receives plan/execute/sort/
-  /// project child spans when profiling; `ctx` (nullable) is checked once
-  /// per enumerated binding; `access` (nullable) is the cached access-path
-  /// analysis of `query` — without one it is derived here, once per call.
+  /// Runs a parsed query with its range variables bound in `shared` — a
+  /// caller's frame of at least `query.frame_size` slots — or, when null,
+  /// in a frame of its own; every other name is looked up in `env`.
+  /// `trace` (nullable) receives plan/execute/sort/project child spans
+  /// when profiling; `ctx` (nullable) is checked once per enumerated
+  /// binding; `access` (nullable) is the cached access-path analysis of
+  /// `query` — without one it is derived here, once per call.
   Result<ResultSet> ExecuteInternal(
-      const SelectQuery& query, const Environment& outer,
-      obs::TraceNode* trace, const ExecutionContext* ctx,
+      const SelectQuery& query, std::vector<Value>* shared,
+      const Environment& env, obs::TraceNode* trace,
+      const ExecutionContext* ctx,
       const cache::AccessAnalysis* access = nullptr) const;
 
   /// Candidate oids for an extent range, narrowed through an index when

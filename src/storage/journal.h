@@ -39,8 +39,10 @@ namespace prometheus::storage {
 ///  - mutations inside a transaction are buffered and flushed at commit —
 ///    an aborted transaction leaves no trace (its compensating events are
 ///    buffered and discarded too);
-///  - schema changes after opening are not journalled (define classes
-///    before opening, as the thesis' prototype fixes its schema at start).
+///  - schema changes after opening (`DefineClass`, `DefineTemplate`,
+///    `DefineRelationship`) are appended immediately, inside a transaction
+///    too: an abort does not undo a definition, and later data records may
+///    depend on it. Schema records do not count towards `record_count()`.
 ///
 /// Error discipline: the journal carries a *sticky* error status. The first
 /// failed write latches it; from then on every event the journal observes is

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
 
+#include "cache/plan_cache.h"
 #include "classification/classification.h"
 #include "query/parser.h"
 #include "query/query_engine.h"
 #include "query/render.h"
+#include "query/system_catalog.h"
 
 namespace prometheus::pool {
 namespace {
@@ -653,6 +657,312 @@ TEST_F(QueryFixture, NullPropagationThroughPaths) {
   EXPECT_TRUE(EvalOk("x.name", env).is_null());
   EXPECT_TRUE(EvalOk("x.name = 'Apium'", env).Equals(Value::Bool(false)));
   EXPECT_TRUE(EvalOk("x.name = null", env).Equals(Value::Bool(true)));
+}
+
+// ------------------------------------------------------ lexical scoping
+// The parser binds every range variable to a frame slot; the innermost
+// enclosing range wins, and names no range binds come from the caller's
+// Environment.
+
+TEST_F(QueryFixture, SubqueryRangeShadowsOuterVariable) {
+  // The inner `t` ranges over Taxon (1821 is there); were it read as the
+  // outer genus, `t.year` would be 1753 or 1824 and no row would pass.
+  // The outer `t` is intact after the subquery ran.
+  auto r = engine->Execute(
+      "select t.name from Genus t "
+      "where 1821 in (select t.year from Taxon t) order by t.name");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows.size(), 2u);
+  EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("Apium")));
+  EXPECT_TRUE(r.value().rows[1][0].Equals(Value::String("Heliosciadium")));
+}
+
+TEST_F(QueryFixture, CorrelatedSubqueryReadsOuterRangeVariable) {
+  auto r = engine->Execute(
+      "select g.name, count((select c from Taxon c where c.year > g.year)) "
+      "from Genus g order by g.name");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows.size(), 2u);
+  EXPECT_TRUE(r.value().rows[0][1].Equals(Value::Int(2)));  // 1821, 1824
+  EXPECT_TRUE(r.value().rows[1][1].Equals(Value::Int(0)));
+}
+
+TEST_F(QueryFixture, SiblingSubqueriesReuseOneName) {
+  auto r = engine->Execute(
+      "select t.name from Taxon t "
+      "where t.year in (select x.year from Genus x) "
+      "and t.name in (select x.name from Taxon x where x.rank = 'Species')");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows.size(), 1u);
+  EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("graveolens")));
+  auto counts = engine->Execute(
+      "select count((select x from Genus x)), count((select x from Taxon x)) "
+      "from Genus g limit 1");
+  ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+  ASSERT_EQ(counts.value().rows.size(), 1u);
+  EXPECT_TRUE(counts.value().rows[0][0].Equals(Value::Int(2)));
+  EXPECT_TRUE(counts.value().rows[0][1].Equals(Value::Int(4)));
+}
+
+TEST_F(QueryFixture, DependentRangeReadsItsSiblingsBinding) {
+  auto r = engine->Execute(
+      "select t.name, c.name from Taxon t, children(t, 'placed_in') c "
+      "order by c.name");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows.size(), 2u);
+  EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("Apium")));
+  EXPECT_TRUE(r.value().rows[0][1].Equals(Value::String("graveolens")));
+  EXPECT_TRUE(r.value().rows[1][1].Equals(Value::String("repens")));
+}
+
+TEST_F(QueryFixture, DependentRangeWaitsForReadsInsideItsSubquery) {
+  // `b` is written before `a` and reads it only from a range source inside
+  // its subquery; the join must still bind `a` first.
+  auto r = engine->Execute(
+      "select a.name, b from Genus g, "
+      "(select p.name from parents(a, 'placed_in') p) b, "
+      "children(g, 'placed_in') a order by a.name");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows.size(), 2u);
+  EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("graveolens")));
+  EXPECT_TRUE(r.value().rows[0][1].Equals(Value::String("Apium")));
+  EXPECT_TRUE(r.value().rows[1][0].Equals(Value::String("repens")));
+}
+
+TEST_F(QueryFixture, SelectStarEmitsEachRangesBinding) {
+  auto r = engine->Execute(
+      "select * from Genus g, placed_in l where l.source = g");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().columns, (std::vector<std::string>{"g", "l"}));
+  const std::vector<Oid> links = db.LinkExtent("placed_in");
+  ASSERT_EQ(r.value().rows.size(), 2u);
+  for (const auto& row : r.value().rows) {
+    ASSERT_EQ(row.size(), 2u);
+    EXPECT_TRUE(row[0].Equals(Value::Ref(apium)));
+    ASSERT_EQ(row[1].type(), ValueType::kRef);
+    EXPECT_NE(std::find(links.begin(), links.end(), row[1].AsRef()),
+              links.end());
+  }
+}
+
+TEST_F(QueryFixture, GroupFramesFeedHavingAndAggregates) {
+  auto r = engine->Execute(
+      "select t.rank, count(t), min(t.year), max(t.year) from Taxon t "
+      "group by t.rank having count(t) > 1 and max(t.year) > 1800 "
+      "order by t.rank");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows.size(), 2u);
+  const auto& genus = r.value().rows[0];
+  EXPECT_TRUE(genus[0].Equals(Value::String("Genus")));
+  EXPECT_TRUE(genus[1].Equals(Value::Int(2)));
+  EXPECT_TRUE(genus[2].Equals(Value::Int(1753)));
+  EXPECT_TRUE(genus[3].Equals(Value::Int(1824)));
+  const auto& species = r.value().rows[1];
+  EXPECT_TRUE(species[0].Equals(Value::String("Species")));
+  EXPECT_TRUE(species[3].Equals(Value::Int(1821)));
+  // Aggregates are grouped wherever they appear, also as call arguments.
+  auto nested = engine->Execute(
+      "select lower(max(t.name)), count(t) * 10 from Taxon t "
+      "group by t.rank order by count(t), lower(max(t.name))");
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  ASSERT_EQ(nested.value().rows.size(), 2u);
+  EXPECT_TRUE(nested.value().rows[0][0].Equals(Value::String("heliosciadium")));
+  EXPECT_TRUE(nested.value().rows[1][0].Equals(Value::String("repens")));
+  EXPECT_TRUE(nested.value().rows[1][1].Equals(Value::Int(20)));
+}
+
+TEST_F(QueryFixture, UnboundNameIsNotFound) {
+  auto r = engine->Execute("select t from Taxon t where u.year = 1753");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Status::Code::kNotFound);
+  EXPECT_NE(r.status().ToString().find("unbound variable 'u'"),
+            std::string::npos);
+  // A name a range binds in a sibling subquery is not visible here.
+  auto sibling = engine->Execute(
+      "select t from Taxon t where exists((select x from Genus x)) "
+      "and x.year = 1753");
+  EXPECT_EQ(sibling.status().code(), Status::Code::kNotFound);
+}
+
+TEST_F(QueryFixture, ClassAndLinkMembersInQueries) {
+  auto cls = engine->Execute(
+      "select t.class from Taxon t where t.name = 'Apium'");
+  ASSERT_TRUE(cls.ok()) << cls.status().ToString();
+  ASSERT_EQ(cls.value().rows.size(), 1u);
+  EXPECT_TRUE(cls.value().rows[0][0].Equals(Value::String("Genus")));
+  auto links = engine->Execute(
+      "select l.source, l.target, l.context, l.relationship, l.note "
+      "from placed_in l where l.note = 'type species'");
+  ASSERT_TRUE(links.ok()) << links.status().ToString();
+  ASSERT_EQ(links.value().rows.size(), 1u);
+  const auto& row = links.value().rows[0];
+  EXPECT_TRUE(row[0].Equals(Value::Ref(apium)));
+  EXPECT_TRUE(row[1].Equals(Value::Ref(graveolens)));
+  EXPECT_TRUE(row[2].is_null());
+  EXPECT_TRUE(row[3].Equals(Value::String("placed_in")));
+  EXPECT_TRUE(row[4].Equals(Value::String("type species")));
+  // A link without the attribute set reads null; an undeclared one is
+  // NotFound.
+  auto unset = engine->Execute(
+      "select l.note from placed_in l where l.target.name = 'repens'");
+  ASSERT_TRUE(unset.ok()) << unset.status().ToString();
+  ASSERT_EQ(unset.value().rows.size(), 1u);
+  EXPECT_TRUE(unset.value().rows[0][0].is_null());
+  EXPECT_EQ(engine->Execute("select l.nothing from placed_in l")
+                .status()
+                .code(),
+            Status::Code::kNotFound);
+}
+
+TEST(ScopingTest, InheritedAttributeReadThroughRangeVariable) {
+  Database db;
+  ASSERT_TRUE(db.DefineClass("Person", {}, {Attr("name", ValueType::kString)})
+                  .ok());
+  RelationshipSemantics sem;
+  sem.inherit_attributes = true;
+  ASSERT_TRUE(db.DefineRelationship("married_to", "Person", "Person", sem,
+                                    {Attr("wedding_date", ValueType::kString)})
+                  .ok());
+  Oid a = db.CreateObject("Person", {{"name", Value::String("a")}}).value();
+  Oid b = db.CreateObject("Person", {{"name", Value::String("b")}}).value();
+  ASSERT_TRUE(db.CreateLink("married_to", a, b, kNullOid,
+                            {{"wedding_date", Value::String("1999-06-12")}})
+                  .ok());
+  QueryEngine engine(&db);
+  auto r = engine.Execute(
+      "select p.wedding_date from Person p where p.name = 'b'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows.size(), 1u);
+  EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("1999-06-12")));
+  auto filtered = engine.Execute(
+      "select p.name from Person p where p.name = 'b' and "
+      "p.wedding_date like '1999%'");
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  EXPECT_EQ(filtered.value().rows.size(), 1u);
+  // The source does not inherit (inheritance follows the link direction).
+  EXPECT_EQ(engine.Execute("select p.wedding_date from Person p")
+                .status()
+                .code(),
+            Status::Code::kNotFound);
+}
+
+TEST(ScopingTest, CatalogStructFieldsAndMissingField) {
+  Database db;
+  SystemCatalog catalog;
+  catalog.Register("sys.things", "test rows", {"name", "n"}, [] {
+    std::vector<Value> rows;
+    for (int i = 0; i < 3; ++i) {
+      rows.push_back(Value::MakeStruct(
+          {{"name", Value::String("r" + std::to_string(i))},
+           {"n", Value::Int(i)}}));
+    }
+    return rows;
+  });
+  QueryEngine engine(&db);
+  engine.set_system_catalog(&catalog);
+  auto r = engine.Execute(
+      "select r.name from sys.things r where r.n > 0 order by r.n desc");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows.size(), 2u);
+  EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("r2")));
+  // A self-join reads both bindings' struct fields.
+  auto join = engine.Execute(
+      "select a.name from sys.things a, sys.things b where a.n = b.n + 1");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_EQ(join.value().rows.size(), 2u);
+  auto missing = engine.Execute("select r.nope from sys.things r");
+  EXPECT_EQ(missing.status().code(), Status::Code::kNotFound);
+  EXPECT_NE(missing.status().ToString().find("struct has no field 'nope'"),
+            std::string::npos);
+}
+
+// One cached plan — a correlated subquery plus a dependent range — run by
+// four threads against pinned snapshots while a writer commits. Each
+// result must equal a serial run on the same snapshot: frames belong to
+// one execution and the bound AST is only read.
+TEST_F(QueryFixture, ConcurrentCachedPlanMatchesSerialRunOnItsSnapshot) {
+  const std::string q =
+      "select g.name, c.name, "
+      "count((select x from Taxon x where x.year > c.year)) "
+      "from Genus g, children(g, 'placed_in') c where g.year >= 1700";
+  cache::PlanCache plans(cache::PlanCache::Config{});
+  QueryEngine cached(&db);
+  cached.set_plan_cache(&plans);
+  ASSERT_TRUE(cached.Execute(q).ok());  // the plan every thread shares
+
+  std::vector<Oid> children;
+  for (int i = 0; i < 16; ++i) {
+    children.push_back(NewTaxon("c" + std::to_string(i), "Species", 1800));
+    ASSERT_TRUE(
+        db.CreateLink("placed_in", i % 2 == 0 ? apium : helio, children.back())
+            .ok());
+  }
+
+  // The writer moves children's years (changing the subquery's counts)
+  // and now and then places a new child (changing the dependent range).
+  std::atomic<bool> stop{false};
+  std::atomic<int> writes{0};
+  std::thread writer([&] {
+    for (int i = 0; !stop.load(std::memory_order_acquire) && i < 300; ++i) {
+      Database::WriteGuard guard(db);
+      if (i % 15 == 0) {
+        auto child = db.CreateObject(
+            "Taxon", {{"name", Value::String("n" + std::to_string(i))},
+                      {"year", Value::Int(1790)}});
+        if (child.ok()) {
+          (void)db.CreateLink("placed_in", i % 2 == 0 ? apium : helio,
+                              child.value());
+        }
+      } else {
+        (void)db.SetAttribute(children[i % children.size()], "year",
+                              Value::Int(1750 + (i * 7) % 100));
+      }
+      writes.fetch_add(1, std::memory_order_release);
+    }
+  });
+  while (writes.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  struct Run {
+    SnapshotHandle snapshot;
+    Result<ResultSet> rows;
+  };
+  std::vector<std::vector<Run>> runs(4);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < runs.size(); ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < 12; ++i) {
+        SnapshotHandle snap = db.AcquireSnapshot();
+        Result<ResultSet> rows = cached.Execute(q, *snap);
+        runs[t].push_back(Run{std::move(snap), std::move(rows)});
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  stop.store(true, std::memory_order_release);
+  writer.join();
+
+  QueryEngine serial(&db);
+  std::size_t checked = 0;
+  for (const std::vector<Run>& thread_runs : runs) {
+    for (const Run& run : thread_runs) {
+      ASSERT_TRUE(run.rows.ok()) << run.rows.status().ToString();
+      auto expected = serial.Execute(q, *run.snapshot);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      ASSERT_EQ(run.rows.value().rows.size(), expected.value().rows.size());
+      for (std::size_t i = 0; i < expected.value().rows.size(); ++i) {
+        const auto& got = run.rows.value().rows[i];
+        const auto& want = expected.value().rows[i];
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          EXPECT_TRUE(got[k].Equals(want[k])) << "row " << i << " col " << k;
+        }
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 48u);
+  EXPECT_GT(plans.stats().hits, 0u);
 }
 
 // Parameterized sweep: every rank of query shapes returns consistent counts

@@ -64,6 +64,36 @@ TEST_F(RuleFixture, InvariantVetoesBadUpdate) {
   EXPECT_TRUE(db.SetAttribute(t, "year", Value::Int(1800)).ok());
 }
 
+// `self`, `old` and `new` are caller bindings, not range variables: they
+// reach a rule condition — and a subquery inside it — from the rule's
+// Environment.
+TEST_F(RuleFixture, ConditionReadsOldNewAndSelfThroughSubqueries) {
+  RuleSpec grows;
+  grows.name = "year_only_grows";
+  grows.events = {{EventKind::kAfterSetAttribute, "Taxon"}};
+  grows.condition = "attribute != 'year' or new >= old";
+  grows.message = "a publication year only moves later";
+  ASSERT_TRUE(rules->AddRule(grows).ok());
+  RuleSpec unique;
+  unique.name = "year_unique_per_name";
+  unique.events = {{EventKind::kAfterSetAttribute, "Taxon"}};
+  unique.condition =
+      "attribute != 'year' or count((select t from Taxon t "
+      "where t.name = self.name and t.year = new)) = 1";
+  unique.message = "one taxon per name and year";
+  ASSERT_TRUE(rules->AddRule(unique).ok());
+
+  Oid a = NewTaxon("Apium", "Genus", 1753);
+  NewTaxon("Apium", "Genus", 1800);
+  EXPECT_TRUE(db.SetAttribute(a, "year", Value::Int(1760)).ok());
+  EXPECT_EQ(db.SetAttribute(a, "year", Value::Int(1700)).code(),
+            Status::Code::kConstraintViolation);  // new < old
+  EXPECT_EQ(db.SetAttribute(a, "year", Value::Int(1800)).code(),
+            Status::Code::kConstraintViolation);  // clashes with the other
+  EXPECT_TRUE(db.GetAttribute(a, "year").value().Equals(Value::Int(1760)));
+  EXPECT_TRUE(db.SetAttribute(a, "name", Value::String("Apium L.")).ok());
+}
+
 TEST_F(RuleFixture, ConditionOfApplicability) {
   // Genus-level names must be capitalised; the rule does not apply to
   // other ranks (thesis 5.2.1.2: condition of applicability).

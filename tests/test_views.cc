@@ -202,6 +202,26 @@ TEST_F(ViewFixture, MaterializedContextViewTracksEdges) {
   EXPECT_TRUE(views->Evaluate("c_members").value().empty());
 }
 
+// A view predicate reads `self` from its Environment, also inside a
+// subquery whose own range is bound to a frame slot.
+TEST_F(ViewFixture, PredicateReadsSelfInsideASubquery) {
+  Oid g = NewTaxon("Apium", "Genus");
+  Oid placed = NewTaxon("graveolens", "Species");
+  Oid loose = NewTaxon("repens", "Species");
+  ASSERT_TRUE(db.CreateLink("placed_in", g, placed).ok());
+  ViewDef def;
+  def.name = "placed_species";
+  def.class_name = "Taxon";
+  def.predicate =
+      "self.rank = 'Species' and "
+      "exists((select l from placed_in l where l.target = self))";
+  ASSERT_TRUE(views->Define(def).ok());
+  auto r = views->Evaluate("placed_species");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), std::vector<Oid>{placed});
+  (void)loose;
+}
+
 TEST_F(ViewFixture, MaterializedViewSurvivesAbort) {
   ViewDef def;
   def.name = "genera";
