@@ -520,7 +520,11 @@ int main(int argc, char** argv) {
         server::Response resp =
             client->Call(server::Request::CacheControl(op));
         if (!ExplainTransport(*server, resp)) continue;
-        std::printf("%s", pool::RenderText(resp.result).c_str());
+        if (resp.result == nullptr) {
+          std::printf("error: %s\n", resp.status.ToString().c_str());
+          continue;
+        }
+        std::printf("%s", pool::RenderText(*resp.result).c_str());
       } else if (cmd == ".checkpoint") {
         if (store == nullptr) {
           std::printf("no durable store attached — start the shell with "
@@ -595,7 +599,7 @@ int main(int argc, char** argv) {
       std::printf("error: %s\n", resp.status.ToString().c_str());
       continue;
     }
-    std::printf("%s", pool::RenderText(resp.result).c_str());
+    std::printf("%s", pool::RenderText(*resp.result).c_str());
     if (!resp.text.empty()) std::printf("%s", resp.text.c_str());
   }
   std::printf("\n");

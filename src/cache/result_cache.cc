@@ -66,8 +66,8 @@ ResultCache::ResultCache(const Config& config)
   }
 }
 
-ResultCache::Shard& ResultCache::ShardFor(const std::string& text) {
-  return *shards_[std::hash<std::string>{}(text) % shards_.size()];
+ResultCache::Shard& ResultCache::ShardFor(std::string_view text) {
+  return *shards_[KeyHash{}(text) % shards_.size()];
 }
 
 void ResultCache::RecordHitRate() {
@@ -79,7 +79,7 @@ void ResultCache::RecordHitRate() {
 }
 
 std::shared_ptr<const pool::ResultSet> ResultCache::Lookup(
-    const std::string& text, std::uint64_t epoch) {
+    std::string_view text, std::uint64_t epoch) {
   if (!enabled()) return nullptr;
   const ResultMetrics& metrics = ResultMetrics::Get();
   Shard& shard = ShardFor(text);
@@ -91,9 +91,11 @@ std::shared_ptr<const pool::ResultSet> ResultCache::Lookup(
       if (it->second.epoch == epoch) {
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
         found = it->second.rows;
-      } else {
+      } else if (it->second.epoch < epoch) {
         // A write section completed since this result was built; the
-        // lookup that discovers it pays the erase.
+        // lookup that discovers it pays the erase. (An entry newer than
+        // `epoch` was stored after this caller read the epoch: a miss,
+        // but the entry stays for the callers that read the new one.)
         const std::size_t stale_bytes = it->second.bytes;
         shard.bytes -= stale_bytes;
         shard.lru.erase(it->second.lru_it);
@@ -116,7 +118,7 @@ std::shared_ptr<const pool::ResultSet> ResultCache::Lookup(
   return found;
 }
 
-void ResultCache::Insert(const std::string& text, std::uint64_t epoch,
+void ResultCache::Insert(std::string_view text, std::uint64_t epoch,
                          std::shared_ptr<const pool::ResultSet> rows,
                          std::size_t bytes) {
   if (!enabled() || rows == nullptr || max_bytes_ == 0) return;
@@ -133,6 +135,9 @@ void ResultCache::Insert(const std::string& text, std::uint64_t epoch,
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(text);
     if (it != shard.entries.end()) {
+      // A reader that pinned an older snapshot finished after one that
+      // pinned a newer: its rows could never serve, so keep the entry.
+      if (it->second.epoch > epoch) return;
       // Replace in place (a fresher epoch, or a racing twin of the same
       // miss — identical content either way).
       shard.bytes -= it->second.bytes;
@@ -142,9 +147,10 @@ void ResultCache::Insert(const std::string& text, std::uint64_t epoch,
       it->second.bytes = bytes;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
     } else {
-      shard.lru.push_front(text);
+      shard.lru.emplace_front(text);
       shard.entries.emplace(
-          text, Entry{std::move(rows), epoch, bytes, shard.lru.begin()});
+          shard.lru.front(),
+          Entry{std::move(rows), epoch, bytes, shard.lru.begin()});
       ++entries_delta;
     }
     shard.bytes += bytes;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -19,8 +20,9 @@ namespace prometheus::cache {
 /// (query text, database epoch) -> materialized ResultSet, sharded LRU.
 ///
 /// Correctness contract — epoch validation, not explicit invalidation:
-/// every entry remembers the epoch its result was materialized at, pinned
-/// by the inserting worker's `Database::ReadGuard`. A lookup presents the
+/// every entry remembers the epoch its result was materialized at: the
+/// epoch of the MVCC snapshot the inserting worker pinned and ran the query
+/// against (`Database::AcquireSnapshot`). A lookup presents the
 /// *current* `Database::epoch()` (a lock-free acquire load); the entry
 /// serves only when the two are equal. The write guard's destructor bumps
 /// the epoch after every exclusive section — data mutations, DDL, journal
@@ -31,6 +33,14 @@ namespace prometheus::cache {
 /// a fresh read guard: the one read path that never touches the guard.
 ///
 /// Stale entries are erased lazily by the lookup that discovers them.
+/// Neither an insert nor a lookup carrying an older epoch ever drops an
+/// entry of a higher epoch: a reader that pinned an older snapshot and
+/// finishes late, or a lookup that read the epoch just before a commit,
+/// must not evict the fresh entry a later reader stored.
+///
+/// Entries are shared, never copied: a hit hands out the entry's own
+/// immutable rows, which stay alive for as long as any response holds them
+/// — across an eviction, a `Clear()` or a committed write.
 ///
 /// Shard layout: the key hashes to one of `Config::shards` shards, each
 /// with its own mutex, map, LRU list and slice of the byte budget — a hot
@@ -56,7 +66,7 @@ class ResultCache {
   /// The cached rows for `text` valid at `epoch`, or null. A non-null
   /// return is a shared reference to an immutable ResultSet — copy it out
   /// or read it; never cast away const.
-  std::shared_ptr<const pool::ResultSet> Lookup(const std::string& text,
+  std::shared_ptr<const pool::ResultSet> Lookup(std::string_view text,
                                                 std::uint64_t epoch);
 
   /// Stores `rows` (`bytes` big) as computed at `epoch` — the epoch of the
@@ -65,8 +75,9 @@ class ResultCache {
   /// and this call; stamping the current epoch then would launder stale
   /// rows as fresh. Stamped with the ran-at epoch, such an entry simply
   /// never serves (lookups compare against the current epoch) — correct,
-  /// if unprofitable. `rows` must never be mutated afterwards.
-  void Insert(const std::string& text, std::uint64_t epoch,
+  /// if unprofitable. An entry already cached at a higher epoch is kept
+  /// and this insert dropped. `rows` must never be mutated afterwards.
+  void Insert(std::string_view text, std::uint64_t epoch,
               std::shared_ptr<const pool::ResultSet> rows, std::size_t bytes);
 
   /// Drops everything (promotion, rebootstrap, `.cache clear`).
@@ -98,14 +109,21 @@ class ResultCache {
     std::size_t bytes = 0;
     std::list<std::string>::iterator lru_it;
   };
+  /// Lets a lookup find its entry by a view of the query text.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
   struct Shard {
     std::mutex mu;
-    std::unordered_map<std::string, Entry> entries;
+    std::unordered_map<std::string, Entry, KeyHash, std::equal_to<>> entries;
     std::list<std::string> lru;  ///< front = most recently used
     std::size_t bytes = 0;
   };
 
-  Shard& ShardFor(const std::string& text);
+  Shard& ShardFor(std::string_view text);
   void RecordHitRate();
 
   const std::size_t max_bytes_;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace prometheus::stats {
@@ -59,6 +60,44 @@ inline LatencyStats SummarizeLatencies(const std::vector<double>& samples) {
 
 // ------------------------------------------------------------------- JSON
 
+/// Appends `s` to `out` as the body of a JSON string (no quotes). One pass,
+/// appending runs of plain bytes whole. Every byte below 0x20 is escaped
+/// (JSON forbids raw control characters in strings); bytes from 0x80 up
+/// pass through, so valid UTF-8 stays valid.
+inline void AppendJsonEscaped(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.substr(run, i - run));
+    run = i + 1;
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default: {
+        const char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                             kHex[c & 0xF]};
+        out->append(esc, sizeof esc);
+      }
+    }
+  }
+  out->append(s.substr(run));
+}
+
 /// Minimal JSON emitter for machine-readable output (`BENCH_*.json` files,
 /// metrics snapshots, telemetry bodies): nested objects/arrays with
 /// automatic comma placement and full string escaping.
@@ -73,7 +112,7 @@ class JsonWriter {
   JsonWriter& Key(const std::string& key) {
     Comma();
     out_ += '"';
-    Escape(key);
+    AppendJsonEscaped(&out_, key);
     out_ += "\":";
     pending_value_ = true;
     return *this;
@@ -82,7 +121,7 @@ class JsonWriter {
   JsonWriter& String(const std::string& v) {
     Comma();
     out_ += '"';
-    Escape(v);
+    AppendJsonEscaped(&out_, v);
     out_ += '"';
     return *this;
   }
@@ -138,42 +177,6 @@ class JsonWriter {
       if (depth_comma_.back()) out_ += ',';
       depth_comma_.back() = true;
     }
-  }
-  /// One pass, appending runs of plain bytes whole. Every byte below 0x20
-  /// is escaped (JSON forbids raw control characters in strings); bytes
-  /// from 0x80 up pass through, so valid UTF-8 stays valid.
-  void Escape(const std::string& s) {
-    static constexpr char kHex[] = "0123456789abcdef";
-    std::size_t run = 0;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      const unsigned char c = static_cast<unsigned char>(s[i]);
-      if (c >= 0x20 && c != '"' && c != '\\') continue;
-      out_.append(s, run, i - run);
-      run = i + 1;
-      switch (c) {
-        case '"':
-          out_ += "\\\"";
-          break;
-        case '\\':
-          out_ += "\\\\";
-          break;
-        case '\n':
-          out_ += "\\n";
-          break;
-        case '\r':
-          out_ += "\\r";
-          break;
-        case '\t':
-          out_ += "\\t";
-          break;
-        default: {
-          const char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
-                               kHex[c & 0xF]};
-          out_.append(esc, sizeof esc);
-        }
-      }
-    }
-    out_.append(s, run, std::string::npos);
   }
 
   std::string out_;

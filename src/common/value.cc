@@ -1,6 +1,8 @@
 #include "common/value.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 namespace prometheus {
@@ -146,46 +148,62 @@ Result<int> Value::Compare(const Value& other) const {
 }
 
 std::string Value::ToString() const {
+  std::string out;
+  AppendText(&out);
+  return out;
+}
+
+void Value::AppendText(std::string* out) const {
+  char buf[32];
   switch (type()) {
     case ValueType::kNull:
-      return "null";
+      *out += "null";
+      return;
     case ValueType::kBool:
-      return AsBool() ? "true" : "false";
+      *out += AsBool() ? "true" : "false";
+      return;
     case ValueType::kInt:
-      return std::to_string(AsInt());
-    case ValueType::kDouble: {
-      std::ostringstream os;
-      os << AsDouble();
-      return os.str();
-    }
+      out->append(buf, std::to_chars(buf, buf + sizeof buf, AsInt()).ptr);
+      return;
+    case ValueType::kDouble:
+      // `%g` is the default stream format of a double: six significant
+      // digits, `inf`/`nan` spelled out.
+      out->append(buf, static_cast<std::size_t>(
+                           std::snprintf(buf, sizeof buf, "%g", AsDouble())));
+      return;
     case ValueType::kString:
-      return "\"" + AsString() + "\"";
+      *out += '"';
+      *out += AsString();
+      *out += '"';
+      return;
     case ValueType::kRef:
-      return "@" + std::to_string(AsRef());
+      *out += '@';
+      out->append(buf, std::to_chars(buf, buf + sizeof buf, AsRef()).ptr);
+      return;
     case ValueType::kList: {
-      std::string out = "[";
+      *out += '[';
       const List& items = AsList();
       for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0) out += ", ";
-        out += items[i].ToString();
+        if (i != 0) *out += ", ";
+        items[i].AppendText(out);
       }
-      out += "]";
-      return out;
+      *out += ']';
+      return;
     }
     case ValueType::kStruct: {
-      std::string out = "{";
+      *out += '{';
       const Struct& fields = AsStruct();
       for (std::size_t i = 0; i < fields.size(); ++i) {
-        if (i != 0) out += ", ";
-        out += fields[i].first;
-        out += ": ";
-        out += fields[i].second.ToString();
+        if (i != 0) *out += ", ";
+        *out += fields[i].first;
+        *out += ": ";
+        fields[i].second.AppendText(out);
       }
-      out += "}";
-      return out;
+      *out += '}';
+      return;
     }
   }
-  return "?";
+  *out += '?';
 }
 
 std::string Value::IndexKey() const {

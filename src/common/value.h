@@ -98,8 +98,14 @@ class Value {
   /// incomparable types. `-1`, `0`, `1`.
   Result<int> Compare(const Value& other) const;
 
-  /// Renders the value for diagnostics and benchmark/report output.
+  /// Renders the value for diagnostics and benchmark/report output: a
+  /// string quoted, a reference as `@oid`, a double as `%g` formats it,
+  /// lists and structs nested as `[a, b]` and `{name: v}`.
   std::string ToString() const;
+
+  /// Appends the `ToString()` text to `*out` without building a temporary
+  /// string. `ToString()` is this, into an empty string.
+  void AppendText(std::string* out) const;
 
   /// A stable key usable in hash indexes. Values with different types have
   /// different keys except for numerically equal int/double pairs.

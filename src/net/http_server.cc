@@ -73,57 +73,6 @@ int HttpStatusFor(const server::Response& resp) {
   return 500;
 }
 
-const char* CodeLabel(server::ResponseCode code) {
-  switch (code) {
-    case server::ResponseCode::kOk: return "ok";
-    case server::ResponseCode::kRejected: return "rejected";
-    case server::ResponseCode::kShutdown: return "shutdown";
-    case server::ResponseCode::kTimedOut: return "timed_out";
-    case server::ResponseCode::kUnavailable: return "unavailable";
-  }
-  return "unknown";
-}
-
-/// Renders a query response the way the shell prints it, as JSON: the
-/// envelope (id, code, status, epoch), the result set, and the profile
-/// text when present.
-std::string RenderQueryJson(const server::Response& resp) {
-  stats::JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.Uint(resp.id);
-  w.Key("code");
-  w.String(CodeLabel(resp.code));
-  w.Key("ok");
-  w.Bool(resp.ok());
-  w.Key("status");
-  w.String(resp.status.ToString());
-  w.Key("epoch");
-  w.Uint(resp.epoch);
-  if (resp.cache_checked) {
-    w.Key("cache");
-    w.String(resp.cache_hit ? "hit" : "miss");
-  }
-  w.Key("columns");
-  w.BeginArray();
-  for (const auto& c : resp.result.columns) w.String(c);
-  w.EndArray();
-  w.Key("rows");
-  w.BeginArray();
-  for (const auto& row : resp.result.rows) {
-    w.BeginArray();
-    for (const auto& cell : row) w.String(cell.ToString());
-    w.EndArray();
-  }
-  w.EndArray();
-  if (!resp.text.empty()) {
-    w.Key("text");
-    w.String(resp.text);
-  }
-  w.EndObject();
-  return w.str();
-}
-
 /// Trace ids travel in headers, URLs and log lines, so the accepted
 /// alphabet is deliberately narrow: 1-128 chars of [A-Za-z0-9._:-].
 bool ValidTraceId(const std::string& id) {
@@ -600,7 +549,7 @@ std::string HttpFrontEnd::Handle(const HttpRequest& req,
     const bool time_serialize = obs::MetricsEnabled();
     const auto ser_start = time_serialize ? std::chrono::steady_clock::now()
                                           : std::chrono::steady_clock::time_point{};
-    std::string body = RenderQueryJson(resp);
+    const std::string body = server::RenderQueryBody(resp);
     if (time_serialize) {
       obs::WaitInstruments::Get().serialize->Observe(
           std::chrono::duration<double, std::micro>(

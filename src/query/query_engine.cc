@@ -109,7 +109,7 @@ class ScopedCatalogScope {
 
 }  // namespace
 
-bool IsProfileQuery(const std::string& text) {
+bool IsProfileQuery(std::string_view text) {
   std::size_t i = 0;
   while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
     ++i;
@@ -125,7 +125,7 @@ bool IsProfileQuery(const std::string& text) {
   return i < text.size() && std::isspace(static_cast<unsigned char>(text[i]));
 }
 
-std::string StripProfileKeyword(const std::string& text) {
+std::string_view StripProfileKeyword(std::string_view text) {
   if (!IsProfileQuery(text)) return text;
   std::size_t i = 0;
   while (std::isspace(static_cast<unsigned char>(text[i]))) ++i;
@@ -227,7 +227,7 @@ Result<QueryProfile> QueryEngine::ExecuteProfiled(
 
   QueryProfile out;
   out.trace.name = "query";
-  const std::string body = StripProfileKeyword(query);
+  const std::string body(StripProfileKeyword(query));
   out.trace.detail = body;
   obs::SpanTimer total(&out.trace);
 

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -218,10 +219,11 @@ bool LikeMatch(const std::string& text, const std::string& pattern);
 
 /// True when `text` starts with the `profile` keyword (case-insensitive) —
 /// the POOL wrapper the server and shell route to `ExecuteProfiled`.
-bool IsProfileQuery(const std::string& text);
+bool IsProfileQuery(std::string_view text);
 
-/// `text` without its leading `profile` keyword (unchanged when absent).
-std::string StripProfileKeyword(const std::string& text);
+/// `text` without its leading `profile` keyword (unchanged when absent): a
+/// view into `text`, valid while it is.
+std::string_view StripProfileKeyword(std::string_view text);
 
 }  // namespace prometheus::pool
 

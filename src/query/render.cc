@@ -1,8 +1,8 @@
 #include "query/render.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
 #include "common/stats.h"
@@ -55,6 +55,37 @@ bool IsStructRow(const std::vector<Value>& row) {
   return row.size() == 1 && row[0].type() == ValueType::kStruct;
 }
 
+void AppendUint(std::string* out, std::uint64_t v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void AppendQuoted(std::string* out, std::string_view s) {
+  *out += '"';
+  stats::AppendJsonEscaped(out, s);
+  *out += '"';
+}
+
+/// Appends the JSON-escaped `ToString()` text of `cell`. Only strings and
+/// the lists and structs that can nest them hold characters JSON escapes;
+/// every other cell's text goes into the body as `AppendText` writes it.
+void AppendCellText(std::string* out, const Value& cell) {
+  switch (cell.type()) {
+    case ValueType::kString:
+      *out += "\\\"";
+      stats::AppendJsonEscaped(out, cell.AsString());
+      *out += "\\\"";
+      return;
+    case ValueType::kList:
+    case ValueType::kStruct:
+      stats::AppendJsonEscaped(out, cell.ToString());
+      return;
+    default:
+      cell.AppendText(out);
+      return;
+  }
+}
+
 }  // namespace
 
 std::string RenderJson(const Value& value) {
@@ -80,6 +111,49 @@ std::string RenderJson(const ResultSet& rows) {
   }
   w.EndArray();
   return w.str();
+}
+
+std::string RenderQueryJson(const QueryEnvelope& e) {
+  static const ResultSet kNoRows;
+  const ResultSet& rs = e.rows != nullptr ? *e.rows : kNoRows;
+  std::string out;
+  out.reserve(128 + e.status.size() + e.text.size() +
+              16 * rs.rows.size() * rs.columns.size());
+  out += "{\"id\":";
+  AppendUint(&out, e.id);
+  out += ",\"code\":";
+  AppendQuoted(&out, e.code);
+  out += e.ok ? ",\"ok\":true,\"status\":" : ",\"ok\":false,\"status\":";
+  AppendQuoted(&out, e.status);
+  out += ",\"epoch\":";
+  AppendUint(&out, e.epoch);
+  if (!e.cache.empty()) {
+    out += ",\"cache\":";
+    AppendQuoted(&out, e.cache);
+  }
+  out += ",\"columns\":[";
+  for (std::size_t i = 0; i < rs.columns.size(); ++i) {
+    if (i != 0) out += ',';
+    AppendQuoted(&out, rs.columns[i]);
+  }
+  out += "],\"rows\":[";
+  for (std::size_t r = 0; r < rs.rows.size(); ++r) {
+    out += r != 0 ? ",[" : "[";
+    const std::vector<Value>& row = rs.rows[r];
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      out += i != 0 ? ",\"" : "\"";
+      AppendCellText(&out, row[i]);
+      out += '"';
+    }
+    out += ']';
+  }
+  out += ']';
+  if (!e.text.empty()) {
+    out += ",\"text\":";
+    AppendQuoted(&out, e.text);
+  }
+  out += '}';
+  return out;
 }
 
 std::string RenderText(const ResultSet& rows) {

@@ -22,6 +22,13 @@ std::chrono::microseconds JitteredBackoff(const RetryPolicy& policy,
   return std::chrono::microseconds(static_cast<std::int64_t>(dist(rng)));
 }
 
+/// The rows a response holds, copied out: the in-process API hands the
+/// caller its own `ResultSet`, while the server's rows stay shared (a
+/// result-cache entry may be serving them to other requests).
+pool::ResultSet CopyRows(const Response& resp) {
+  return resp.result != nullptr ? *resp.result : pool::ResultSet{};
+}
+
 }  // namespace
 
 Client::Client(Server* server)
@@ -39,7 +46,7 @@ Status Client::TransportStatus(const Response& resp) {
 Result<pool::ResultSet> Client::Query(const std::string& pool_text) {
   Response resp = Call(Request::Query(pool_text));
   if (!resp.ok()) return TransportStatus(resp);
-  return std::move(resp.result);
+  return CopyRows(resp);
 }
 
 Result<Oid> Client::CreateObject(std::string class_name,
@@ -141,7 +148,7 @@ Result<pool::ResultSet> Client::QueryWithRetry(const std::string& pool_text,
                                                const RetryPolicy& policy) {
   Response resp = CallWithRetry(Request::Query(pool_text), policy);
   if (!resp.ok()) return TransportStatus(resp);
-  return std::move(resp.result);
+  return CopyRows(resp);
 }
 
 Result<Client::ProfiledQuery> Client::Profile(const std::string& pool_text) {
@@ -151,7 +158,7 @@ Result<Client::ProfiledQuery> Client::Profile(const std::string& pool_text) {
   Response resp = Call(Request::Query(std::move(query)));
   if (!resp.ok()) return TransportStatus(resp);
   ProfiledQuery out;
-  out.stages = std::move(resp.result);
+  out.stages = CopyRows(resp);
   out.tree = std::move(resp.text);
   return out;
 }

@@ -1,5 +1,7 @@
 #include "server/request.h"
 
+#include "query/render.h"
+
 namespace prometheus::server {
 
 Request Request::Query(std::string pool_text) {
@@ -110,6 +112,36 @@ Request Request::CacheControl(CacheOp op) {
   // load should not queue behind the load itself.
   r.priority = Priority::kHigh;
   return r;
+}
+
+const char* ResponseCodeName(ResponseCode code) {
+  switch (code) {
+    case ResponseCode::kOk:
+      return "ok";
+    case ResponseCode::kRejected:
+      return "rejected";
+    case ResponseCode::kShutdown:
+      return "shutdown";
+    case ResponseCode::kTimedOut:
+      return "timed_out";
+    case ResponseCode::kUnavailable:
+      return "unavailable";
+  }
+  return "unknown";
+}
+
+std::string RenderQueryBody(const Response& resp) {
+  const std::string status = resp.status.ToString();
+  pool::QueryEnvelope envelope;
+  envelope.id = resp.id;
+  envelope.code = ResponseCodeName(resp.code);
+  envelope.ok = resp.ok();
+  envelope.status = status;
+  envelope.epoch = resp.epoch;
+  if (resp.cache_checked) envelope.cache = resp.cache_hit ? "hit" : "miss";
+  envelope.rows = resp.result.get();
+  envelope.text = resp.text;
+  return pool::RenderQueryJson(envelope);
 }
 
 }  // namespace prometheus::server

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -183,7 +184,11 @@ struct Response {
   RequestId id = 0;
   ResponseCode code = ResponseCode::kOk;
   Status status;            ///< database-level outcome (kOk responses)
-  pool::ResultSet result;   ///< rows (kQuery); stage table (PROFILE)
+  /// Rows (kQuery, kCacheControl, kHealth); the stage table (PROFILE);
+  /// null when the request produced none. Immutable and shared: a
+  /// result-cache hit points at the cache's own entry, and a miss shares
+  /// its rows with the entry it inserts, so serving a read copies no rows.
+  std::shared_ptr<const pool::ResultSet> result;
   Oid oid = kNullOid;       ///< created oid (kCreateObject / kCreateLink)
   std::uint64_t epoch = 0;  ///< database epoch the request executed at
   /// Rendered text payload: the metrics snapshot (kStats), the health
@@ -209,6 +214,16 @@ struct Response {
   /// Accepted, executed, and the database reported success.
   bool ok() const { return code == ResponseCode::kOk && status.ok(); }
 };
+
+/// The code's wire name: "ok", "rejected", "shutdown", "timed_out" or
+/// "unavailable".
+const char* ResponseCodeName(ResponseCode code);
+
+/// The JSON body the HTTP plane's `/query` and `/profile` routes send for
+/// `resp`: its envelope (id, code, status, epoch, the cache disposition
+/// when the cache was consulted), its rows and any PROFILE span tree,
+/// rendered by `pool::RenderQueryJson`.
+std::string RenderQueryBody(const Response& resp);
 
 }  // namespace prometheus::server
 

@@ -109,10 +109,11 @@ void FlattenTrace(const obs::TraceNode& node, int depth,
   }
 }
 
-pool::ResultSet ProfileTable(const obs::TraceNode& trace) {
-  pool::ResultSet table;
-  table.columns = {"stage", "micros", "rows", "detail"};
-  FlattenTrace(trace, 0, &table);
+std::shared_ptr<const pool::ResultSet> ProfileTable(
+    const obs::TraceNode& trace) {
+  auto table = std::make_shared<pool::ResultSet>();
+  table->columns = {"stage", "micros", "rows", "detail"};
+  FlattenTrace(trace, 0, table.get());
   return table;
 }
 
@@ -156,22 +157,6 @@ const char* PriorityName(Priority priority) {
       return "normal";
     case Priority::kHigh:
       return "high";
-  }
-  return "unknown";
-}
-
-const char* CodeName(ResponseCode code) {
-  switch (code) {
-    case ResponseCode::kOk:
-      return "ok";
-    case ResponseCode::kRejected:
-      return "rejected";
-    case ResponseCode::kShutdown:
-      return "shutdown";
-    case ResponseCode::kTimedOut:
-      return "timed_out";
-    case ResponseCode::kUnavailable:
-      return "unavailable";
   }
   return "unknown";
 }
@@ -960,7 +945,7 @@ void Server::RecordFlight(RequestId id, const Request& req,
   entry.trace_id = req.trace_id;
   entry.type = KindName(req.kind);
   entry.priority = PriorityName(req.priority);
-  entry.code = CodeName(resp.code);
+  entry.code = ResponseCodeName(resp.code);
   entry.ok = resp.code == ResponseCode::kOk && resp.status.ok();
   entry.executed = resp.executed;
   entry.epoch = resp.epoch;
@@ -992,8 +977,7 @@ bool Server::TryServeFromCache(RequestId id, const Request& req,
   const bool profiled = pool::IsProfileQuery(req.query);
   // PROFILE and plain runs of the same select share one entry: the rows
   // are identical, only the rendering differs.
-  const std::string key =
-      profiled ? pool::StripProfileKeyword(req.query) : req.query;
+  const std::string_view key = pool::StripProfileKeyword(req.query);
   const bool timing = obs::MetricsEnabled() || flight_recorder_.enabled();
   std::chrono::steady_clock::time_point start;
   if (timing) start = std::chrono::steady_clock::now();
@@ -1023,7 +1007,7 @@ bool Server::TryServeFromCache(RequestId id, const Request& req,
     // Synthesize the span tree a cached PROFILE run has: the whole query
     // collapses into one cache stage.
     obs::TraceNode trace("query");
-    trace.detail = key;
+    trace.detail = std::string(key);
     trace.micros = micros;
     trace.rows = static_cast<std::int64_t>(rows->rows.size());
     obs::TraceNode* span = trace.AddChild("cache");
@@ -1034,7 +1018,7 @@ bool Server::TryServeFromCache(RequestId id, const Request& req,
     resp.result = ProfileTable(trace);
     resp.text = obs::RenderTree(trace);
   } else {
-    resp.result = *rows;
+    resp.result = std::move(rows);
   }
 
   // A hit is an accepted, executed query — the books must not distinguish
@@ -1074,7 +1058,8 @@ Response Server::ExecuteCacheControl(RequestId id, const Request& req) {
   // emptied cache it produced: the `sys.cache` rows, field by field.
   Result<pool::ResultSet> rows = QueryCatalog(telemetry::kCache);
   if (rows.ok()) {
-    resp.result = std::move(rows).value();
+    resp.result =
+        std::make_shared<const pool::ResultSet>(std::move(rows).value());
   } else {
     resp.status = rows.status();
   }
@@ -1088,6 +1073,13 @@ Result<pool::ResultSet> Server::QueryCatalog(const std::string& text) {
   }
   SnapshotHandle snap = db_->AcquireSnapshot();
   return catalog_engine_.Execute(text, *snap);
+}
+
+void Server::InsertResult(std::string_view key, const DbSnapshot& snap,
+                          std::shared_ptr<const pool::ResultSet> rows) {
+  if (snap.epoch() < db_->epoch()) return;
+  const std::size_t bytes = cache::ApproxResultBytes(*rows);
+  query_cache_.results().Insert(key, snap.epoch(), std::move(rows), bytes);
 }
 
 Response Server::ExecuteQuery(RequestId id, const Request& req,
@@ -1146,18 +1138,10 @@ Response Server::ExecuteQuery(RequestId id, const Request& req,
     }
     if (resp.cache_checked) {
       // Cache under the stripped key so the next plain run of the same
-      // select hits too. The entry carries the epoch the query actually
-      // ran against — the snapshot's, NOT the database's current epoch,
-      // which a concurrent writer may have advanced since this query
-      // pinned its snapshot. Stamping the current epoch here would launder
-      // stale rows as fresh; stamping the snapshot epoch means a
-      // committed-since write makes the entry validate as stale, exactly
-      // as if the query re-ran.
-      auto rows = std::make_shared<const pool::ResultSet>(
-          std::move(profile.rows));
-      query_cache_.results().Insert(pool::StripProfileKeyword(req.query),
-                                    snap->epoch(), rows,
-                                    cache::ApproxResultBytes(*rows));
+      // select hits too.
+      InsertResult(pool::StripProfileKeyword(req.query), *snap,
+                   std::make_shared<const pool::ResultSet>(
+                       std::move(profile.rows)));
     }
     return resp;
   }
@@ -1167,15 +1151,12 @@ Response Server::ExecuteQuery(RequestId id, const Request& req,
   if (slow_log_.enabled()) start = std::chrono::steady_clock::now();
   Result<pool::ResultSet> result = engine_.Execute(req.query, *snap, ctx_ptr);
   if (result.ok()) {
-    resp.result = std::move(result).value();
-    if (resp.cache_checked) {
-      // Insert stamped with the snapshot epoch the rows were computed at
-      // (see the profiled branch above for why the *current* epoch would
-      // be wrong here). Failed or timed-out queries are never cached.
-      auto rows = std::make_shared<const pool::ResultSet>(resp.result);
-      query_cache_.results().Insert(req.query, snap->epoch(), rows,
-                                    cache::ApproxResultBytes(*rows));
-    }
+    // The engine's rows move into the one shared object the response and
+    // the cache entry both hold. Failed or timed-out queries are never
+    // cached.
+    resp.result =
+        std::make_shared<const pool::ResultSet>(std::move(result).value());
+    if (resp.cache_checked) InsertResult(req.query, *snap, resp.result);
   } else {
     finish_status(result.status());
   }
@@ -1243,8 +1224,10 @@ Response Server::ExecuteHealth(RequestId id, const Request&) {
   // answerable exactly when things go wrong.
   Value row = health().ToRow();
   resp.text = pool::RenderJson(row);
-  resp.result.columns = {"h"};
-  resp.result.rows.push_back({std::move(row)});
+  auto table = std::make_shared<pool::ResultSet>();
+  table->columns = {"h"};
+  table->rows.push_back({std::move(row)});
+  resp.result = std::move(table);
   return resp;
 }
 

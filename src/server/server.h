@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "cache/query_cache.h"
 #include "core/database.h"
@@ -239,6 +240,15 @@ class Server {
   /// Enqueue-side fast path: answers a kQuery from the result cache when a
   /// valid entry exists. Returns true with `*out` resolved on a hit.
   bool TryServeFromCache(RequestId id, const Request& req, Response* out);
+
+  /// Caches `rows`, computed against `snap`, under `key`. The entry is
+  /// stamped with the snapshot's epoch — not the database's current one,
+  /// which a writer may have advanced since the query pinned its snapshot:
+  /// that would launder stale rows as fresh. When a write has already
+  /// committed the insert is skipped, since such an entry could never
+  /// serve.
+  void InsertResult(std::string_view key, const DbSnapshot& snap,
+                    std::shared_ptr<const pool::ResultSet> rows);
 
   /// Re-reads the store's sticky status (caller must hold the write guard)
   /// and enters degraded mode when it went bad. Exit happens only in the

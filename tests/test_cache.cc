@@ -1,14 +1,17 @@
 // The query cache (src/cache/): plan-tier LRU and schema-generation
 // invalidation, result-tier byte-budgeted LRU and epoch validation, the
 // server integration (hit/miss envelope flags, kCacheControl, PROFILE of a
-// hit), and the staleness stress the subsystem's correctness claim rests
-// on — concurrent readers over cached entries must never observe a result
-// older than the writes they provably happened after.
+// hit, rows shared between the entry and every response that serves them,
+// and their lifetime), and the staleness stress the subsystem's
+// correctness claim rests on — concurrent readers over cached entries must
+// never observe a result older than the writes they provably happened
+// after.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,6 +22,7 @@
 #include "cache/query_cache.h"
 #include "cache/result_cache.h"
 #include "cache/result_size.h"
+#include "json_check.h"
 #include "query/query_engine.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -43,6 +47,7 @@ using prometheus::server::Request;
 using prometheus::server::Response;
 using prometheus::server::ResponseCode;
 using prometheus::server::Server;
+using prometheus::testing::JsonChecker;
 
 AttributeDef Attr(std::string name, ValueType type) {
   AttributeDef def;
@@ -162,6 +167,26 @@ TEST(ResultCacheTest, ClearDropsEverything) {
   EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
+TEST(ResultCacheTest, OlderEpochNeverEvictsAFresherEntry) {
+  // A reader pinned at epoch 5 finishes after one pinned at epoch 6: its
+  // rows could never serve, so the epoch-6 entry must stay. So must it
+  // when a lookup that read epoch 5 just before the commit arrives late.
+  ResultCache cache(ResultCache::Config{});
+  const auto fresh = MakeRows(6);
+  cache.Insert("q", 6, fresh, 10);
+  cache.Insert("q", 5, MakeRows(5), 10);
+  EXPECT_EQ(cache.Lookup("q", 5), nullptr);
+  EXPECT_EQ(cache.stats().invalidations, 0u);
+  EXPECT_EQ(cache.Lookup("q", 6), fresh);
+  EXPECT_EQ(cache.stats().inserts, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().bytes, 10u);
+  // A fresher insert still replaces an older entry.
+  const auto newer = MakeRows(7);
+  cache.Insert("q", 7, newer, 10);
+  EXPECT_EQ(cache.Lookup("q", 7), newer);
+}
+
 TEST(ResultCacheTest, ApproxResultBytesCountsStringsAndRows) {
   ResultSet rs;
   rs.columns = {"name"};
@@ -170,6 +195,14 @@ TEST(ResultCacheTest, ApproxResultBytesCountsStringsAndRows) {
 }
 
 // ----------------------------------------------------- server integration
+
+/// The `/query` body of `resp`, as the HTTP plane sends it, checked as
+/// strict JSON.
+std::string RenderBody(const Response& resp) {
+  const std::string body = prometheus::server::RenderQueryBody(resp);
+  EXPECT_EQ(JsonChecker::Validate(body), "") << body;
+  return body;
+}
 
 std::unique_ptr<Database> MakePartsDb() {
   auto db = std::make_unique<Database>();
@@ -203,14 +236,132 @@ TEST(ServerCacheTest, SecondIdenticalQueryHitsWithSameRows) {
   EXPECT_TRUE(second.cache_hit);
   EXPECT_TRUE(second.executed);
   EXPECT_EQ(second.epoch, first.epoch);
-  ASSERT_EQ(second.result.rows.size(), 1u);
-  EXPECT_EQ(second.result.rows[0][0].AsInt(), 7);
+  ASSERT_EQ(second.result->rows.size(), 1u);
+  EXPECT_EQ(second.result->rows[0][0].AsInt(), 7);
 
   // A hit is an accepted, executed query in the books.
   const Server::Stats stats = server.stats();
   EXPECT_EQ(stats.queries, 2u);
   EXPECT_EQ(stats.accepted, 2u);
   EXPECT_GE(server.query_cache().results().stats().hits, 1u);
+}
+
+TEST(ServerCacheTest, HitsShareTheCacheEntrysRows) {
+  auto db = MakePartsDb();
+  {
+    Database::WriteGuard guard(*db);
+    ASSERT_TRUE(db->CreateObject("Part", {{"name", Value::String("bolt")},
+                                          {"a", Value::Int(7)}})
+                    .ok());
+  }
+  Server server(db.get());
+  Client client(&server);
+  const std::string q = "select p.a from Part p";
+  const Response miss = client.Call(Request::Query(q));
+  const Response hit1 = client.Call(Request::Query(q));
+  const Response hit2 = client.Call(Request::Query(q));
+  ASSERT_TRUE(miss.ok() && hit1.ok() && hit2.ok());
+  ASSERT_TRUE(hit1.cache_hit && hit2.cache_hit);
+  // One object, no copies: the miss moved its rows into the entry, and
+  // both hits point at that same entry.
+  const std::shared_ptr<const ResultSet> entry =
+      server.query_cache().results().Lookup(q, db->epoch());
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(miss.result, entry);
+  EXPECT_EQ(hit1.result, entry);
+  EXPECT_EQ(hit2.result, entry);
+  // The in-process client still hands back a copy of its own.
+  auto rows = client.Query(q);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.value().rows, entry->rows);
+}
+
+TEST(ServerCacheTest, HeldResponseOutlivesClearAndWrites) {
+  auto db = MakePartsDb();
+  Oid oid;
+  {
+    Database::WriteGuard guard(*db);
+    auto created = db->CreateObject(
+        "Part", {{"name", Value::String(std::string(64, 'n'))},
+                 {"a", Value::Int(1)}});
+    ASSERT_TRUE(created.ok());
+    oid = created.value();
+  }
+  Server server(db.get());
+  Client client(&server);
+  const std::string q = "select p.name, p.a from Part p";
+  ASSERT_TRUE(client.Call(Request::Query(q)).ok());
+  const Response held = client.Call(Request::Query(q));
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(held.cache_hit);
+
+  // Drop the entry, then commit writes and cache their results: the held
+  // response keeps its rows alive and unchanged (ASan flags a read of
+  // freed rows here).
+  ASSERT_TRUE(client.Call(Request::CacheControl(CacheOp::kClear)).ok());
+  for (int i = 2; i <= 4; ++i) {
+    ASSERT_TRUE(client.SetAttribute(oid, "a", Value::Int(i)).ok());
+    ASSERT_TRUE(client.SetAttribute(oid, "name", Value::String("m")).ok());
+    const Response now = client.Call(Request::Query(q));
+    ASSERT_TRUE(now.ok());
+    EXPECT_EQ(now.result->rows[0][1].AsInt(), i);
+  }
+  ASSERT_EQ(held.result->rows.size(), 1u);
+  EXPECT_EQ(held.result->rows[0][0].AsString(), std::string(64, 'n'));
+  EXPECT_EQ(held.result->rows[0][1].AsInt(), 1);
+}
+
+// A reader that pinned an older snapshot and finishes after a write
+// committed must not evict the entry a reader at the newer epoch stored
+// meanwhile. The query is a 300 x 300 join, slow enough for a write to
+// commit while it runs; an attempt in which the two did not overlap is
+// retried.
+TEST(ServerCacheTest, LateReaderOnAnOlderSnapshotKeepsTheFresherEntry) {
+  auto db = MakePartsDb();
+  Oid oid;
+  {
+    Database::WriteGuard guard(*db);
+    for (int i = 0; i < 300; ++i) {
+      auto created = db->CreateObject(
+          "Part", {{"name", Value::String("p" + std::to_string(i))},
+                   {"a", Value::Int(i)}});
+      ASSERT_TRUE(created.ok());
+      oid = created.value();
+    }
+  }
+  Server::Options options;
+  options.worker_threads = 2;
+  Server server(db.get(), options);
+  Client reader(&server);
+  Client writer(&server);
+  ResultCache& results = server.query_cache().results();
+  const std::string q = "select a.a from Part a, Part b where a.a + b.a = 1";
+  bool overlapped = false;
+  for (int attempt = 0; attempt < 20 && !overlapped; ++attempt) {
+    std::future<Response> late = reader.Submit(Request::Query(q));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(writer.SetAttribute(oid, "a", Value::Int(1000 + attempt))
+                    .ok());
+    if (late.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      ASSERT_TRUE(late.get().ok());
+      continue;  // finished before the write committed
+    }
+    // What a reader that pinned the new snapshot would have stored.
+    const std::uint64_t fresh_epoch = db->epoch();
+    const auto fresh = MakeRows(1);
+    results.Insert(q, fresh_epoch, fresh, 64);
+    const std::uint64_t inserts = results.stats().inserts;
+    const Response resp = late.get();
+    ASSERT_TRUE(resp.ok());
+    if (resp.epoch == fresh_epoch) continue;  // pinned after the write
+    overlapped = true;
+    EXPECT_LT(resp.epoch, fresh_epoch);
+    EXPECT_FALSE(resp.cache_hit);
+    EXPECT_EQ(resp.result->rows.size(), 2u);  // (0, 1) and (1, 0)
+    EXPECT_EQ(results.stats().inserts, inserts);
+    EXPECT_EQ(results.Lookup(q, fresh_epoch), fresh);
+  }
+  EXPECT_TRUE(overlapped) << "no attempt overlapped a write with the query";
 }
 
 TEST(ServerCacheTest, CommittedWriteInvalidatesCachedResult) {
@@ -234,8 +385,8 @@ TEST(ServerCacheTest, CommittedWriteInvalidatesCachedResult) {
   ASSERT_TRUE(after.ok());
   // Never the stale 1: the epoch bump made the cached entry unservable.
   EXPECT_FALSE(after.cache_hit);
-  ASSERT_EQ(after.result.rows.size(), 1u);
-  EXPECT_EQ(after.result.rows[0][0].AsInt(), 2);
+  ASSERT_EQ(after.result->rows.size(), 1u);
+  EXPECT_EQ(after.result->rows[0][0].AsInt(), 2);
   EXPECT_GE(server.query_cache().results().stats().invalidations, 1u);
 }
 
@@ -259,7 +410,7 @@ TEST(ServerCacheTest, SchemaDdlBumpsPlanGeneration) {
   // The replanned query still answers correctly.
   Response after = client->Call(Request::Query(q));
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.result.rows.size(), 0u);
+  EXPECT_EQ(after.result->rows.size(), 0u);
 }
 
 TEST(ServerCacheTest, CacheControlRoundTrip) {
@@ -273,10 +424,10 @@ TEST(ServerCacheTest, CacheControlRoundTrip) {
   // stats: the sys.cache field/value rows, covering both tiers.
   Response stats = client->Call(Request::CacheControl(CacheOp::kStats));
   ASSERT_TRUE(stats.ok());
-  ASSERT_EQ(stats.result.columns,
+  ASSERT_EQ(stats.result->columns,
             (std::vector<std::string>{"field", "value"}));
   std::set<std::string> fields;
-  for (const auto& row : stats.result.rows) fields.insert(row[0].AsString());
+  for (const auto& row : stats.result->rows) fields.insert(row[0].AsString());
   EXPECT_EQ(fields.count("result_hits"), 1u);
   EXPECT_EQ(fields.count("plan_hits"), 1u);
 
@@ -321,8 +472,8 @@ TEST(ServerCacheTest, ProfiledHitEmitsCacheSpan) {
   Response plain = client->Call(Request::Query(q));
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(plain.cache_hit);
-  ASSERT_EQ(plain.result.rows.size(), 1u);
-  EXPECT_EQ(plain.result.rows[0][0].AsInt(), 3);
+  ASSERT_EQ(plain.result->rows.size(), 1u);
+  EXPECT_EQ(plain.result->rows[0][0].AsInt(), 3);
 
   Response hit = client->Call(Request::Query("profile " + q));
   ASSERT_TRUE(hit.ok());
@@ -421,16 +572,29 @@ TEST(ServerCacheStressTest, ConcurrentReadersNeverObserveStaleResults) {
         const std::int64_t lower = floor.load(std::memory_order_acquire);
         Response resp = client.Call(Request::Query(hot));
         ASSERT_TRUE(resp.ok());
-        ASSERT_EQ(resp.result.rows.size(), 1u);
-        if (resp.result.rows[0][0].AsInt() < lower) {
+        ASSERT_EQ(resp.result->rows.size(), 1u);
+        if (resp.result->rows[0][0].AsInt() < lower) {
           stale_reads.fetch_add(1);
         }
-        if (resp.cache_hit) hits_observed.fetch_add(1);
+        if (resp.cache_hit) {
+          hits_observed.fetch_add(1);
+          // Render the shared rows while other readers render them too
+          // and the writer moves on: the body must carry what was read.
+          EXPECT_NE(RenderBody(resp).find(
+                        "\"rows\":[[\"" +
+                        std::to_string(resp.result->rows[0][0].AsInt()) +
+                        "\"]]"),
+                    std::string::npos);
+        }
         // The steady query's rows never change, so it exercises genuine
         // hit traffic whenever the writer pauses between commits.
         Response s = client.Call(Request::Query(steady));
         ASSERT_TRUE(s.ok());
-        ASSERT_EQ(s.result.rows.size(), 1u);
+        ASSERT_EQ(s.result->rows.size(), 1u);
+        if (s.cache_hit) {
+          EXPECT_NE(RenderBody(s).find("\"rows\":[[\"\\\"hot\\\"\"]]"),
+                    std::string::npos);
+        }
       }
     });
   }
@@ -445,11 +609,11 @@ TEST(ServerCacheStressTest, ConcurrentReadersNeverObserveStaleResults) {
   Client client(&server);
   Response warm = client.Call(Request::Query("select p.a from Part p"));
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm.result.rows[0][0].AsInt(), kWrites);
+  EXPECT_EQ(warm.result->rows[0][0].AsInt(), kWrites);
   Response hit = client.Call(Request::Query("select p.a from Part p"));
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(hit.result.rows[0][0].AsInt(), kWrites);
+  EXPECT_EQ(hit.result->rows[0][0].AsInt(), kWrites);
 }
 
 }  // namespace

@@ -322,7 +322,7 @@ TEST(CatalogCacheTest, CatalogQueriesBypassTheResultCache) {
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first.cache_checked);
   EXPECT_FALSE(first.cache_hit);
-  EXPECT_EQ(first.result.rows[0][0].AsInt(), 0);
+  EXPECT_EQ(first.result->rows[0][0].AsInt(), 0);
 
   // No write happened, yet the repeat is not served from cache — and it
   // sees the live state after a mutation, proving rows are never pinned.
@@ -331,7 +331,7 @@ TEST(CatalogCacheTest, CatalogQueriesBypassTheResultCache) {
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second.cache_checked);
   EXPECT_FALSE(second.cache_hit);
-  EXPECT_EQ(second.result.rows[0][0].AsInt(), 1);
+  EXPECT_EQ(second.result->rows[0][0].AsInt(), 1);
 
   // Ordinary queries on the same server still use the cache.
   ASSERT_TRUE(client.Call(Request::Query("select p from Part p")).ok());
@@ -355,9 +355,9 @@ TEST(CatalogCacheTest, SysCacheMatchesCacheControlFieldForField) {
   ASSERT_TRUE(rows.ok());
 
   // Identical row sets: both surfaces render QueryCacheStats::Fields().
-  ASSERT_EQ(control.result.rows.size(), rows.value().rows.size());
+  ASSERT_EQ(control.result->rows.size(), rows.value().rows.size());
   for (std::size_t i = 0; i < rows.value().rows.size(); ++i) {
-    EXPECT_EQ(control.result.rows[i][0].AsString(),
+    EXPECT_EQ(control.result->rows[i][0].AsString(),
               rows.value().rows[i][0].AsString());
     const std::string field = rows.value().rows[i][0].AsString();
     // Counters may move between the two requests (the sys.cache query
@@ -365,7 +365,7 @@ TEST(CatalogCacheTest, SysCacheMatchesCacheControlFieldForField) {
     // exactly.
     if (field == "enabled" || field == "result_entries" ||
         field == "schema_generation") {
-      EXPECT_EQ(control.result.rows[i][1].AsString(),
+      EXPECT_EQ(control.result->rows[i][1].AsString(),
                 rows.value().rows[i][1].AsString())
           << field;
     }

@@ -161,7 +161,7 @@ TEST(ChaosTest, ServerDegradesGracefullyUnderInjectedDurabilityFaults) {
           continue;
         }
         reads_ok.fetch_add(1);
-        for (const auto& row : resp.result.rows) {
+        for (const auto& row : resp.result->rows) {
           if (!row[1].Equals(row[2])) torn_pairs.fetch_add(1);
         }
         // One reader doubles as a health prober — the probe must answer
@@ -385,7 +385,7 @@ TEST(ChaosTest, RolledBackWritesNeverVisibleToPinnedReaders) {
             client.Call(Request::Query("select v.a, v.b from Victim v"));
         if (resp.code != ResponseCode::kOk || !resp.status.ok()) continue;
         reads_ok.fetch_add(1);
-        for (const auto& row : resp.result.rows) {
+        for (const auto& row : resp.result->rows) {
           if (!row[0].Equals(row[1])) torn_pairs.fetch_add(1);
           seen[r].insert(row[0].AsInt());
         }
@@ -532,13 +532,13 @@ TEST(ChaosTest, DegradedModeKeepsServingCacheHits) {
   // query re-executes (queries still serve) and re-warms the cache...
   Response rewarm = client.Call(Request::Query(q));
   ASSERT_TRUE(rewarm.ok());
-  ASSERT_EQ(rewarm.result.rows.size(), 1u);
-  EXPECT_EQ(rewarm.result.rows[0][0].AsInt(), 42);  // rolled back, not 99
+  ASSERT_EQ(rewarm.result->rows.size(), 1u);
+  EXPECT_EQ(rewarm.result->rows[0][0].AsInt(), 42);  // rolled back, not 99
   // ...and the second must hit *while degraded*: the bugfix under test.
   Response hit = client.Call(Request::Query(q));
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(hit.result.rows[0][0].AsInt(), 42);
+  EXPECT_EQ(hit.result->rows[0][0].AsInt(), 42);
   EXPECT_TRUE(server.degraded());
 
   // Cache administration is not a mutation: it serves in degraded mode.

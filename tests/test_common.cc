@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+#include <string>
+
 #include "common/result.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -156,6 +160,30 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Null().ToString(), "null");
   EXPECT_EQ(Value::MakeList({Value::Int(1), Value::Int(2)}).ToString(),
             "[1, 2]");
+}
+
+TEST(ValueTest, DoublesRenderInTheStreamsDefaultFormat) {
+  for (const double d : {0.0, -0.0, 1.5, 1990.0, 1e-7, 123456789.0, 1.0 / 3,
+                         -2.5e300, std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    std::ostringstream os;
+    os << d;
+    EXPECT_EQ(Value::Double(d).ToString(), os.str());
+  }
+  EXPECT_EQ(Value::Double(std::numeric_limits<double>::quiet_NaN()).ToString(),
+            "nan");
+}
+
+TEST(ValueTest, AppendTextAppendsTheToStringText) {
+  const Value v = Value::MakeStruct(
+      {{"b", Value::Bool(true)},
+       {"l", Value::MakeList({Value::Double(0.5), Value::Ref(9),
+                              Value::Null(), Value::String("x")})},
+       {"i", Value::Int(-42)}});
+  std::string out = "prefix ";
+  v.AppendText(&out);
+  EXPECT_EQ(out, "prefix " + v.ToString());
+  EXPECT_EQ(v.ToString(), "{b: true, l: [0.5, @9, null, \"x\"], i: -42}");
 }
 
 TEST(ValueTest, IndexKeyCollapsesEqualNumerics) {

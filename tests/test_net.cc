@@ -8,7 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <limits>
 #include <memory>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -806,6 +809,120 @@ TEST_F(TelemetryGoldenTest, EveryTelemetryGetAnswersValidJsonWithItsKeys) {
   EXPECT_NE(slowlog_body.find("a\\u0001b"), std::string::npos);
   EXPECT_NE(requests_body.find("xxx\xE2\x80\xA6"), std::string::npos)
       << requests_body;
+}
+
+// ------------------------------------------------- /query body golden bytes
+
+// One object per `Value` kind, plus strings that need every escape: the
+// cells of a `/query` body are each cell's POOL text (`ToString()`), then
+// JSON-escaped. Clients parse these bodies, so they are pinned byte for
+// byte: a renderer change that alters any byte fails here.
+class QueryBodyGoldenTest : public NetTest {
+ protected:
+  void SetUp() override {
+    NetTest::SetUp();
+    ASSERT_TRUE(db_->DefineClass("Cell", {},
+                                 {Attr("k", ValueType::kInt),
+                                  Attr("v", ValueType::kNull)})
+                    .ok());
+    const std::vector<Value> values = {
+        Value::Null(),
+        Value::Bool(true),
+        Value::Int(-42),
+        Value::Double(2.5),
+        Value::Double(1234567.0),
+        Value::Double(1e-7),
+        Value::Double(-std::numeric_limits<double>::infinity()),
+        Value::Ref(1),
+        Value::MakeList({Value::Int(1), Value::String("a\"b")}),
+        Value::MakeStruct({{"n", Value::Int(1)},
+                           {"s", Value::String("q\\x")}}),
+        Value::String("say \"hi\""),
+        Value::String("back\\slash"),
+        Value::String("line\nbreak\ttab"),
+        Value::String(std::string("ctl\x01" "byte")),
+        Value::String("caf\xC3\xA9 \xE2\x9C\x93"),
+    };
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      ASSERT_TRUE(db_->CreateObject(
+                         "Cell", {{"k", Value::Int(static_cast<int>(i))},
+                                  {"v", values[i]}})
+                      .ok());
+    }
+  }
+};
+
+/// The profile's timings differ run to run: masks the `micros` cell of
+/// every stage row and each `<n>us` figure of the span-tree text.
+std::string MaskTimings(const std::string& body) {
+  static const std::regex kCell(R"re(\[("(?:[^"\\]|\\.)*"),"[-+.e0-9]+",)re");
+  static const std::regex kText(R"re(  [0-9]+\.[0-9]us)re");
+  return std::regex_replace(std::regex_replace(body, kCell, "[$1,\"<us>\","),
+                            kText, "  <us>us");
+}
+
+TEST_F(QueryBodyGoldenTest, QueryAndProfileBodiesAreByteExact) {
+  const std::string q = "select c.k, c.v from Cell c order by c.k";
+  const HttpResponse miss = Fetch("POST", "/query", q);
+  const HttpResponse hit = Fetch("POST", "/query", q);
+  const HttpResponse profiled_hit = Fetch("POST", "/profile", q);
+  const HttpResponse profiled_miss =
+      Fetch("POST", "/profile", "select c.k from Cell c where c.k < 2");
+  const HttpResponse failed = Fetch("POST", "/query", "select c.nope from");
+  for (const HttpResponse* r : {&miss, &hit, &profiled_hit, &profiled_miss}) {
+    EXPECT_EQ(r->status_code, 200) << r->body;
+  }
+  EXPECT_EQ(failed.status_code, 400);
+  for (const HttpResponse* r :
+       {&miss, &hit, &profiled_hit, &profiled_miss, &failed}) {
+    EXPECT_EQ(JsonChecker::Validate(r->body), "") << r->body;
+  }
+  // Everything after the envelope is shared by the miss and the hit.
+  const std::string rows =
+      "\"columns\":[\"col1\",\"col2\"],\"rows\":[[\"0\",\"null\"],[\"1\","
+      "\"true\"],[\"2\",\"-42\"],[\"3\",\"2.5\"],[\"4\",\"1.23457e+06\"],"
+      "[\"5\",\"1e-07\"],[\"6\",\"-inf\"],[\"7\",\"@1\"],[\"8\",\"[1, \\"
+      "\"a\\\"b\\\"]\"],[\"9\",\"{n: 1, s: \\\"q\\\\x\\\"}\"],[\"10\",\""
+      "\\\"say \\\"hi\\\"\\\"\"],[\"11\",\"\\\"back\\\\slash\\\"\"],[\"12"
+      "\",\"\\\"line\\nbreak\\ttab\\\"\"],[\"13\",\"\\\"ctl\\u0001byte\\"
+      "\"\"],[\"14\",\"\\\"caf\xC3\xA9 \xE2\x9C\x93\\\"\"]]}";
+  EXPECT_EQ(miss.body,
+            "{\"id\":1,\"code\":\"ok\",\"ok\":true,\"status\":\"OK\",\"epoch\":"
+            "0,\"cache\":\"miss\"," +
+                rows);
+  EXPECT_EQ(hit.body,
+            "{\"id\":2,\"code\":\"ok\",\"ok\":true,\"status\":\"OK\",\"epoch\":"
+            "0,\"cache\":\"hit\"," +
+                rows);
+  EXPECT_EQ(MaskTimings(profiled_hit.body),
+            "{\"id\":3,\"code\":\"ok\",\"ok\":true,\"status\":\"OK\",\"epoch\":"
+            "0,\"cache\":\"hit\",\"columns\":[\"stage\",\"micros\",\"rows\",\"d"
+            "etail\"],\"rows\":[[\"\\\"query\\\"\",\"<us>\",\"15\",\"\\\"select"
+            " c.k, c.v from Cell c order by c.k\\\"\"],[\"\\\"  cache\\\"\",\"<"
+            "us>\",\"15\",\"\\\"result hit (epoch 0; parse, plan and execute sk"
+            "ipped)\\\"\"]],\"text\":\"query: select c.k, c.v from Cell c order"
+            " by c.k  <us>us  rows=15\\n  cache: result hit (epoch 0; parse, pl"
+            "an and execute skipped)  <us>us  rows=15\\n\"}");
+  EXPECT_EQ(MaskTimings(profiled_miss.body),
+            "{\"id\":4,\"code\":\"ok\",\"ok\":true,\"status\":\"OK\",\"epoch\":"
+            "0,\"cache\":\"miss\",\"columns\":[\"stage\",\"micros\",\"rows\",\""
+            "detail\"],\"rows\":[[\"\\\"query\\\"\",\"<us>\",\"2\",\"\\\"select"
+            " c.k from Cell c where c.k < 2\\\"\"],[\"\\\"  cache\\\"\",\"<us>"
+            "\",\"null\",\"\\\"plan miss\\\"\"],[\"\\\"  parse\\\"\",\"<us>\","
+            "\"null\",\"\\\"\\\"\"],[\"\\\"  plan\\\"\",\"<us>\",\"null\",\"\\"
+            "\"\\\"\"],[\"\\\"    range c\\\"\",\"<us>\",\"15\",\"\\\"extent sc"
+            "an of class Cell\\\"\"],[\"\\\"  execute\\\"\",\"<us>\",\"2\",\"\\"
+            "\"15 bindings scanned\\\"\"],[\"\\\"  project\\\"\",\"<us>\",\"2\""
+            ",\"\\\"\\\"\"]],\"text\":\"query: select c.k from Cell c where c.k"
+            " < 2  <us>us  rows=2\\n  cache: plan miss  <us>us\\n  parse  <us>u"
+            "s\\n  plan  <us>us\\n    range c: extent scan of class Cell  <us>u"
+            "s  rows=15\\n  execute: 15 bindings scanned  <us>us  rows=2\\n  pr"
+            "oject  <us>us  rows=2\\n\"}");
+  // A failed query carries no rows: empty columns and rows.
+  EXPECT_EQ(failed.body,
+            "{\"id\":5,\"code\":\"ok\",\"ok\":false,\"status\":\"ParseError: "
+            "unexpected token at offset 18\",\"epoch\":0,\"cache\":\"miss\","
+            "\"columns\":[],\"rows\":[]}");
 }
 
 // One worker, one queue slot: a blocked mutation plus one queued request

@@ -404,7 +404,7 @@ TEST(ServerObsTest, ProfileQueryThroughServerReturnsStageTable) {
       client.Call(Request::Query("profile select p from Part p"));
   ASSERT_TRUE(resp.ok());
   EXPECT_FALSE(resp.text.empty());
-  EXPECT_EQ(resp.result.columns[0], "stage");
+  EXPECT_EQ(resp.result->columns[0], "stage");
 
   server.Shutdown();
 }

@@ -568,12 +568,12 @@ TEST(ReplicationE2ETest, FollowerCacheServesHitsAndInvalidatesOnApply) {
   // The replica's server caches: warm then hit, with the pre-write value.
   Response warm = reader.Call(prometheus::server::Request::Query(q));
   ASSERT_TRUE(warm.ok());
-  ASSERT_EQ(warm.result.rows.size(), 1u);
-  EXPECT_EQ(warm.result.rows[0][0].AsInt(), 1);
+  ASSERT_EQ(warm.result->rows.size(), 1u);
+  EXPECT_EQ(warm.result->rows[0][0].AsInt(), 1);
   Response hit = reader.Call(prometheus::server::Request::Query(q));
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(hit.result.rows[0][0].AsInt(), 1);
+  EXPECT_EQ(hit.result->rows[0][0].AsInt(), 1);
 
   // Leader commits a new value; the applier's epoch bump must retire the
   // follower's cached entry. Poll until the new value shows (propagation
@@ -585,8 +585,8 @@ TEST(ReplicationE2ETest, FollowerCacheServesHitsAndInvalidatesOnApply) {
   while (std::chrono::steady_clock::now() < give_up) {
     Response r = reader.Call(prometheus::server::Request::Query(q));
     ASSERT_TRUE(r.ok());
-    ASSERT_EQ(r.result.rows.size(), 1u);
-    if (r.result.rows[0][0].AsInt() == 2) {
+    ASSERT_EQ(r.result->rows.size(), 1u);
+    if (r.result->rows[0][0].AsInt() == 2) {
       converged = true;
       break;
     }
@@ -599,7 +599,7 @@ TEST(ReplicationE2ETest, FollowerCacheServesHitsAndInvalidatesOnApply) {
   for (int i = 0; i < 10; ++i) {
     Response r = reader.Call(prometheus::server::Request::Query(q));
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.result.rows[0][0].AsInt(), 2);
+    EXPECT_EQ(r.result->rows[0][0].AsInt(), 2);
   }
   // And the hot entry is servable again at the new epoch.
   EXPECT_TRUE(reader.Call(prometheus::server::Request::Query(q)).cache_hit);

@@ -841,7 +841,7 @@ TEST(ServerStressTest, ReadersNeverSeeTornWrites) {
         // Snapshot reads observe a non-decreasing epoch.
         EXPECT_GE(r.epoch, last_epoch);
         last_epoch = r.epoch;
-        for (const auto& row : r.result.rows) {
+        for (const auto& row : r.result->rows) {
           if (!(row[0].Equals(row[1]))) torn.fetch_add(1);
         }
       }
