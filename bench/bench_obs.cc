@@ -12,22 +12,14 @@
 // pipeline). Reports median wall time per mode and the on-vs-off overhead
 // percentage; writes BENCH_obs.json.
 //
-// E20 — contention attribution. The same 4-reader/1-writer churn that
-// produced `scaling_4v1` in BENCH_server.json, measured twice: readers
-// alone (baseline), then readers racing a writer that takes chunky
-// exclusive holds. The wall-clock the readers lose to churn should be
-// explained by the `guard_wait_micros{mode="shared"}` histogram delta over
-// the churn phase — if the attribution ratio is near 1.0, the contention
-// profiler accounts for where the lost microseconds went.
-//
 // E22 — system-catalog overhead. A monitoring poller cycling POOL queries
 // over sys.metrics / sys.storage / sys.requests (the dashboards-over-POOL
-// workload the catalog exists for) races the same 4-reader fleet issuing
+// workload the catalog exists for) races a 4-reader fleet issuing
 // real queries. Alternating baseline/polled rounds measure what the
 // poller costs the readers in throughput; the catalog materializes
 // per-query snapshots outside every lock, so the tax must stay <= 5%.
 //
-// Usage: bench_obs [reps] [e20_requests_per_reader]   (defaults 7, 200)
+// Usage: bench_obs [reps] [e22_requests_per_reader]   (defaults 7, 200)
 
 #include <algorithm>
 #include <atomic>
@@ -41,7 +33,6 @@
 
 #include "bench_util.h"
 #include "obs/metrics.h"
-#include "obs/wait_profiler.h"
 #include "oo7/oo7.h"
 #include "query/query_engine.h"
 #include "server/client.h"
@@ -49,15 +40,9 @@
 
 namespace {
 
-using prometheus::Database;
-using prometheus::Oid;
-using prometheus::Status;
-using prometheus::Value;
 using prometheus::bench::JsonWriter;
 using prometheus::bench::MedianMillis;
-using prometheus::obs::GuardInstruments;
 using prometheus::obs::SetMetricsEnabled;
-using prometheus::obs::SnapshotDelta;
 using prometheus::oo7::Config;
 using prometheus::oo7::PrometheusOo7;
 using prometheus::pool::QueryEngine;
@@ -98,85 +83,7 @@ void EmitWorkload(JsonWriter& json, const char* name, double off_ms,
   json.EndObject();
 }
 
-// ------------------------------------------------------------------- E20
-
-/// Reader-side cost of one churn phase: 4 reader clients each issue
-/// `requests_per_reader` queries and sum their client-observed latency.
-/// With a writer, a churn thread interleaves chunky Custom mutations
-/// (hundreds of attribute writes per exclusive hold) until the readers
-/// finish.
-struct PhaseResult {
-  double reader_busy_ms = 0;       ///< summed client-side reader latency
-  std::size_t reader_requests = 0;
-  std::uint64_t writer_mutations = 0;
-};
-
-constexpr int kE20Readers = 4;
-constexpr int kE20WritesPerHold = 400;  ///< attribute writes per exclusive hold
-
-PhaseResult RunChurnPhase(Server& server, const std::vector<Oid>& parts,
-                          int requests_per_reader, bool with_writer) {
-  using Clock = std::chrono::steady_clock;
-  PhaseResult result;
-  std::atomic<bool> readers_done{false};
-  std::vector<double> reader_micros(kE20Readers, 0);
-
-  std::vector<std::thread> threads;
-  threads.reserve(kE20Readers + 1);
-  for (int r = 0; r < kE20Readers; ++r) {
-    threads.emplace_back([&, r] {
-      Client client(&server);
-      double sum = 0;
-      for (int i = 0; i < requests_per_reader; ++i) {
-        const Clock::time_point t0 = Clock::now();
-        (void)client.Query(kQuery);
-        sum += std::chrono::duration<double, std::micro>(Clock::now() - t0)
-                   .count();
-      }
-      reader_micros[static_cast<std::size_t>(r)] = sum;
-    });
-  }
-
-  std::thread writer;
-  std::uint64_t mutations = 0;
-  if (with_writer) {
-    writer = std::thread([&] {
-      Client client(&server);
-      std::size_t cursor = 0;
-      std::int64_t stamp = 0;
-      while (!readers_done.load(std::memory_order_relaxed)) {
-        // One chunky exclusive hold: several hundred attribute writes, so
-        // the guard stays held for a writer-scale interval (~ms) the way a
-        // bulk import or rule cascade would hold it.
-        const std::int64_t s = ++stamp;
-        (void)client.Mutate([&parts, &cursor, s](Database& db) {
-          for (int i = 0; i < kE20WritesPerHold; ++i) {
-            const Oid oid = parts[cursor++ % parts.size()];
-            PROMETHEUS_RETURN_IF_ERROR(
-                db.SetAttribute(oid, "x", Value::Int(s)));
-          }
-          return Status::Ok();
-        });
-        ++mutations;
-        // Let a convoy of blocked readers drain before the next hold.
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-  }
-
-  for (int r = 0; r < kE20Readers; ++r) {
-    threads[static_cast<std::size_t>(r)].join();
-  }
-  readers_done.store(true, std::memory_order_relaxed);
-  if (writer.joinable()) writer.join();
-
-  for (double m : reader_micros) result.reader_busy_ms += m / 1000.0;
-  result.reader_requests =
-      static_cast<std::size_t>(kE20Readers) *
-      static_cast<std::size_t>(requests_per_reader);
-  result.writer_mutations = mutations;
-  return result;
-}
+constexpr int kReaders = 4;  ///< reader clients in the E22 fleet
 
 // ------------------------------------------------------------------- E22
 
@@ -191,8 +98,8 @@ double RunCatalogPhase(Server& server, int requests_per_reader,
   const Clock::time_point t0 = Clock::now();
 
   std::vector<std::thread> readers;
-  readers.reserve(kE20Readers);
-  for (int r = 0; r < kE20Readers; ++r) {
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       Client client(&server);
       for (int i = 0; i < requests_per_reader; ++i) {
@@ -227,7 +134,7 @@ double RunCatalogPhase(Server& server, int requests_per_reader,
   if (poller.joinable()) poller.join();
 
   if (polls_out != nullptr) *polls_out += polls;
-  const double requests = static_cast<double>(kE20Readers) *
+  const double requests = static_cast<double>(kReaders) *
                           static_cast<double>(requests_per_reader);
   return wall_s > 0 ? requests / wall_s : 0;
 }
@@ -236,11 +143,12 @@ double RunCatalogPhase(Server& server, int requests_per_reader,
 
 int main(int argc, char** argv) {
   const int reps = argc > 1 ? std::atoi(argv[1]) : 7;
-  const int e20_requests = argc > 2 ? std::atoi(argv[2]) : 200;
+  const int e22_requests = argc > 2 ? std::atoi(argv[2]) : 200;
 
   Config config;  // OO7 small
   PrometheusOo7 oo7(config);
-  QueryEngine engine(&oo7.db());
+  QueryEngine engine;
+  const prometheus::DbSnapshot& store = oo7.db().live_store();
 
   prometheus::bench::PrintTableHeader(
       "E15: instrumentation overhead (median ms; off = kill switch)",
@@ -250,8 +158,8 @@ int main(int argc, char** argv) {
   // (a one-time mutex acquisition) doesn't land in a timed region.
   (void)oo7.TraverseT1();
   (void)oo7.TraverseT5(1);
-  (void)engine.Execute(kQuery);
-  (void)engine.ExecuteProfiled(kQuery);
+  (void)engine.Execute(kQuery, store);
+  (void)engine.ExecuteProfiled(kQuery, store);
 
   // --- T1: read traversal ------------------------------------------------
   SetMetricsEnabled(false);
@@ -272,11 +180,13 @@ int main(int argc, char** argv) {
 
   // --- POOL query: parse/plan/execute pipeline ---------------------------
   SetMetricsEnabled(false);
-  const double q_off = MedianMillis([&] { (void)engine.Execute(kQuery); }, reps);
+  const double q_off =
+      MedianMillis([&] { (void)engine.Execute(kQuery, store); }, reps);
   SetMetricsEnabled(true);
-  const double q_on = MedianMillis([&] { (void)engine.Execute(kQuery); }, reps);
+  const double q_on =
+      MedianMillis([&] { (void)engine.Execute(kQuery, store); }, reps);
   const double q_profiled =
-      MedianMillis([&] { (void)engine.ExecuteProfiled(kQuery); }, reps);
+      MedianMillis([&] { (void)engine.ExecuteProfiled(kQuery, store); }, reps);
   PrintRow("pool_query", q_off, q_on, q_profiled);
 
   const double worst_overhead =
@@ -285,67 +195,28 @@ int main(int argc, char** argv) {
   std::printf("  worst metrics-on overhead: %+.2f%% (target <= 5%%)\n",
               worst_overhead);
 
-  // --- E20: guard-wait attribution under 4-reader/1-writer churn --------
-  prometheus::bench::PrintTableHeader(
-      "E20: contention attribution (4 readers, 1 chunky writer)",
-      "  phase        reader_busy(ms)  requests  writer_holds");
-  SetMetricsEnabled(true);
-  PrometheusOo7 churn_oo7(config);
-  const std::vector<Oid> parts = churn_oo7.db().Extent("AtomicPart");
-  Server::Options churn_options;
-  churn_options.worker_threads = 8;   // readers+writer never queue-wait
-  churn_options.queue_capacity = 4096;
-  churn_options.cache.enabled = false;  // every read takes the shared guard
-  Server churn_server(&churn_oo7.db(), churn_options);
-
-  // Warm-up, then alternating baseline/churn rounds. Pairing each churn
-  // phase with an adjacent baseline cancels slow drift (allocator warm-up,
-  // frequency scaling) that a single before/after comparison would absorb
-  // into the "lost" time.
-  RunChurnPhase(churn_server, parts, std::max(8, e20_requests / 4),
-                /*with_writer=*/false);
-  constexpr int kE20Rounds = 3;
-  PhaseResult base{};
-  PhaseResult churn{};
-  double lost_ms_signed = 0;
-  double attributed_ms = 0;
-  std::uint64_t blocked_acquisitions = 0;
-  for (int round = 0; round < kE20Rounds; ++round) {
-    const PhaseResult b =
-        RunChurnPhase(churn_server, parts, e20_requests, /*with_writer=*/false);
-    // Churn phase, bracketed by shared-wait snapshots: the histogram delta
-    // is the profiler's claim about where the lost reader time went.
-    const auto before = GuardInstruments::Get().shared_wait->snapshot();
-    const PhaseResult c =
-        RunChurnPhase(churn_server, parts, e20_requests, /*with_writer=*/true);
-    const auto delta =
-        SnapshotDelta(GuardInstruments::Get().shared_wait->snapshot(), before);
-    base.reader_busy_ms += b.reader_busy_ms;
-    base.reader_requests += b.reader_requests;
-    churn.reader_busy_ms += c.reader_busy_ms;
-    churn.reader_requests += c.reader_requests;
-    churn.writer_mutations += c.writer_mutations;
-    lost_ms_signed += c.reader_busy_ms - b.reader_busy_ms;
-    attributed_ms += delta.sum / 1000.0;
-    blocked_acquisitions += delta.count;
-  }
   // --- E22: catalog-poller tax on real-query throughput -----------------
-  // Reuses the churn server (quiescent again after E20's writer stopped):
-  // same 4 readers, but the contender is a monitoring poller cycling
-  // sys.metrics / sys.storage / sys.requests queries instead of a writer.
+  // Same 4 readers as a writer-free baseline, then racing a monitoring
+  // poller cycling sys.metrics / sys.storage / sys.requests queries.
+  PrometheusOo7 catalog_oo7(config);
+  Server::Options catalog_options;
+  catalog_options.worker_threads = 8;  // readers+poller never queue-wait
+  catalog_options.queue_capacity = 4096;
+  catalog_options.cache.enabled = false;  // every read executes
+  Server catalog_server(&catalog_oo7.db(), catalog_options);
   prometheus::bench::PrintTableHeader(
       "E22: system-catalog overhead (4 readers vs 1 catalog poller)",
       "  phase        reader_qps  catalog_polls");
-  RunCatalogPhase(churn_server, std::max(8, e20_requests / 4),
+  RunCatalogPhase(catalog_server, std::max(8, e22_requests / 4),
                   /*with_poller=*/false, nullptr);  // warm-up
   constexpr int kE22Rounds = 3;
   double base_qps_sum = 0;
   double polled_qps_sum = 0;
   std::uint64_t catalog_polls = 0;
   for (int round = 0; round < kE22Rounds; ++round) {
-    base_qps_sum += RunCatalogPhase(churn_server, e20_requests,
+    base_qps_sum += RunCatalogPhase(catalog_server, e22_requests,
                                     /*with_poller=*/false, nullptr);
-    polled_qps_sum += RunCatalogPhase(churn_server, e20_requests,
+    polled_qps_sum += RunCatalogPhase(catalog_server, e22_requests,
                                       /*with_poller=*/true, &catalog_polls);
   }
   const double base_qps = base_qps_sum / kE22Rounds;
@@ -358,32 +229,7 @@ int main(int argc, char** argv) {
   std::printf("  catalog-poller throughput tax: %+.2f%% (target <= 5%%)\n",
               catalog_tax_pct);
 
-  churn_server.Shutdown();
-
-  const double lost_ms = std::max(0.0, lost_ms_signed);
-  const double attribution_ratio = lost_ms > 0 ? attributed_ms / lost_ms : 0;
-  std::printf("  %-12s %15.3f  %8zu  %12s\n", "baseline", base.reader_busy_ms,
-              base.reader_requests, "-");
-  std::printf("  %-12s %15.3f  %8zu  %12llu\n", "churn", churn.reader_busy_ms,
-              churn.reader_requests,
-              static_cast<unsigned long long>(churn.writer_mutations));
-  std::printf(
-      "  lost reader wall-clock: %.3f ms; guard shared-wait delta: %.3f ms "
-      "(%llu shared acquisitions during churn)\n",
-      lost_ms, attributed_ms,
-      static_cast<unsigned long long>(blocked_acquisitions));
-  std::printf("  attribution ratio: %.2f (target within 20%% of 1.0)",
-              attribution_ratio);
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores < kE20Readers + 2) {
-    // Blocked readers overlap with each other's execution when timesharing
-    // one core, so client-observed lost time under-counts guard waits —
-    // same host caveat bench_server prints for scaling_4v1.
-    std::printf("  (only %u hardware thread%s — attribution is bounded by "
-                "the host)",
-                cores, cores == 1 ? "" : "s");
-  }
-  std::printf("\n");
+  catalog_server.Shutdown();
 
   JsonWriter json;
   json.BeginObject();
@@ -397,30 +243,10 @@ int main(int argc, char** argv) {
   json.EndArray();
   json.Key("worst_overhead_on_pct").Number(worst_overhead);
   json.Key("target_overhead_pct").Number(5.0);
-  json.Key("e20_contention").BeginObject();
-  json.Key("hardware_concurrency").Int(cores);
-  json.Key("rounds").Int(kE20Rounds);
-  json.Key("readers").Int(kE20Readers);
-  json.Key("requests_per_reader").Int(e20_requests);
-  json.Key("writes_per_hold").Int(kE20WritesPerHold);
-  json.Key("writer_holds").Int(static_cast<int>(churn.writer_mutations));
-  json.Key("baseline_reader_busy_ms").Number(base.reader_busy_ms);
-  json.Key("churn_reader_busy_ms").Number(churn.reader_busy_ms);
-  json.Key("lost_reader_ms").Number(lost_ms);
-  json.Key("guard_shared_wait_ms").Number(attributed_ms);
-  json.Key("blocked_acquisitions").Int(static_cast<int>(blocked_acquisitions));
-  json.Key("attribution_ratio").Number(attribution_ratio);
-  json.Key("target_ratio_band").Number(0.2);
-  // With fewer cores than threads, blocked readers yield the CPU to the
-  // remaining readers, so client-observed lost time collapses toward zero
-  // while guard waits stay real — the ratio is only meaningful when the
-  // reader fleet and the writer can actually run in parallel.
-  json.Key("host_bounded").Bool(cores < kE20Readers + 2);
-  json.EndObject();
   json.Key("e22_catalog").BeginObject();
   json.Key("rounds").Int(kE22Rounds);
-  json.Key("readers").Int(kE20Readers);
-  json.Key("requests_per_reader").Int(e20_requests);
+  json.Key("readers").Int(kReaders);
+  json.Key("requests_per_reader").Int(e22_requests);
   json.Key("baseline_reader_qps").Number(base_qps);
   json.Key("polled_reader_qps").Number(polled_qps);
   json.Key("catalog_polls").Int(static_cast<int>(catalog_polls));

@@ -34,9 +34,10 @@ void PrintSeries() {
   (void)indexes.CreateIndex("AtomicPart", "id");
   IndexManager dates(&prom.db());
   (void)dates.CreateIndex("AtomicPart", "build_date", /*ordered=*/true);
-  prometheus::pool::QueryEngine scan_engine(&prom.db());
-  prometheus::pool::QueryEngine indexed_engine(&prom.db(), &indexes);
-  prometheus::pool::QueryEngine range_engine(&prom.db(), &dates);
+  prometheus::pool::QueryEngine scan_engine;
+  prometheus::pool::QueryEngine indexed_engine(&indexes);
+  prometheus::pool::QueryEngine range_engine(&dates);
+  const prometheus::DbSnapshot& store = prom.db().live_store();
 
   prometheus::bench::PrintTableHeader(
       "E6: OO7 query tests (40 composites, 800 atomic parts)",
@@ -53,13 +54,15 @@ void PrintSeries() {
   const std::string kPoolQ1 =
       "select a.x from AtomicPart a where a.id = 137";
   double q1_pool_scan = prometheus::bench::MedianMillis(
-      [&] { benchmark::DoNotOptimize(scan_engine.Execute(kPoolQ1).ok()); },
+      [&] {
+        benchmark::DoNotOptimize(scan_engine.Execute(kPoolQ1, store).ok());
+      },
       5);
   std::printf("  %-26s %8.4f   1 probe (POOL extent scan)\n",
               "Q1 pool scan", q1_pool_scan);
   double q1_pool_index = prometheus::bench::MedianMillis(
       [&] {
-        benchmark::DoNotOptimize(indexed_engine.Execute(kPoolQ1).ok());
+        benchmark::DoNotOptimize(indexed_engine.Execute(kPoolQ1, store).ok());
       },
       5);
   std::printf("  %-26s %8.4f   1 probe (POOL + hash index)\n",
@@ -79,7 +82,7 @@ void PrintSeries() {
                           std::to_string(lo) + " and a.build_date <= " +
                           std::to_string(hi);
     return prometheus::bench::MedianMillis(
-        [&] { benchmark::DoNotOptimize(engine.Execute(q).ok()); }, 5);
+        [&] { benchmark::DoNotOptimize(engine.Execute(q, store).ok()); }, 5);
   };
   std::printf("  %-26s %8.4f   range scan (POOL)\n", "Q2 pool",
               q2_pool(scan_engine, 1500, 1700));
@@ -102,10 +105,13 @@ void PrintSeries() {
 void BM_Q1PoolScan(benchmark::State& state) {
   Config config = MakeConfig();
   PrometheusOo7 prom(config);
-  prometheus::pool::QueryEngine engine(&prom.db());
+  prometheus::pool::QueryEngine engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.Execute("select a.x from AtomicPart a where a.id = 137").ok());
+        engine
+            .Execute("select a.x from AtomicPart a where a.id = 137",
+                     prom.db().live_store())
+            .ok());
   }
 }
 BENCHMARK(BM_Q1PoolScan)->Unit(benchmark::kMicrosecond);
@@ -115,10 +121,13 @@ void BM_Q1PoolIndexed(benchmark::State& state) {
   PrometheusOo7 prom(config);
   IndexManager indexes(&prom.db());
   (void)indexes.CreateIndex("AtomicPart", "id");
-  prometheus::pool::QueryEngine engine(&prom.db(), &indexes);
+  prometheus::pool::QueryEngine engine(&indexes);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        engine.Execute("select a.x from AtomicPart a where a.id = 137").ok());
+        engine
+            .Execute("select a.x from AtomicPart a where a.id = 137",
+                     prom.db().live_store())
+            .ok());
   }
 }
 BENCHMARK(BM_Q1PoolIndexed)->Unit(benchmark::kMicrosecond);

@@ -5,9 +5,9 @@
 //
 //   1. read-only sweep: 8 client threads issuing POOL range-scan queries,
 //      worker pool swept over 1/2/4/8 threads — read throughput should
-//      scale with workers (shared-lock readers) up to the core count;
+//      scale with workers (snapshot readers) up to the core count;
 //   2. mixed load: 7 reader clients + 1 writer client (SetAttribute
-//      mutations under the exclusive lock) at 4 workers.
+//      mutations under the write guard) at 4 workers.
 //
 // E16 — overload protection & graceful degradation:
 //
@@ -59,7 +59,6 @@
 #include "bench_util.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
-#include "obs/wait_profiler.h"
 #include "oo7/oo7.h"
 #include "query/render.h"
 #include "replication/follower.h"
@@ -232,11 +231,6 @@ struct MvccChurnResult {
   SweepResult sweep;
   std::uint64_t writer_txns = 0;  ///< 400-write transactions committed
   double writer_txn_p50_ms = 0;
-  /// Delta of guard_wait_micros{mode="shared"} over the phase. MVCC readers
-  /// pin a snapshot at dequeue instead of taking the shared guard, so this
-  /// should stay at (or within noise of) zero even while the writer loops.
-  std::uint64_t guard_shared_waits = 0;
-  double guard_shared_wait_micros = 0;
 };
 
 /// `readers` query clients at full tilt while ONE writer loops 400-write
@@ -249,8 +243,6 @@ MvccChurnResult RunMvccChurn(Server& server, const std::vector<Oid>& parts,
                              int workers, int readers,
                              int requests_per_client) {
   MvccChurnResult out;
-  const auto shared_before =
-      prometheus::obs::GuardInstruments::Get().shared_wait->snapshot();
 
   std::vector<std::vector<double>> read_lats(
       static_cast<std::size_t>(readers));
@@ -324,10 +316,6 @@ MvccChurnResult RunMvccChurn(Server& server, const std::vector<Oid>& parts,
 
   out.writer_txns = txns.load();
   out.writer_txn_p50_ms = out.sweep.write_lat.p50;
-  const auto shared_after =
-      prometheus::obs::GuardInstruments::Get().shared_wait->snapshot();
-  out.guard_shared_waits = shared_after.count - shared_before.count;
-  out.guard_shared_wait_micros = shared_after.sum - shared_before.sum;
   return out;
 }
 
@@ -1219,11 +1207,11 @@ int main(int argc, char** argv) {
   json.EndObject();
 
   // ---- E21: MVCC snapshot reads under 400-write transaction churn ------
-  // Readers pin an immutable snapshot at dequeue and never touch the
-  // shared guard, so a writer looping long transactions must not move read
-  // latency: target p99 within 20% of the reader-only baseline, and the
-  // guard_wait_micros{mode="shared"} histogram flat across the phase. The
-  // cache is off in both phases so every request actually executes.
+  // Readers pin an immutable snapshot at dequeue and take no lock (the
+  // epoch guard is writers-only), so a writer looping long transactions
+  // must not move read latency: target p99 within 20% of the reader-only
+  // baseline. The cache is off in both phases so every request actually
+  // executes.
   prometheus::bench::PrintTableHeader(
       "E21: MVCC snapshot reads (8 readers vs one 400-write txn writer, "
       "4 workers, cache off)",
@@ -1262,18 +1250,11 @@ int main(int argc, char** argv) {
                   "p50 %.3f ms/txn\n",
                   static_cast<unsigned long long>(r.writer_txns),
                   r.writer_txn_p50_ms);
-      std::printf("               guard shared-mode waits during phase: %llu "
-                  "(%.0f us total; MVCC target: 0)\n",
-                  static_cast<unsigned long long>(r.guard_shared_waits),
-                  r.guard_shared_wait_micros);
       json.Key("churn");
       EmitSweepJson(json, r.sweep);
       json.Key("writer_txns").Int(static_cast<long long>(r.writer_txns));
       json.Key("writer_writes_per_txn").Int(400);
       json.Key("writer_txn_p50_ms").Number(r.writer_txn_p50_ms);
-      json.Key("guard_shared_waits")
-          .Int(static_cast<long long>(r.guard_shared_waits));
-      json.Key("guard_shared_wait_micros").Number(r.guard_shared_wait_micros);
       const double ratio =
           baseline_p99 > 0 ? r.sweep.read_lat.p99 / baseline_p99 : 0;
       json.Key("read_p99_ratio").Number(ratio);

@@ -59,7 +59,8 @@ void PrintSeries() {
         benchmark::DoNotOptimize(
             tdb.query()
                 .Execute("select n from NomenclaturalTaxon n where "
-                         "n.name_element like 'g%' and n.rank = 'Genus'")
+                         "n.name_element like 'g%' and n.rank = 'Genus'",
+                         tdb.db().live_store())
                 .ok());
       },
       5);
@@ -92,7 +93,8 @@ void PrintSeries() {
       [&] {
         benchmark::DoNotOptimize(
             tdb.query()
-                .Eval("count(traverse(g, 'contains', 1, 0, 'out', c))", env)
+                .Eval("count(traverse(g, 'contains', 1, 0, 'out', c))",
+                      tdb.db().live_store(), env)
                 .ok());
       },
       5);

@@ -118,7 +118,8 @@ int main() {
   // Traceability: the classification records *why*.
   auto why = tdb.query().Execute(
       "select l.motivation from contains l "
-      "where l.target.working_name = 'Taxon 2'");
+      "where l.target.working_name = 'Taxon 2'",
+      tdb.db().live_store());
   if (why.ok() && !why.value().rows.empty()) {
     std::printf("placement motivation: %s\n",
                 why.value().rows[0][0].ToString().c_str());

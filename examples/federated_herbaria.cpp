@@ -113,7 +113,8 @@ int main() {
   // POOL sees the merged store as one database with two contexts.
   auto per_flora = edinburgh.tdb.query().Execute(
       "select l.context.name, count(l) from circumscribes l "
-      "group by l.context.name order by l.context.name");
+      "group by l.context.name order by l.context.name",
+      edinburgh.tdb.db().live_store());
   if (per_flora.ok()) {
     std::printf("\ncircumscriptions per flora after the merge:\n");
     for (const auto& row : per_flora.value().rows) {

@@ -34,7 +34,7 @@ void Check(const Status& st, const char* what) {
 int main() {
   Database db;
   ClassificationManager catalogues(&db);
-  pool::QueryEngine query(&db);
+  pool::QueryEngine query;
 
   Check(db.DefineClass("Book", {},
                        {Attr("title", ValueType::kString),
@@ -115,7 +115,7 @@ int main() {
   auto under_fiction = query.Eval(
       "count(traverse(fiction, 'shelved_under', 1, 0, 'out', subject)) + "
       "count(traverse(fiction, 'subcategory_of', 1, 0, 'out', subject))",
-      env);
+      db.live_store(), env);
   std::printf("nodes under Fiction (books via shelves + subcategories): "
               "%s\n",
               under_fiction.value().ToString().c_str());
@@ -125,7 +125,8 @@ int main() {
       "select l.context.name, l.source.label, count(l) "
       "from shelved_under l "
       "group by l.context.name, l.source.label "
-      "order by l.source.label");
+      "order by l.source.label",
+      db.live_store());
   if (per_category.ok()) {
     std::printf("\nbooks per category:\n");
     for (const auto& row : per_category.value().rows) {

@@ -311,9 +311,8 @@ int main(int argc, char** argv) {
       server = owned_server.get();
     }
     client = std::make_unique<server::Client>(server);
-    // An engine for .explain only (planning reads the schema, so it runs
-    // under the server's lock like everything else).
-    engine = std::make_unique<pool::QueryEngine>(db, indexes.get());
+    // An engine for .explain only (it plans against a pinned snapshot).
+    engine = std::make_unique<pool::QueryEngine>(indexes.get());
 
     // The remote telemetry plane, sharing this server with the console.
     // A durable leader also mounts /repl/* so replicas can follow it.
@@ -342,24 +341,19 @@ int main(int argc, char** argv) {
   };
   if (!build_stack()) return 1;
 
-  // While the server runs, database access flows through it; `with_db`
-  // runs a closure under the exclusive lock for the meta commands.
-  // `with_db_read` is for read-only closures: on a replica they run under
-  // the database's shared epoch guard (safe alongside the fetch thread's
-  // write guard) instead of the server's mutation path, which a read-only
-  // role would refuse.
+  // While the server runs, mutations flow through it: `with_db` runs a
+  // closure under the write guard for the mutating meta commands.
+  // `with_snapshot` runs a read-only closure against a freshly pinned
+  // snapshot — on a leader or a replica alike, without entering the
+  // server's mutation path (which a read-only role would refuse) or
+  // waiting on a writer such as a replica's fetch thread.
   auto with_db = [&](std::function<Status(Database&)> fn) {
     Status st = client->Mutate(std::move(fn));
     if (!st.ok()) std::printf("%s\n", st.ToString().c_str());
   };
-  auto with_db_read = [&](std::function<Status(Database&)> fn) {
-    if (follower != nullptr) {
-      Database::ReadGuard guard(*db);
-      Status st = fn(*db);
-      if (!st.ok()) std::printf("%s\n", st.ToString().c_str());
-      return;
-    }
-    with_db(std::move(fn));
+  auto with_snapshot = [&](const std::function<void(const DbSnapshot&)>& fn) {
+    SnapshotHandle snap = db->AcquireSnapshot();
+    fn(*snap);
   };
 
   if (headless) {
@@ -403,45 +397,41 @@ int main(int argc, char** argv) {
             ".sys .checkpoint .deadline <ms> .lag .promote .quit\n"
             "anything else runs as POOL (try: select s from sys.storage s)\n");
       } else if (cmd == ".classes") {
-        with_db_read([](Database& db) {
-          for (const ClassDef* cls : db.classes()) {
+        with_snapshot([](const DbSnapshot& store) {
+          for (const ClassDef* cls : store.classes()) {
             std::printf("%s%s (%zu attributes)\n", cls->name().c_str(),
                         cls->is_abstract() ? " [abstract]" : "",
                         cls->attributes().size());
           }
-          return Status::Ok();
         });
       } else if (cmd == ".relationships") {
-        with_db_read([](Database& db) {
-          for (const RelationshipDef* rel : db.relationships()) {
+        with_snapshot([](const DbSnapshot& store) {
+          for (const RelationshipDef* rel : store.relationships()) {
             std::printf("%s: %s -> %s\n", rel->name().c_str(),
                         rel->source_class()->name().c_str(),
                         rel->target_class()->name().c_str());
           }
-          return Status::Ok();
         });
       } else if (cmd == ".extent") {
         std::string name;
         in >> name;
-        with_db_read([&name](Database& db) {
-          std::vector<Oid> extent = db.FindClass(name) != nullptr
-                                        ? db.Extent(name)
-                                        : db.LinkExtent(name);
+        with_snapshot([&name](const DbSnapshot& store) {
+          std::vector<Oid> extent = store.FindClass(name) != nullptr
+                                        ? store.Extent(name)
+                                        : store.LinkExtent(name);
           std::printf("%zu members", extent.size());
           for (std::size_t i = 0; i < extent.size() && i < 10; ++i) {
             std::printf(" @%llu", static_cast<unsigned long long>(extent[i]));
           }
           std::printf("\n");
-          return Status::Ok();
         });
       } else if (cmd == ".explain") {
         std::string q = line.substr(9);
-        with_db_read([&](Database&) {
-          auto plan = engine->Explain(q);
+        with_snapshot([&](const DbSnapshot& store) {
+          auto plan = engine->Explain(q, store);
           std::printf("%s", plan.ok() ? plan.value().c_str()
                                       : (plan.status().ToString() + "\n")
                                             .c_str());
-          return Status::Ok();
         });
       } else if (cmd == ".rule") {
         if (rules == nullptr) {
@@ -470,10 +460,9 @@ int main(int argc, char** argv) {
       } else if (cmd == ".save") {
         std::string path;
         in >> path;
-        with_db_read([&path](Database& db) {
-          Status st = storage::SaveSnapshot(db, path);
+        with_snapshot([&path](const DbSnapshot& store) {
+          Status st = storage::SaveSnapshot(store, path);
           std::printf("%s\n", st.ToString().c_str());
-          return Status::Ok();
         });
       } else if (cmd == ".load") {
         std::string path;

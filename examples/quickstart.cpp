@@ -84,10 +84,11 @@ int main() {
   std::printf("rule veto: %s\n", minor.ToString().c_str());
 
   // 4. POOL queries: relationships are first-class and queryable.
-  pool::QueryEngine query(&db);
+  pool::QueryEngine query;
   auto rs = query.Execute(
       "select p.name, l.since from works_for l, Person p "
-      "where l.source = p order by p.name");
+      "where l.source = p order by p.name",
+      db.live_store());
   Check(rs.status(), "query");
   for (const auto& row : rs.value().rows) {
     std::printf("employee %s since %s\n", row[0].ToString().c_str(),

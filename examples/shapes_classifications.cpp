@@ -144,8 +144,12 @@ int main() {
   def.context = c1;
   Check(views.Define(def), "define view");
   std::printf("\nview 'taxonomy_1890' sees %zu objects, %zu edges\n",
-              views.Evaluate("taxonomy_1890").value().size(),
-              views.EvaluateEdges("taxonomy_1890").value().size());
+              views.Evaluate("taxonomy_1890", tdb.db().live_store())
+                  .value()
+                  .size(),
+              views.EvaluateEdges("taxonomy_1890", tdb.db().live_store())
+                  .value()
+                  .size());
 
   std::printf("shapes_classifications OK\n");
   return 0;

@@ -75,11 +75,6 @@ struct Database::UndoRecord {
 Database::Database() { store_.live_epoch_ = &epoch_; }
 Database::~Database() = default;
 
-const DbSnapshot& ReadViewOf(const Database& db) {
-  const DbSnapshot* view = CurrentReadView();
-  return view != nullptr ? *view : db.live_store();
-}
-
 // ------------------------------------------------------------------ schema
 
 Result<const ClassDef*> Database::DefineClass(
@@ -244,17 +239,18 @@ Status Database::DefineMethod(const std::string& class_name,
 Status Database::DefineRelationshipTemplate(
     const std::string& name, RelationshipSemantics semantics,
     std::vector<AttributeDef> link_attributes) {
-  AssertExclusiveAccess();
+  BeginMutation();
   if (name.empty()) {
     return Status::InvalidArgument("template name must not be empty");
   }
-  if (rel_templates_.count(name)) {
+  if (store_.FindTemplate(name) != nullptr) {
     return Status::InvalidArgument("template '" + name +
                                    "' already defined");
   }
-  rel_templates_[name] =
+  SchemaTables& schema = MutableSchema();
+  schema.templates[name] =
       RelationshipTemplate{std::move(semantics), std::move(link_attributes)};
-  rel_template_order_.push_back(name);
+  schema.template_order.push_back(name);
   Event ddl(EventKind::kAfterDefineTemplate);
   ddl.type_name = name;
   return PublishEvent(ddl);
@@ -264,29 +260,13 @@ Result<const RelationshipDef*> Database::InstantiateRelationship(
     const std::string& template_name, const std::string& rel_name,
     const std::string& source_class, const std::string& target_class) {
   AssertExclusiveAccess();
-  auto it = rel_templates_.find(template_name);
-  if (it == rel_templates_.end()) {
+  const RelationshipTemplate* tpl = store_.FindTemplate(template_name);
+  if (tpl == nullptr) {
     return Status::NotFound("unknown relationship template '" +
                             template_name + "'");
   }
   return DefineRelationship(rel_name, source_class, target_class,
-                            it->second.semantics, it->second.attributes);
-}
-
-std::vector<std::string> Database::relationship_templates() const {
-  return rel_template_order_;
-}
-
-const RelationshipSemantics* Database::FindTemplateSemantics(
-    const std::string& name) const {
-  auto it = rel_templates_.find(name);
-  return it == rel_templates_.end() ? nullptr : &it->second.semantics;
-}
-
-const std::vector<AttributeDef>* Database::FindTemplateAttributes(
-    const std::string& name) const {
-  auto it = rel_templates_.find(name);
-  return it == rel_templates_.end() ? nullptr : &it->second.attributes;
+                            tpl->semantics, tpl->attributes);
 }
 
 // --------------------------------------------------------------- internals
@@ -929,8 +909,6 @@ Status Database::Clear() {
     return Status::FailedPrecondition("cannot clear inside a transaction");
   }
   undo_log_.clear();
-  rel_template_order_.clear();
-  rel_templates_.clear();
   // A fresh working store. Snapshots taken before the clear stay fully
   // readable — their SchemaTables keep-alives own the old definitions.
   store_ = DbSnapshot();
@@ -1111,7 +1089,7 @@ SnapshotHandle Database::AcquireSnapshot() {
   // mutations on entry, before it edits anything, so the wait below lasts
   // microseconds, never a write section.
   while (unpublished_.load(std::memory_order_acquire)) {
-    std::shared_lock<std::shared_mutex> quiesce(guard_, std::try_to_lock);
+    std::unique_lock<std::mutex> quiesce(guard_, std::try_to_lock);
     if (quiesce.owns_lock()) {
       if (unpublished_.load(std::memory_order_acquire)) Publish(epoch());
       break;

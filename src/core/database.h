@@ -8,11 +8,9 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,7 +18,6 @@
 #include "common/result.h"
 #include "common/value.h"
 #include "core/instance.h"
-#include "core/read_view.h"
 #include "core/schema.h"
 #include "core/snapshot.h"
 #include "event/event_bus.h"
@@ -41,7 +38,7 @@ namespace prometheus {
 /// Thread model: a `Database` used from one thread (the embedded mode, and
 /// the thesis' single-user prototype) needs no locking at all. Concurrent
 /// use is MVCC: writers (every mutation, transaction, or journal-observed
-/// change) serialize through the exclusive `WriteGuard` below, and the end
+/// change) serialize through the `WriteGuard` below, and the end
 /// of each write section **publishes** the working store as an immutable
 /// snapshot — a copy of its roots and tables, O(#classes + #contexts),
 /// sharing every record. Readers call `AcquireSnapshot()` and execute
@@ -50,9 +47,9 @@ namespace prometheus {
 /// (e.g. in a journal fsync) degrades write latency only. The writer
 /// clones a record, trie node or table before changing it whenever a
 /// snapshot shares it, so nothing a snapshot reaches is edited again.
-/// `ReadGuard` remains for callers that read the *live* store with writers
-/// quiesced (replica shell, storage checkpointing, tests). Debug builds
-/// assert the protocol on every read and mutation.
+/// Every read names the store it reads: a pinned snapshot, or
+/// `live_store()` on the writer's own thread (or single-threaded). Debug
+/// builds assert the protocol on every read and mutation.
 ///
 /// Version retention is reference-counted, not scheduled: a superseded
 /// version is freed the moment the last snapshot reaching it is released
@@ -69,81 +66,17 @@ class Database {
 
   // -------------------------------------------- concurrency (epoch guard)
 
-  /// RAII shared (read) lock over the database. Many may be held at once;
-  /// none while a `WriteGuard` is live. While held, every const method is
-  /// safe to call from this thread and the observed state cannot change —
-  /// the epoch seen at acquisition stays the epoch until release.
-  ///
-  /// With metrics enabled, acquisition is timed into
-  /// `guard_wait_micros{mode="shared"}` (a blocked reader also shows in
-  /// the `guard_blocked_readers` gauge while it waits) and the hold into
-  /// `guard_hold_micros{mode="shared"}` — the attribution that tells a
-  /// stalled read fleet from a slow query. Disabled, the only extra cost
-  /// is one relaxed load and branch.
-  class ReadGuard {
-   public:
-    explicit ReadGuard(const Database& db)
-        : db_(db), lock_(db.guard_, std::defer_lock) {
-      if (obs::MetricsEnabled()) {
-        const obs::GuardInstruments& g = obs::GuardInstruments::Get();
-        const auto start = std::chrono::steady_clock::now();
-        // Uncontended fast path: one try_lock, no gauge traffic. Only a
-        // reader that actually blocks appears as blocked.
-        if (!lock_.try_lock()) {
-          g.blocked_readers->Add(1);
-          lock_.lock();
-          g.blocked_readers->Sub(1);
-        }
-        acquired_at_ = std::chrono::steady_clock::now();
-        wait_micros_ = std::chrono::duration<double, std::micro>(
-                           acquired_at_ - start)
-                           .count();
-        g.shared_wait->Observe(wait_micros_);
-        timed_ = true;
-      } else {
-        lock_.lock();
-      }
-      db_.readers_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    ~ReadGuard() {
-      db_.readers_.fetch_sub(1, std::memory_order_acq_rel);
-      if (timed_) {
-        obs::GuardInstruments::Get().shared_hold->Observe(
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - acquired_at_)
-                .count());
-      }
-    }
-
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-
-    /// The guarded database's epoch (stable for the guard's lifetime).
-    std::uint64_t epoch() const { return db_.epoch(); }
-
-    /// Microseconds this guard spent blocked in acquisition (0 with
-    /// metrics disabled). The server copies it into the request's wait
-    /// breakdown.
-    double wait_micros() const { return wait_micros_; }
-
-   private:
-    const Database& db_;
-    std::shared_lock<std::shared_mutex> lock_;
-    std::chrono::steady_clock::time_point acquired_at_{};
-    double wait_micros_ = 0;
-    bool timed_ = false;
-  };
-
-  /// RAII exclusive (write) lock. Completing an exclusive section bumps
-  /// the epoch, so readers can detect whether any writer ran between two
-  /// of their own critical sections.
+  /// RAII write lock: the epoch guard is writers-only (readers pin
+  /// snapshots instead). Completing a write section bumps the epoch, so
+  /// readers can detect whether any writer ran between two of their own
+  /// critical sections.
   ///
   /// With metrics enabled, acquisition is timed into
   /// `guard_wait_micros{mode="exclusive"}`, the hold into
   /// `guard_hold_micros{mode="exclusive"}` plus the
   /// `guard_writer_last_hold_micros` gauge, and `guard_writer_held` is 1
-  /// for the duration — the writer-hold telemetry that explains reader
-  /// guard waits.
+  /// for the duration — the writer-hold telemetry that explains write
+  /// latency.
   class WriteGuard {
    public:
     explicit WriteGuard(Database& db)
@@ -216,7 +149,7 @@ class Database {
 
    private:
     Database& db_;
-    std::unique_lock<std::shared_mutex> lock_;
+    std::unique_lock<std::mutex> lock_;
     std::chrono::steady_clock::time_point acquired_at_{};
     double wait_micros_ = 0;
     bool timed_ = false;
@@ -238,8 +171,9 @@ class Database {
            (writer_active_.load(std::memory_order_acquire) ? 1 : 0);
   }
 
-  /// The live working store, for readers that follow the guard protocol
-  /// (see `ReadViewOf` for the thread's effective view).
+  /// The live working store: what embedded callers, the writer thread and
+  /// its event listeners read. Other threads read a pinned snapshot
+  /// (`AcquireSnapshot`).
   const DbSnapshot& live_store() const {
     AssertSharedAccess();
     return store_;
@@ -253,8 +187,8 @@ class Database {
   /// mutex-protected shared_ptr copy plus the pin-registry insert, neither
   /// held across a write section. After unguarded (single-threaded)
   /// mutations, the first acquire republishes the working store first, an
-  /// O(#classes + #contexts) copy. Must not be called by a thread that
-  /// holds this database's guard.
+  /// O(#classes + #contexts) copy, made under a try-locked guard. Must
+  /// not be called by a thread that holds this database's guard.
   SnapshotHandle AcquireSnapshot();
 
   /// Number of currently pinned snapshot handles (test/ops visibility;
@@ -267,9 +201,9 @@ class Database {
   std::uint64_t oldest_pinned_epoch() const;
 
   /// Debug checks of the locking protocol; no-ops in NDEBUG builds.
-  /// Shared access is legal unless a *foreign* thread holds the write
-  /// guard; exclusive access is legal when this thread holds the write
-  /// guard or nobody holds the guard at all (single-threaded mode).
+  /// Reading the live store is legal unless a *foreign* thread holds the
+  /// write guard; mutation is legal when this thread holds the write guard
+  /// or nobody holds it at all (single-threaded mode).
   void AssertSharedAccess() const {
 #ifndef NDEBUG
     assert(!writer_active_.load(std::memory_order_acquire) ||
@@ -279,14 +213,10 @@ class Database {
   }
   void AssertExclusiveAccess() const {
 #ifndef NDEBUG
-    if (writer_active_.load(std::memory_order_acquire)) {
-      assert(writer_thread_.load(std::memory_order_relaxed) ==
-                 std::this_thread::get_id() &&
-             "mutation while another thread holds the write guard");
-    } else {
-      assert(readers_.load(std::memory_order_acquire) == 0 &&
-             "mutation while readers hold the epoch guard shared");
-    }
+    assert((!writer_active_.load(std::memory_order_acquire) ||
+            writer_thread_.load(std::memory_order_relaxed) ==
+                std::this_thread::get_id()) &&
+           "mutation while another thread holds the write guard");
 #endif
   }
 
@@ -328,13 +258,14 @@ class Database {
       const std::string& source_class, const std::string& target_class);
 
   /// Names of the defined relationship templates.
-  std::vector<std::string> relationship_templates() const;
+  std::vector<std::string> relationship_templates() const {
+    return store_.relationship_templates();
+  }
 
-  /// A template's semantics / link attributes; nullptr when absent.
-  const RelationshipSemantics* FindTemplateSemantics(
-      const std::string& name) const;
-  const std::vector<AttributeDef>* FindTemplateAttributes(
-      const std::string& name) const;
+  /// A template by name; nullptr when absent.
+  const RelationshipTemplate* FindTemplate(std::string_view name) const {
+    return store_.FindTemplate(name);
+  }
 
   /// Looks up a class by name; nullptr when absent.
   const ClassDef* FindClass(std::string_view name) const {
@@ -577,8 +508,8 @@ class Database {
   SchemaTables& MutableSchema() { return mvcc::Writable(store_.schema_); }
 
   /// Publishes a copy of the working store stamped `epoch` as the current
-  /// snapshot. Called with writers excluded: by `WriteGuard`, or by
-  /// `AcquireSnapshot` holding the guard shared.
+  /// snapshot. Called holding the guard: by `WriteGuard`, or by
+  /// `AcquireSnapshot` after a successful try-lock.
   void Publish(std::uint64_t epoch);
 
   void RegisterPin(std::uint64_t epoch);
@@ -605,12 +536,10 @@ class Database {
   // Rollback helpers used by Abort().
   void UndoAll();
 
-  // Epoch guard (see ReadGuard/WriteGuard). `guard_` is mutable so const
-  // readers can take the shared side; the counters only exist to let the
-  // debug assertions and `epoch()` observe the guard's state.
-  mutable std::shared_mutex guard_;
+  // Epoch guard (see WriteGuard): writers only. The atomics let the debug
+  // assertions and `epoch()` observe the guard's state.
+  std::mutex guard_;
   std::atomic<std::uint64_t> epoch_{0};
-  mutable std::atomic<int> readers_{0};
   std::atomic<bool> writer_active_{false};
   std::atomic<std::thread::id> writer_thread_{};
 
@@ -636,14 +565,6 @@ class Database {
   // handles may pin the same epoch.
   mutable std::mutex snap_reg_mu_;
   std::multiset<std::uint64_t> pinned_epochs_;
-
-  // Relationship templates: DDL-only metadata, never read by snapshots.
-  struct RelationshipTemplate {
-    RelationshipSemantics semantics;
-    std::vector<AttributeDef> attributes;
-  };
-  std::unordered_map<std::string, RelationshipTemplate> rel_templates_;
-  std::vector<std::string> rel_template_order_;
 
   // Transactions.
   bool in_transaction_ = false;

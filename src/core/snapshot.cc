@@ -32,6 +32,12 @@ const RelationshipDef* DbSnapshot::FindRelationship(
   return it == schema_->rels_by_name.end() ? nullptr : it->second;
 }
 
+const RelationshipTemplate* DbSnapshot::FindTemplate(
+    std::string_view name) const {
+  auto it = schema_->templates.find(std::string(name));
+  return it == schema_->templates.end() ? nullptr : &it->second;
+}
+
 Result<Value> DbSnapshot::GetAttribute(Oid oid,
                                        const std::string& name) const {
   const Object* obj = GetObject(oid);

@@ -16,12 +16,21 @@
 #include "common/value.h"
 #include "core/instance.h"
 #include "core/oid_trie.h"
-#include "core/read_view.h"
 #include "core/schema.h"
 
 namespace prometheus {
 
 class Database;
+
+/// Direction selector for link traversal.
+enum class Direction : std::uint8_t {
+  kOut,   ///< follow links from source to target
+  kIn,    ///< follow links from target to source
+  kBoth,  ///< follow links either way (undirected view)
+};
+
+/// Named initial attribute assignment used at object/link creation.
+using AttrInit = std::pair<std::string, Value>;
 
 namespace mvcc {
 namespace internal {
@@ -74,6 +83,13 @@ T& Writable(std::shared_ptr<const T>& p) {
 }
 }  // namespace mvcc
 
+/// A relationship *template* (thesis figure 34): a reusable bundle of
+/// semantics and link attributes, instantiated against concrete classes.
+struct RelationshipTemplate {
+  RelationshipSemantics semantics;
+  std::vector<AttributeDef> attributes;
+};
+
 /// Schema tables of one store: name→definition maps plus the store's own
 /// children adjacency (`subclasses`/`subrels`). The copies matter: the
 /// `ClassDef::subclasses_` / `RelationshipDef::subs_` vectors are appended
@@ -96,6 +112,8 @@ struct SchemaTables {
       subrels;
   std::vector<std::shared_ptr<const ClassDef>> class_keep_alive;
   std::vector<std::shared_ptr<const RelationshipDef>> rel_keep_alive;
+  std::unordered_map<std::string, RelationshipTemplate> templates;
+  std::vector<std::string> template_order;
 };
 
 /// The one store of objects and first-class links, and the one type every
@@ -143,6 +161,12 @@ class DbSnapshot {
   }
   /// Direct subclasses of `cls` as of this store.
   const std::vector<const ClassDef*>& SubclassesOf(const ClassDef* cls) const;
+  /// Relationship template names in definition order; a template by name
+  /// (nullptr when absent).
+  const std::vector<std::string>& relationship_templates() const {
+    return schema_->template_order;
+  }
+  const RelationshipTemplate* FindTemplate(std::string_view name) const;
 
   // --------------------------------------------------------------- objects
   Result<Value> GetAttribute(Oid oid, const std::string& name) const;

@@ -11,8 +11,6 @@ const char* WaitStateName(WaitState state) {
       return "admission";
     case WaitState::kQueue:
       return "queue";
-    case WaitState::kGuardShared:
-      return "guard_shared";
     case WaitState::kGuardExclusive:
       return "guard_exclusive";
     case WaitState::kExecute:
@@ -35,17 +33,10 @@ const GuardInstruments& GuardInstruments::Get() {
     const char* hold_help =
         "Epoch-guard hold duration (microseconds) by lock mode";
     GuardInstruments gi;
-    gi.shared_wait =
-        reg.GetHistogram("guard_wait_micros{mode=\"shared\"}", wait_help);
     gi.exclusive_wait =
         reg.GetHistogram("guard_wait_micros{mode=\"exclusive\"}", wait_help);
-    gi.shared_hold =
-        reg.GetHistogram("guard_hold_micros{mode=\"shared\"}", hold_help);
     gi.exclusive_hold =
         reg.GetHistogram("guard_hold_micros{mode=\"exclusive\"}", hold_help);
-    gi.blocked_readers = reg.GetGauge(
-        "guard_blocked_readers",
-        "Readers currently blocked acquiring the epoch guard shared");
     gi.blocked_writers = reg.GetGauge(
         "guard_blocked_writers",
         "Writers currently blocked acquiring the epoch guard exclusive");
@@ -111,7 +102,9 @@ struct StateSource {
   Histogram* hist;
 };
 
-std::array<StateSource, 8> ReportSources() {
+constexpr std::size_t kReportStates = 7;
+
+std::array<StateSource, kReportStates> ReportSources() {
   const WaitInstruments& w = WaitInstruments::Get();
   const GuardInstruments& g = GuardInstruments::Get();
   MetricsRegistry& reg = Registry();
@@ -121,7 +114,6 @@ std::array<StateSource, 8> ReportSources() {
                                      "Latency of journal fsync barriers");
   return {{{WaitState::kAdmission, w.admission},
            {WaitState::kQueue, w.queue},
-           {WaitState::kGuardShared, g.shared_wait},
            {WaitState::kGuardExclusive, g.exclusive_wait},
            {WaitState::kExecute, w.execute},
            {WaitState::kJournalAppend, append},
@@ -133,7 +125,7 @@ std::array<StateSource, 8> ReportSources() {
 /// the registry itself; the mutex only guards windowed report assembly.
 struct WindowStore {
   std::mutex mu;
-  std::array<Histogram::Snapshot, 8> last;
+  std::array<Histogram::Snapshot, kReportStates> last;
 
   static WindowStore& Get() {
     static WindowStore s;
@@ -144,9 +136,9 @@ struct WindowStore {
 /// Cumulative or since-last-windowed-call snapshots, in ReportSources
 /// order. Windowed reads advance the shared window store, so the HTTP
 /// route and the shell command observe one common window.
-std::array<Histogram::Snapshot, 8> CollectSnapshots(
-    const std::array<StateSource, 8>& sources, bool windowed) {
-  std::array<Histogram::Snapshot, 8> out;
+std::array<Histogram::Snapshot, kReportStates> CollectSnapshots(
+    const std::array<StateSource, kReportStates>& sources, bool windowed) {
+  std::array<Histogram::Snapshot, kReportStates> out;
   if (windowed) {
     WindowStore& store = WindowStore::Get();
     std::lock_guard<std::mutex> lock(store.mu);
@@ -166,8 +158,8 @@ std::array<Histogram::Snapshot, 8> CollectSnapshots(
 }  // namespace
 
 std::vector<ContentionStat> SnapshotContention(bool windowed) {
-  const std::array<StateSource, 8> sources = ReportSources();
-  const std::array<Histogram::Snapshot, 8> snaps =
+  const std::array<StateSource, kReportStates> sources = ReportSources();
+  const std::array<Histogram::Snapshot, kReportStates> snaps =
       CollectSnapshots(sources, windowed);
   std::vector<ContentionStat> out;
   out.reserve(sources.size());

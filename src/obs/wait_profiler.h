@@ -28,8 +28,7 @@ namespace prometheus::obs {
 enum class WaitState : std::uint8_t {
   kAdmission,       ///< Enqueue-side work before the queue (incl. cache probe)
   kQueue,           ///< admission -> worker pickup
-  kGuardShared,     ///< ReadGuard acquisition (blocked behind a writer)
-  kGuardExclusive,  ///< WriteGuard acquisition (blocked behind readers/writer)
+  kGuardExclusive,  ///< WriteGuard acquisition (blocked behind a writer)
   kExecute,         ///< pure execution (guard + journal time subtracted)
   kJournalAppend,   ///< file append of framed journal records
   kJournalSync,     ///< explicit fsync barriers
@@ -42,11 +41,8 @@ const char* WaitStateName(WaitState state);
 /// branch when metrics are disabled (callers check `MetricsEnabled()`
 /// before reading the clock); pointer loads are cached in a static.
 struct GuardInstruments {
-  Histogram* shared_wait;      ///< guard_wait_micros{mode="shared"}
   Histogram* exclusive_wait;   ///< guard_wait_micros{mode="exclusive"}
-  Histogram* shared_hold;      ///< guard_hold_micros{mode="shared"}
   Histogram* exclusive_hold;   ///< guard_hold_micros{mode="exclusive"}
-  Gauge* blocked_readers;      ///< readers currently blocked in lock_shared
   Gauge* blocked_writers;      ///< writers currently blocked in lock
   Gauge* writer_held;          ///< 1 while a writer holds the guard
   Gauge* writer_last_hold_micros;  ///< duration of the last exclusive hold

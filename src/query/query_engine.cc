@@ -76,37 +76,6 @@ struct EngineMetrics {
   }
 };
 
-/// Per-execution memo of materialized catalog extents. The outermost
-/// ExecuteInternal on a thread installs one; nested executions (subqueries,
-/// dependent ranges) reuse it, so a self-join of `sys.requests` — or a
-/// correlated subquery re-touching `sys.metrics` — observes one consistent
-/// point-in-time row set per top-level query.
-struct CatalogScope {
-  std::unordered_map<std::string, std::vector<Value>> materialized;
-};
-
-thread_local CatalogScope* g_catalog_scope = nullptr;
-
-/// RAII installer: a no-op when a scope is already active on this thread.
-class ScopedCatalogScope {
- public:
-  ScopedCatalogScope() {
-    if (g_catalog_scope == nullptr) {
-      g_catalog_scope = &local_;
-      installed_ = true;
-    }
-  }
-  ~ScopedCatalogScope() {
-    if (installed_) g_catalog_scope = nullptr;
-  }
-  ScopedCatalogScope(const ScopedCatalogScope&) = delete;
-  ScopedCatalogScope& operator=(const ScopedCatalogScope&) = delete;
-
- private:
-  CatalogScope local_;
-  bool installed_ = false;
-};
-
 }  // namespace
 
 bool IsProfileQuery(std::string_view text) {
@@ -201,6 +170,7 @@ Result<std::shared_ptr<const cache::PlanEntry>> QueryEngine::PlanFor(
 }
 
 Result<ResultSet> QueryEngine::Execute(const std::string& query,
+                                       const DbSnapshot& view,
                                        const ExecutionContext* ctx) const {
   const EngineMetrics& metrics = EngineMetrics::Get();
   metrics.queries->Increment();
@@ -211,15 +181,17 @@ Result<ResultSet> QueryEngine::Execute(const std::string& query,
     metrics.errors->Increment();
     return plan.status();
   }
+  CatalogMemo catalog;
   Result<ResultSet> result =
-      ExecuteInternal(*plan.value()->ast, nullptr, Environment{}, nullptr,
-                      ctx, &plan.value()->access);
+      ExecuteInternal(*plan.value()->ast, view, catalog, nullptr,
+                      Environment{}, nullptr, ctx, &plan.value()->access);
   if (!result.ok()) metrics.errors->Increment();
   return result;
 }
 
 Result<QueryProfile> QueryEngine::ExecuteProfiled(
-    const std::string& query, const ExecutionContext* ctx) const {
+    const std::string& query, const DbSnapshot& view,
+    const ExecutionContext* ctx) const {
   const EngineMetrics& metrics = EngineMetrics::Get();
   metrics.queries->Increment();
   metrics.profiled->Increment();
@@ -237,9 +209,10 @@ Result<QueryProfile> QueryEngine::ExecuteProfiled(
     metrics.errors->Increment();
     return plan.status();
   }
+  CatalogMemo catalog;
   Result<ResultSet> rows =
-      ExecuteInternal(*plan.value()->ast, nullptr, Environment{}, &out.trace,
-                      ctx, &plan.value()->access);
+      ExecuteInternal(*plan.value()->ast, view, catalog, nullptr,
+                      Environment{}, &out.trace, ctx, &plan.value()->access);
   if (!rows.ok()) {
     metrics.errors->Increment();
     return rows.status();
@@ -251,10 +224,11 @@ Result<QueryProfile> QueryEngine::ExecuteProfiled(
 }
 
 Result<Value> QueryEngine::Eval(const std::string& expr,
+                                const DbSnapshot& view,
                                 const Environment& env) const {
   PROMETHEUS_ASSIGN_OR_RETURN(std::unique_ptr<Expr> parsed,
                               ParseExpression(expr));
-  return Eval(*parsed, env);
+  return Eval(*parsed, view, env);
 }
 
 // ------------------------------------------------------------- expressions
@@ -267,6 +241,7 @@ Result<Value> QueryEngine::Eval(const std::string& expr,
 /// other expressions read the first (they must be group-constant).
 struct QueryEngine::Scope {
   const DbSnapshot& view;
+  CatalogMemo& catalog;
   std::vector<Value>& frame;
   const Environment& env;
   std::vector<std::vector<Value>>* group = nullptr;
@@ -447,12 +422,13 @@ Result<Value> Reduce(const std::string& fn, const std::vector<Value>& values) {
 
 }  // namespace
 
-Result<Value> QueryEngine::Eval(const Expr& expr,
+Result<Value> QueryEngine::Eval(const Expr& expr, const DbSnapshot& view,
                                 const Environment& env) const {
   // A standalone expression binds no range; a subquery in it sizes its own
   // frame.
   std::vector<Value> frame;
-  return EvalCopy(expr, Scope{view(), frame, env});
+  CatalogMemo catalog;
+  return EvalCopy(expr, Scope{view, catalog, frame, env});
 }
 
 Result<Value> QueryEngine::EvalCopy(const Expr& expr,
@@ -574,7 +550,8 @@ Result<const Value*> QueryEngine::Eval(const Expr& expr, const Scope& scope,
           scope.frame.size() >= sub.frame_size ? &scope.frame : nullptr;
       PROMETHEUS_ASSIGN_OR_RETURN(
           ResultSet rs,
-          ExecuteInternal(sub, frame, scope.env, nullptr, nullptr));
+          ExecuteInternal(sub, scope.view, scope.catalog, frame, scope.env,
+                          nullptr, nullptr));
       Value::List out;
       out.reserve(rs.rows.size());
       for (auto& row : rs.rows) {
@@ -1036,8 +1013,8 @@ Result<Value> QueryEngine::Aggregate(const Expr& call,
   values.reserve(scope.group->size());
   for (std::vector<Value>& frame : *scope.group) {
     PROMETHEUS_ASSIGN_OR_RETURN(
-        Value v, EvalCopy(*call.children[0], Scope{scope.view, frame,
-                                                   scope.env}));
+        Value v, EvalCopy(*call.children[0], Scope{scope.view, scope.catalog,
+                                                   frame, scope.env}));
     if (!v.is_null()) values.push_back(std::move(v));
   }
   if (call.name == "count") {
@@ -1255,8 +1232,8 @@ std::shared_ptr<const cache::PlanEntry> QueryEngine::BuildPlanEntry(
 }
 
 Result<std::vector<Value>> QueryEngine::RangeCandidates(
-    const FromRange& range, const cache::RangeAccess* access,
-    std::string* strategy) const {
+    const FromRange& range, const DbSnapshot& view, CatalogMemo& catalog,
+    const cache::RangeAccess* access, std::string* strategy) const {
   auto refs = [](const std::vector<Oid>& oids) {
     std::vector<Value> out;
     out.reserve(oids.size());
@@ -1266,33 +1243,29 @@ Result<std::vector<Value>> QueryEngine::RangeCandidates(
   const std::string& name = range.source_name;
   const EngineMetrics& metrics = EngineMetrics::Get();
   // Virtual system-catalog range: materialize a point-in-time row set (at
-  // most once per top-level execution, via the thread's CatalogScope). No
-  // index ever applies; rows are structs, not refs.
+  // most once per top-level execution, via its catalog memo). No index
+  // ever applies; rows are structs, not refs.
   if (SystemCatalog::IsCatalogName(name)) {
     if (catalog_ == nullptr || !catalog_->Has(name)) {
       return Status::NotFound("no system catalog class named '" + name + "'");
     }
     if (strategy != nullptr) *strategy = "catalog materialization of " + name;
-    if (g_catalog_scope != nullptr) {
-      auto it = g_catalog_scope->materialized.find(name);
-      if (it != g_catalog_scope->materialized.end()) return it->second;
-    }
+    auto it = catalog.find(name);
+    if (it != catalog.end()) return it->second;
     metrics.catalog_materializations->Increment();
-    std::vector<Value> rows = catalog_->Materialize(name);
-    if (g_catalog_scope != nullptr) {
-      g_catalog_scope->materialized.emplace(name, rows);
-    }
+    std::vector<Value> rows = catalog_->Materialize(name, view);
+    catalog.emplace(name, rows);
     return rows;
   }
-  const bool is_class = view().FindClass(name) != nullptr;
-  if (!is_class && view().FindRelationship(name) == nullptr) {
+  const bool is_class = view.FindClass(name) != nullptr;
+  if (!is_class && view.FindRelationship(name) == nullptr) {
     return Status::NotFound("no extent named '" + name + "'");
   }
   // Index optimization (6.1.5.2/3): replace the extent scan by an index
   // lookup or range. The candidates are a superset filter — the where
   // clause still runs on each — so the answer never depends on the path.
   if (is_class) {
-    const AccessPath path = ChooseAccessPath(indexes_, view(), name, access);
+    const AccessPath path = ChooseAccessPath(indexes_, view, name, access);
     if (path.lookup != nullptr || path.range != nullptr) {
       // The index probes that chose the path and this lookup are distinct
       // critical sections, and under MVCC the index may also have run ahead of the
@@ -1307,11 +1280,11 @@ Result<std::vector<Value>> QueryEngine::RangeCandidates(
           path.lookup != nullptr
               ? indexes_->Lookup(name, path.lookup->attribute,
                                  path.lookup->literal->literal,
-                                 view().index_epoch_ceiling())
+                                 view.index_epoch_ceiling())
               : indexes_->RangeLookup(name, path.range->attribute,
                                       bound(path.range->lower),
                                       bound(path.range->upper),
-                                      view().index_epoch_ceiling());
+                                      view.index_epoch_ceiling());
       if (oids.ok()) {
         metrics.index_lookups->Increment();
         ExtentHeat::Instance().RecordIndexHit(name, oids.value().size());
@@ -1326,12 +1299,13 @@ Result<std::vector<Value>> QueryEngine::RangeCandidates(
     *strategy = is_class ? AccessPath().Strategy(name)
                          : "extent scan of relationship " + name;
   }
-  std::vector<Oid> oids = is_class ? view().Extent(name) : view().LinkExtent(name);
+  std::vector<Oid> oids = is_class ? view.Extent(name) : view.LinkExtent(name);
   ExtentHeat::Instance().RecordScan(name, oids.size());
   return refs(oids);
 }
 
-Result<std::string> QueryEngine::Explain(const std::string& query) const {
+Result<std::string> QueryEngine::Explain(const std::string& query,
+                                         const DbSnapshot& view) const {
   PROMETHEUS_ASSIGN_OR_RETURN(std::unique_ptr<SelectQuery> parsed,
                               ParseQuery(query));
   const cache::AccessAnalysis analysis = AnalyzeAccess(*parsed);
@@ -1347,12 +1321,12 @@ Result<std::string> QueryEngine::Explain(const std::string& query) const {
                                 range.source_name + "'");
       }
       out += "catalog materialization of " + range.source_name;
-    } else if (view().FindClass(range.source_name) != nullptr) {
+    } else if (view.FindClass(range.source_name) != nullptr) {
       auto it = analysis.find(&range);
-      out += ChooseAccessPath(indexes_, view(), range.source_name,
+      out += ChooseAccessPath(indexes_, view, range.source_name,
                               it != analysis.end() ? &it->second : nullptr)
                  .Strategy(range.source_name);
-    } else if (view().FindRelationship(range.source_name) != nullptr) {
+    } else if (view.FindRelationship(range.source_name) != nullptr) {
       out += "extent scan of relationship " + range.source_name;
     } else {
       return Status::NotFound("no extent named '" + range.source_name + "'");
@@ -1364,34 +1338,21 @@ Result<std::string> QueryEngine::Explain(const std::string& query) const {
   return out;
 }
 
-Result<ResultSet> QueryEngine::Execute(const SelectQuery& query,
-                                       const Environment& outer,
-                                       const ExecutionContext* ctx) const {
-  return ExecuteInternal(query, nullptr, outer, nullptr, ctx);
-}
-
-Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
-                                               std::vector<Value>* shared,
-                                               const Environment& env,
-                                               obs::TraceNode* trace,
-                                               const ExecutionContext* ctx,
-                                               const cache::AccessAnalysis*
-                                                   access) const {
-  // Const-execution contract: this path never mutates the database. When
-  // the thread reads through a pinned snapshot the epoch is immutable by
-  // construction; when it reads the live database the caller must hold
-  // the epoch guard, so no writer can interleave and the epoch is stable
-  // across the run. An epoch change here means a racing writer (a skipped
-  // ReadGuard on the live path).
+Result<ResultSet> QueryEngine::ExecuteInternal(
+    const SelectQuery& query, const DbSnapshot& view, CatalogMemo& catalog,
+    std::vector<Value>* shared, const Environment& env, obs::TraceNode* trace,
+    const ExecutionContext* ctx, const cache::AccessAnalysis* access) const {
+  // Const-execution contract: this path never mutates the database. A
+  // pinned snapshot's epoch is immutable by construction; the live store
+  // is read only by the writer's own thread (or single-threaded), so its
+  // epoch is stable across the run too. An epoch change here means a
+  // live-store read raced a writer.
 #ifndef NDEBUG
-  const std::uint64_t epoch_at_entry = view().epoch();
+  const std::uint64_t epoch_at_entry = view.epoch();
 #endif
   if (query.from.empty()) {
     return Status::ParseError("query requires at least one range");
   }
-  // One catalog materialization per top-level query (no-op when a scope is
-  // already active, i.e. for subqueries and dependent ranges).
-  ScopedCatalogScope catalog_scope;
   // Without a cached plan (subqueries, parsed queries) the access-path
   // analysis runs here, once per call — and only when an index could use it.
   cache::AccessAnalysis local_access;
@@ -1417,7 +1378,7 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
       }
       PROMETHEUS_ASSIGN_OR_RETURN(
           rb.candidates,
-          RangeCandidates(r, range_access,
+          RangeCandidates(r, view, catalog, range_access,
                           trace != nullptr ? &rb.strategy : nullptr));
     } else {
       rb.strategy = "dependent expression (evaluated per outer binding)";
@@ -1495,7 +1456,7 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
   std::vector<Value> own;
   if (shared == nullptr) own.resize(query.frame_size);
   std::vector<Value>& frame = shared != nullptr ? *shared : own;
-  const Scope scope{view(), frame, env};
+  const Scope scope{view, catalog, frame, env};
 
   /// Bindings enumerated by the join loops — the query's "rows scanned"
   /// cardinality (profile + metrics).
@@ -1607,7 +1568,7 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
       return Status::Ok();
     }));
     for (std::vector<std::vector<Value>>* group : group_order) {
-      const Scope group_scope{scope.view, group->front(), env, group};
+      const Scope group_scope{view, catalog, group->front(), env, group};
       if (query.having != nullptr) {
         PROMETHEUS_ASSIGN_OR_RETURN(bool pass,
                                     Test(*query.having, group_scope));
@@ -1693,9 +1654,9 @@ Result<ResultSet> QueryEngine::ExecuteInternal(const SelectQuery& query,
   const EngineMetrics& metrics = EngineMetrics::Get();
   metrics.rows_scanned->Increment(scanned);
   metrics.rows_returned->Increment(result.rows.size());
-  assert(view().epoch() == epoch_at_entry &&
-         "database mutated during const query execution — caller must hold "
-         "Database::ReadGuard");
+  assert(view.epoch() == epoch_at_entry &&
+         "database mutated during const query execution — a live-store read "
+         "raced a writer");
   return result;
 }
 

@@ -11,7 +11,6 @@
 #include "common/exec_context.h"
 #include "common/result.h"
 #include "core/database.h"
-#include "core/read_view.h"
 #include "index/index_manager.h"
 #include "obs/trace.h"
 #include "query/ast.h"
@@ -48,29 +47,24 @@ struct QueryProfile {
 /// The POOL query processor (thesis ch. 5.1; architecture 6.1.5).
 ///
 /// Evaluates `select` queries and standalone expressions against a
-/// `Database`. Ranges iterate class extents *and* relationship extents
+/// database store. Ranges iterate class extents *and* relationship extents
 /// uniformly; expressions provide path navigation, selective downcast,
 /// graph traversal (`traverse`, `children`, `parents`, `leaves`), context
 /// restriction and subqueries. When an `IndexManager` is supplied, equality
 /// and range conjuncts over indexed attributes replace extent scans
 /// (6.1.5.2/3); the where-clause still filters every candidate.
 ///
-/// Const discipline / concurrency: the const execution paths (`Execute`,
-/// `Eval`, `Explain`) perform **no** `Database` mutation — results copy
-/// attribute values and hold object references as bare Oids, never aliasing
-/// engine-internal state. All reads route through `ReadViewOf(db)`: when
-/// the caller installs a pinned `DbSnapshot` — directly via the snapshot
-/// overloads below or with a `ScopedReadView` — execution is wait-free
-/// against writers and the engine never touches the live database. With no
-/// snapshot installed, reads go to the live store, where the legacy
-/// contract applies: the caller must hold a `Database::ReadGuard`, enforced
-/// in debug builds by the epoch-stability assert at the end of every
-/// execution.
+/// Every entry point names the store it reads: a pinned `DbSnapshot`
+/// (`Database::AcquireSnapshot`), or `Database::live_store()` for embedded
+/// callers and the writer thread. Execution performs **no** mutation —
+/// results copy attribute values and hold object references as bare Oids —
+/// so against a pinned snapshot it is wait-free against writers and never
+/// touches the live database. Debug builds assert that the store's epoch
+/// did not move during an execution (a live-store read racing a writer).
 class QueryEngine {
  public:
-  /// `db` (and `indexes`, when given) must outlive the engine.
-  explicit QueryEngine(Database* db, IndexManager* indexes = nullptr)
-      : db_(db), indexes_(indexes) {}
+  /// `indexes`, when given, must outlive the engine.
+  explicit QueryEngine(IndexManager* indexes = nullptr) : indexes_(indexes) {}
 
   /// Attaches a plan cache (nullable; must outlive the engine). With one
   /// attached, `Execute(text)` / `ExecuteProfiled` consult it before
@@ -88,34 +82,20 @@ class QueryEngine {
   /// materializes a point-in-time row set of `Value` structs instead of
   /// resolving a stored extent. Materialization happens at most once per
   /// top-level execution: joins and subqueries touching the same catalog
-  /// class within one query observe the same rows.
+  /// class within one query observe the same rows, and providers read the
+  /// store the query names.
   void set_system_catalog(const SystemCatalog* catalog) {
     catalog_ = catalog;
   }
   const SystemCatalog* system_catalog() const { return catalog_; }
 
-  /// Parses and runs a query. `ctx` (nullable) is a cooperative deadline /
-  /// cancellation token: the join loops call `ctx->Check()` once per
-  /// enumerated binding and unwind with `kDeadlineExceeded` / `kAborted`,
-  /// so a long scan aborts mid-execution instead of running to completion
-  /// after its caller has given up. Without a context the loops pay one
-  /// branch per binding.
-  Result<ResultSet> Execute(const std::string& query,
-                            const ExecutionContext* ctx = nullptr) const;
-
-  /// Parses and runs a query against an explicit read view (typically a
-  /// pinned `DbSnapshot`): installs it as the thread's view for the
-  /// duration, so every read — including index-fallback extent scans and
-  /// subqueries — observes exactly that snapshot.
+  /// Parses and runs a query against `view`. `ctx` (nullable) is a
+  /// cooperative deadline / cancellation token: the join loops call
+  /// `ctx->Check()` once per enumerated binding and unwind with
+  /// `kDeadlineExceeded` / `kAborted`, so a long scan aborts mid-execution
+  /// instead of running to completion after its caller has given up.
+  /// Without a context the loops pay one branch per binding.
   Result<ResultSet> Execute(const std::string& query, const DbSnapshot& view,
-                            const ExecutionContext* ctx = nullptr) const {
-    ScopedReadView scope(&view);
-    return Execute(query, ctx);
-  }
-
-  /// Runs a parsed query; `outer` provides the names its ranges do not
-  /// bind (correlated bindings).
-  Result<ResultSet> Execute(const SelectQuery& query, const Environment& outer,
                             const ExecutionContext* ctx = nullptr) const;
 
   /// Parses and runs a query with span tracing: returns the rows plus the
@@ -123,37 +103,32 @@ class QueryEngine {
   /// a leading `profile` keyword. Tracing costs two clock reads per stage;
   /// the unprofiled `Execute` path pays none of it.
   Result<QueryProfile> ExecuteProfiled(
-      const std::string& query, const ExecutionContext* ctx = nullptr) const;
-
-  /// Profiled execution against an explicit read view; see the `Execute`
-  /// overload above.
-  Result<QueryProfile> ExecuteProfiled(
       const std::string& query, const DbSnapshot& view,
-      const ExecutionContext* ctx = nullptr) const {
-    ScopedReadView scope(&view);
-    return ExecuteProfiled(query, ctx);
-  }
+      const ExecutionContext* ctx = nullptr) const;
 
-  /// Parses and evaluates a standalone expression under `env`.
-  Result<Value> Eval(const std::string& expr, const Environment& env) const;
+  /// Describes the execution strategy chosen for `query` against `view`,
+  /// one line per range: extent scan, index lookup or index range (with
+  /// the attribute), or dependent expression — the observable face of the
+  /// optimiser (6.1.5.3). The strategy strings are the ones PROFILE
+  /// reports.
+  Result<std::string> Explain(const std::string& query,
+                              const DbSnapshot& view) const;
 
-  /// Describes the execution strategy chosen for `query`, one line per
-  /// range: extent scan, index lookup or index range (with the attribute),
-  /// or dependent expression — the observable face of the optimiser
-  /// (6.1.5.3). The strategy strings are the ones PROFILE reports.
-  Result<std::string> Explain(const std::string& query) const;
-
-  /// Evaluates a parsed expression under `env`.
-  Result<Value> Eval(const Expr& expr, const Environment& env) const;
-
-  const Database* db() const { return db_; }
+  /// Evaluates a standalone expression against `view` under `env`, from
+  /// its text or already parsed.
+  Result<Value> Eval(const std::string& expr, const DbSnapshot& view,
+                     const Environment& env) const;
+  Result<Value> Eval(const Expr& expr, const DbSnapshot& view,
+                     const Environment& env) const;
 
  private:
   struct RangeBinding;
   struct Scope;
 
-  /// The store reads route through (see `ReadViewOf`).
-  const DbSnapshot& view() const { return ReadViewOf(*db_); }
+  /// The `sys.*` rows one top-level execution has materialised, by class:
+  /// its subqueries and dependent ranges reuse them, so a self-join of
+  /// `sys.requests` sees one point-in-time row set.
+  using CatalogMemo = std::unordered_map<std::string, std::vector<Value>>;
 
   // The one evaluator. `Eval` reads an operand in place: the result points
   // at a literal, a frame slot, an Environment entry or a member inside
@@ -175,16 +150,18 @@ class QueryEngine {
   /// argument) over the frames of `scope.group`.
   Result<Value> Aggregate(const Expr& call, const Scope& scope) const;
 
-  /// Runs a parsed query with its range variables bound in `shared` — a
-  /// caller's frame of at least `query.frame_size` slots — or, when null,
-  /// in a frame of its own; every other name is looked up in `env`.
+  /// Runs a parsed query against `view` with its range variables bound in
+  /// `shared` — a caller's frame of at least `query.frame_size` slots — or,
+  /// when null, in a frame of its own; every other name is looked up in
+  /// `env`. `catalog` is the top-level execution's catalog memo.
   /// `trace` (nullable) receives plan/execute/sort/project child spans
   /// when profiling; `ctx` (nullable) is checked once per enumerated
   /// binding; `access` (nullable) is the cached access-path analysis of
   /// `query` — without one it is derived here, once per call.
   Result<ResultSet> ExecuteInternal(
-      const SelectQuery& query, std::vector<Value>* shared,
-      const Environment& env, obs::TraceNode* trace,
+      const SelectQuery& query, const DbSnapshot& view, CatalogMemo& catalog,
+      std::vector<Value>* shared, const Environment& env,
+      obs::TraceNode* trace,
       const ExecutionContext* ctx,
       const cache::AccessAnalysis* access = nullptr) const;
 
@@ -192,6 +169,8 @@ class QueryEngine {
   /// `access` (nullable: the range's analysis) offers a conjunct an index
   /// can serve. `strategy` (nullable) receives the access path taken.
   Result<std::vector<Value>> RangeCandidates(const FromRange& range,
+                                             const DbSnapshot& view,
+                                             CatalogMemo& catalog,
                                              const cache::RangeAccess* access,
                                              std::string* strategy) const;
 
@@ -207,7 +186,6 @@ class QueryEngine {
   std::shared_ptr<const cache::PlanEntry> BuildPlanEntry(
       std::shared_ptr<const SelectQuery> ast) const;
 
-  Database* db_;
   IndexManager* indexes_;
   cache::PlanCache* plan_cache_ = nullptr;
   const SystemCatalog* catalog_ = nullptr;

@@ -27,9 +27,10 @@ bool SystemCatalog::Has(const std::string& name) const {
   return false;
 }
 
-std::vector<Value> SystemCatalog::Materialize(const std::string& name) const {
+std::vector<Value> SystemCatalog::Materialize(const std::string& name,
+                                              const DbSnapshot& view) const {
   for (const Entry& e : entries_) {
-    if (e.info.name == name) return e.provider();
+    if (e.info.name == name) return e.provider(view);
   }
   return {};
 }

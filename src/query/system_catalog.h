@@ -9,6 +9,10 @@
 
 #include "common/value.h"
 
+namespace prometheus {
+class DbSnapshot;
+}  // namespace prometheus
+
 namespace prometheus::pool {
 
 /// The virtual system catalog: a family of read-only `sys.*` classes whose
@@ -22,14 +26,15 @@ namespace prometheus::pool {
 ///
 /// Providers are plain closures registered once at server construction, so
 /// this module stays dependency-light: it knows nothing about the obs /
-/// cache / replication layers it ends up describing. Materialization happens
-/// at most once per query execution (the engine installs a per-query scope),
-/// which is what makes a self-join of `sys.requests` against itself — or a
-/// join against a real taxon extent — see one consistent point-in-time row
-/// set.
+/// cache / replication layers it ends up describing. Each receives the
+/// store the query reads, so schema-describing classes answer for the
+/// query's own snapshot. Materialization happens at most once per query
+/// execution (the engine memoizes rows per top-level query), which is what
+/// makes a self-join of `sys.requests` against itself — or a join against
+/// a real taxon extent — see one consistent point-in-time row set.
 class SystemCatalog {
  public:
-  using Provider = std::function<std::vector<Value>()>;
+  using Provider = std::function<std::vector<Value>(const DbSnapshot&)>;
 
   struct ClassInfo {
     std::string name;                     // "sys.metrics"
@@ -47,9 +52,10 @@ class SystemCatalog {
 
   bool Has(const std::string& name) const;
 
-  /// Runs the provider and returns the materialized rows. Returns an empty
-  /// vector for unregistered names.
-  std::vector<Value> Materialize(const std::string& name) const;
+  /// Runs the provider against `view` and returns the materialized rows.
+  /// Returns an empty vector for unregistered names.
+  std::vector<Value> Materialize(const std::string& name,
+                                 const DbSnapshot& view) const;
 
   /// Registered classes in registration order (used by `sys.catalog` and the
   /// shell's `.sys` listing).

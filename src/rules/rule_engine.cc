@@ -34,7 +34,7 @@ struct RuleMetrics {
 
 }  // namespace
 
-RuleEngine::RuleEngine(Database* db) : db_(db), engine_(db) {
+RuleEngine::RuleEngine(Database* db) : db_(db) {
   listener_ = db_->bus().Subscribe(
       [this](const Event& e) { return OnEvent(e); },
       /*priority=*/0);
@@ -207,14 +207,14 @@ Status RuleEngine::EvaluateRule(const CompiledRule& rule,
   ++evaluations_;
   RuleMetrics::Get().evaluations->Increment();
   if (rule.applicability != nullptr) {
-    auto applies = engine_.Eval(*rule.applicability, env);
+    auto applies = engine_.Eval(*rule.applicability, db_->live_store(), env);
     // A failing applicability check means the rule does not apply.
     if (!applies.ok() || applies.value().type() != ValueType::kBool ||
         !applies.value().AsBool()) {
       return Status::Ok();
     }
   }
-  auto held = engine_.Eval(*rule.condition, env);
+  auto held = engine_.Eval(*rule.condition, db_->live_store(), env);
   std::string detail;
   bool ok = false;
   if (held.ok() && held.value().type() == ValueType::kBool) {

@@ -7,7 +7,6 @@
 
 #include "cache/result_size.h"
 #include "common/exec_context.h"
-#include "core/read_view.h"
 #include "core/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -233,8 +232,8 @@ Value Server::Health::ToRow() const {
 Server::Server(Database* db, Options options)
     : db_(db),
       query_cache_(options.cache),
-      engine_(db, options.indexes),
-      catalog_engine_(db, options.indexes),
+      engine_(options.indexes),
+      catalog_engine_(options.indexes),
       slow_log_(options.slow_query_micros, options.slow_query_capacity),
       flight_recorder_(options.flight_recorder_capacity),
       executor_(ThreadPoolExecutor::Options{options.worker_threads,
@@ -327,7 +326,7 @@ void Server::RegisterSystemCatalog() {
   // describe itself; materialization runs after every Register call).
   catalog_.Register(
       "sys.catalog", "Every sys.* class: name, help, attributes",
-      {"class", "help", "attributes"}, [this]() {
+      {"class", "help", "attributes"}, [this](const DbSnapshot&) {
         std::vector<Value> rows;
         for (const SystemCatalog::ClassInfo& info : catalog_.ListClasses()) {
           rows.push_back(Value::MakeStruct({{"class", Value::String(info.name)},
@@ -345,7 +344,7 @@ void Server::RegisterSystemCatalog() {
       "sys.metrics",
       "Every registered metric: counters, gauges and histogram summaries",
       {"name", "kind", "value", "count", "sum", "p50", "p95", "p99", "help"},
-      []() {
+      [](const DbSnapshot&) {
         obs::UpdateProcessUptime();
         const obs::MetricsSnapshot snap = obs::Registry().Snapshot();
         std::vector<Value> rows;
@@ -398,7 +397,7 @@ void Server::RegisterSystemCatalog() {
        "executed", "epoch", "queue_wait_micros", "total_micros",
        "guard_wait_micros", "execute_micros", "journal_micros", "detail",
        "stages"},
-      [this]() {
+      [this](const DbSnapshot&) {
         std::vector<Value> rows;
         for (const obs::FlightRecorder::Entry& e :
              flight_recorder_.Snapshot()) {
@@ -431,7 +430,7 @@ void Server::RegisterSystemCatalog() {
       "The slow-query log: queries over the threshold, oldest first",
       {"request_id", "trace_id", "query", "micros", "queue_micros",
        "guard_wait_micros", "execute_micros", "profile"},
-      [this]() {
+      [this](const DbSnapshot&) {
         std::vector<Value> rows;
         for (const obs::SlowQueryLog::Entry& e : slow_log_.entries()) {
           rows.push_back(Value::MakeStruct(
@@ -470,21 +469,23 @@ void Server::RegisterSystemCatalog() {
   const std::vector<std::string> contention_attributes = {
       "state",      "count",      "total_micros", "mean_micros",
       "p50_micros", "p95_micros", "p99_micros"};
-  catalog_.Register("sys.contention",
-                    "Cumulative wait-state statistics (the contention report)",
-                    contention_attributes,
-                    [contention]() { return contention(false); });
+  catalog_.Register(
+      "sys.contention",
+      "Cumulative wait-state statistics (the contention report)",
+      contention_attributes,
+      [contention](const DbSnapshot&) { return contention(false); });
   catalog_.Register(
       "sys.contention_window",
       "Wait-state statistics since the previous read of this class "
       "(reading consumes the window)",
-      contention_attributes, [contention]() { return contention(true); });
+      contention_attributes,
+      [contention](const DbSnapshot&) { return contention(true); });
 
   // sys.cache — the canonical QueryCacheStats::Fields() rows, shared with
   // `.cache stats` so the two surfaces can never drift.
   catalog_.Register(
       "sys.cache", "Query-cache statistics (both tiers), field/value rows",
-      {"field", "value"}, [this]() {
+      {"field", "value"}, [this](const DbSnapshot&) {
         std::vector<Value> rows;
         for (auto& [field, value] : query_cache_.Stats().Fields()) {
           rows.push_back(
@@ -501,7 +502,7 @@ void Server::RegisterSystemCatalog() {
       {"role", "connected", "caught_up", "generation", "journal_seq", "offset",
        "records_applied", "lag_records", "lag_bytes", "reconnects",
        "rebootstraps", "corrupt_frames", "polls"},
-      [this]() {
+      [this](const DbSnapshot&) {
         return replication_rows_ ? replication_rows_()
                                  : std::vector<Value>{};
       });
@@ -516,7 +517,9 @@ void Server::RegisterSystemCatalog() {
   catalog_.Register(
       "sys.health", "Overload/degradation summary (one row; /health)",
       std::move(health_fields),
-      [this]() { return std::vector<Value>{health().ToRow()}; });
+      [this](const DbSnapshot&) {
+        return std::vector<Value>{health().ToRow()};
+      });
 
   // sys.snapshots — MVCC retention/pinning, one row.
   catalog_.Register(
@@ -524,7 +527,7 @@ void Server::RegisterSystemCatalog() {
       "MVCC snapshot state: retained versions, live/pinned snapshots",
       {"retained_versions", "live_snapshots", "pinned_snapshots",
        "oldest_pinned_epoch", "epoch"},
-      [this]() {
+      [this](const DbSnapshot& view) {
         std::vector<Value> rows;
         rows.push_back(Value::MakeStruct(
             {{"retained_versions",
@@ -536,17 +539,17 @@ void Server::RegisterSystemCatalog() {
              {"oldest_pinned_epoch",
               Value::Int(
                   static_cast<std::int64_t>(db_->oldest_pinned_epoch()))},
-             {"epoch", Value::Int(static_cast<std::int64_t>(
-                           ReadViewOf(*db_).epoch()))}}));
+             {"epoch",
+              Value::Int(static_cast<std::int64_t>(view.epoch()))}}));
         return rows;
       });
 
-  // sys.classes — the schema, through the query's read view (a catalog
+  // sys.classes — the schema of the store the query reads (a catalog
   // query joining sys.classes against real extents sees one MVCC cut).
   catalog_.Register(
       "sys.classes", "Every class definition in the schema",
-      {"name", "abstract", "supers", "subclasses", "attributes"}, [this]() {
-        const DbSnapshot& view = ReadViewOf(*db_);
+      {"name", "abstract", "supers", "subclasses", "attributes"},
+      [](const DbSnapshot& view) {
         std::vector<Value> rows;
         for (const ClassDef* cls : view.classes()) {
           std::vector<std::string> supers, subs, attrs;
@@ -576,8 +579,7 @@ void Server::RegisterSystemCatalog() {
       "coverage, scan/index heat",
       {"class", "rows", "approx_bytes", "indexes", "scans", "index_hits",
        "rows_scanned"},
-      [this]() {
-        const DbSnapshot& view = ReadViewOf(*db_);
+      [this](const DbSnapshot& view) {
         std::vector<pool::ExtentHeat::Counters> heat =
             pool::ExtentHeat::Instance().Snapshot();
         auto heat_for = [&heat](const std::string& name) {
@@ -984,7 +986,7 @@ bool Server::TryServeFromCache(RequestId id, const Request& req,
   // Lock-free validation: the entry serves only if its materialization
   // epoch is *still* the database's current epoch — every committed write
   // (local or replicated) bumps it, so a hit is indistinguishable from
-  // re-executing under a fresh read guard.
+  // re-executing against a freshly pinned snapshot.
   const std::uint64_t epoch = db_->epoch();
   std::shared_ptr<const pool::ResultSet> rows =
       query_cache_.results().Lookup(key, epoch);
@@ -1170,10 +1172,7 @@ Response Server::ExecuteQuery(RequestId id, const Request& req,
       // than an Explain costs, and the plan is the diagnostic that matters.
       // Explained against the same pinned snapshot so the logged plan
       // reflects the schema the query actually saw.
-      Result<std::string> plan = [&] {
-        ScopedReadView scope(snap.get());
-        return engine_.Explain(req.query);
-      }();
+      Result<std::string> plan = engine_.Explain(req.query, *snap);
       obs::SlowQueryLog::Entry slow;
       slow.request_id = id;
       slow.trace_id = req.trace_id;
@@ -1237,9 +1236,9 @@ Response Server::ExecuteMutation(RequestId id, const Request& req) {
   Database::WriteGuard guard(*db_);
   resp.waits.guard_wait_micros = guard.wait_micros();
   resp.epoch = db_->epoch();
-  // Writer-starvation watchdog: under MVCC readers never hold the guard,
-  // so a long exclusive wait means a *writer* ahead of this one stalled
-  // (journal sync, giant transaction). Surface it in the slow-query log —
+  // Writer-starvation watchdog: the guard is writers-only, so a long wait
+  // means a *writer* ahead of this one stalled (journal sync, giant
+  // transaction). Surface it in the slow-query log —
   // where an operator is already looking when latency spikes — alongside
   // the guard_writer_longest_wait_micros gauge the guard keeps.
   if (writer_wait_warn_micros_ >= 0 &&

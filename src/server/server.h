@@ -31,13 +31,13 @@ namespace prometheus::server {
 /// Concurrency protocol (MVCC snapshot reads; see `Database`):
 ///  - **kQuery** requests pin an immutable `DbSnapshot` at dequeue
 ///    (`Database::AcquireSnapshot`) and execute against it with **no**
-///    shared lock — any number run in parallel, each sees one consistent
+///    lock — any number run in parallel, each sees one consistent
 ///    cut for its whole evaluation (the paper's single-user query
 ///    semantics per request), and none ever blocks behind a writer. A
 ///    writer stalled in journal_sync degrades write latency only; the
 ///    read fleet keeps serving the last published snapshot.
-///  - **kMutation** requests execute under `Database::WriteGuard` —
-///    exclusive among writers, so the journal (when a `DurableStore`
+///  - **kMutation** requests execute under `Database::WriteGuard` — the
+///    writers-only epoch guard, so the journal (when a `DurableStore`
 ///    wraps the database) observes a serial mutation history. Commit
 ///    publishes the next snapshot before the epoch becomes observable.
 ///

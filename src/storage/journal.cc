@@ -366,7 +366,8 @@ Result<std::unique_ptr<Journal>> Journal::Open(Database* db,
                               env->NewWritableFile(path, /*truncate=*/true));
   PROMETHEUS_RETURN_IF_ERROR(
       file->Append(std::string(kJournalHeaderFull) + "\n"));
-  for (const std::string& record : SchemaRecords(*db)) {
+  const DbSnapshot& store = db->live_store();
+  for (const std::string& record : SchemaRecords(store)) {
     PROMETHEUS_RETURN_IF_ERROR(file->Append(FrameRecord(record)));
   }
   // A `full` journal must replay to the database's state standalone: a
@@ -377,14 +378,14 @@ Result<std::unique_ptr<Journal>> Journal::Open(Database* db,
   for (const ClassDef* cls : db->classes()) {
     for (Oid oid : db->Extent(cls->name(), /*include_subclasses=*/false)) {
       PROMETHEUS_RETURN_IF_ERROR(
-          file->Append(FrameRecord(ObjectRecord(*db, oid))));
+          file->Append(FrameRecord(ObjectRecord(store, oid))));
     }
   }
   for (const RelationshipDef* rel : db->relationships()) {
     for (Oid oid :
          db->LinkExtent(rel->name(), /*include_subrelationships=*/false)) {
       PROMETHEUS_RETURN_IF_ERROR(
-          file->Append(FrameRecord(LinkRecord(*db, oid))));
+          file->Append(FrameRecord(LinkRecord(store, oid))));
     }
   }
   for (const ClassDef* cls : db->classes()) {
@@ -545,7 +546,7 @@ void Journal::OnEventLocked(const Event& event) {
       pending_.clear();
       break;
     case EventKind::kAfterCreateObject:
-      EmitLocked(ObjectRecord(*db_, event.subject));
+      EmitLocked(ObjectRecord(db_->live_store(), event.subject));
       break;
     case EventKind::kAfterDeleteObject:
       EmitLocked("DELO " + std::to_string(event.subject));
@@ -559,7 +560,7 @@ void Journal::OnEventLocked(const Event& event) {
       break;
     }
     case EventKind::kAfterCreateLink:
-      EmitLocked(LinkRecord(*db_, event.subject));
+      EmitLocked(LinkRecord(db_->live_store(), event.subject));
       break;
     case EventKind::kAfterDeleteLink:
       EmitLocked("DELL " + std::to_string(event.subject));
@@ -583,17 +584,20 @@ void Journal::OnEventLocked(const Event& event) {
     // excluded from record_count_ on replay and on followers, so they are
     // excluded here too, or replicas would report phantom lag forever.
     case EventKind::kAfterDefineClass: {
-      const std::string record = ClassRecord(*db_, event.type_name);
+      const std::string record =
+          ClassRecord(db_->live_store(), event.type_name);
       if (!record.empty()) AppendLocked(record);
       break;
     }
     case EventKind::kAfterDefineTemplate: {
-      const std::string record = TemplateRecord(*db_, event.type_name);
+      const std::string record =
+          TemplateRecord(db_->live_store(), event.type_name);
       if (!record.empty()) AppendLocked(record);
       break;
     }
     case EventKind::kAfterDefineRelationship: {
-      const std::string record = RelationshipRecord(*db_, event.type_name);
+      const std::string record =
+          RelationshipRecord(db_->live_store(), event.type_name);
       if (!record.empty()) AppendLocked(record);
       break;
     }

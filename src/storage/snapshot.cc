@@ -309,7 +309,7 @@ void WriteSemantics(std::ostream& out, const RelationshipSemantics& sem) {
 
 }  // namespace
 
-std::string ClassRecord(const Database& db, const std::string& name) {
+std::string ClassRecord(const DbSnapshot& db, const std::string& name) {
   const ClassDef* cls = db.FindClass(name);
   if (cls == nullptr) return "";
   std::ostringstream out;
@@ -333,21 +333,20 @@ std::string ClassRecord(const Database& db, const std::string& name) {
   return out.str();
 }
 
-std::string TemplateRecord(const Database& db, const std::string& name) {
-  const RelationshipSemantics* sem = db.FindTemplateSemantics(name);
-  const std::vector<AttributeDef>* attrs = db.FindTemplateAttributes(name);
-  if (sem == nullptr || attrs == nullptr) return "";
+std::string TemplateRecord(const DbSnapshot& db, const std::string& name) {
+  const RelationshipTemplate* tpl = db.FindTemplate(name);
+  if (tpl == nullptr) return "";
   std::ostringstream out;
   out << "TMPL " << EncodeString(name) << " ";
-  WriteSemantics(out, *sem);
-  out << " " << attrs->size();
-  for (const AttributeDef& a : *attrs) {
+  WriteSemantics(out, tpl->semantics);
+  out << " " << tpl->attributes.size();
+  for (const AttributeDef& a : tpl->attributes) {
     WriteAttributeDef(out, a);
   }
   return out.str();
 }
 
-std::string RelationshipRecord(const Database& db, const std::string& name) {
+std::string RelationshipRecord(const DbSnapshot& db, const std::string& name) {
   const RelationshipDef* rel = db.FindRelationship(name);
   if (rel == nullptr) return "";
   std::ostringstream out;
@@ -366,7 +365,7 @@ std::string RelationshipRecord(const Database& db, const std::string& name) {
   return out.str();
 }
 
-std::vector<std::string> SchemaRecords(const Database& db) {
+std::vector<std::string> SchemaRecords(const DbSnapshot& db) {
   std::vector<std::string> records;
   for (const ClassDef* cls : db.classes()) {
     records.push_back(ClassRecord(db, cls->name()));
@@ -381,7 +380,7 @@ std::vector<std::string> SchemaRecords(const Database& db) {
   return records;
 }
 
-Status WriteSchemaRecords(const Database& db, std::ostream& out) {
+Status WriteSchemaRecords(const DbSnapshot& db, std::ostream& out) {
   for (const std::string& record : SchemaRecords(db)) {
     out << record << "\n";
   }
@@ -389,7 +388,7 @@ Status WriteSchemaRecords(const Database& db, std::ostream& out) {
   return Status::Ok();
 }
 
-std::string ObjectRecord(const Database& db, Oid oid) {
+std::string ObjectRecord(const DbSnapshot& db, Oid oid) {
   const Object* obj = db.GetObject(oid);
   if (obj == nullptr) return "";
   std::ostringstream out;
@@ -401,7 +400,7 @@ std::string ObjectRecord(const Database& db, Oid oid) {
   return out.str();
 }
 
-std::string LinkRecord(const Database& db, Oid oid) {
+std::string LinkRecord(const DbSnapshot& db, Oid oid) {
   const Link* link = db.GetLink(oid);
   if (link == nullptr) return "";
   std::ostringstream out;
@@ -552,7 +551,7 @@ Status ApplyRecord(Database* db, const std::string& line, bool* end) {
   return Status::IoError("unknown record '" + tag + "'");
 }
 
-Status SaveSnapshot(const Database& db, std::ostream& out) {
+Status SaveSnapshot(const DbSnapshot& db, std::ostream& out) {
   out << kMagic << "\n";
   PROMETHEUS_RETURN_IF_ERROR(WriteSchemaRecords(db, out));
   // Objects first (contexts are objects, so link records resolve), then
@@ -581,7 +580,8 @@ Status SaveSnapshot(const Database& db, std::ostream& out) {
   return Status::Ok();
 }
 
-Status SaveSnapshot(const Database& db, const std::string& path, Env* env) {
+Status SaveSnapshot(const DbSnapshot& db, const std::string& path,
+                    Env* env) {
   if (env == nullptr) env = Env::Default();
   // Stage the full snapshot in memory, then write-to-temp + fsync + rename
   // so a crash at any point leaves an existing snapshot at `path` intact.
@@ -612,8 +612,12 @@ Status SaveSnapshot(const Database& db, const std::string& path, Env* env) {
   return env->SyncDir(dir);
 }
 
-Status SaveSnapshot(const Database& db, const std::string& path) {
-  return SaveSnapshot(db, path, nullptr);
+Status SaveSnapshot(const Database& db, std::ostream& out) {
+  return SaveSnapshot(db.live_store(), out);
+}
+
+Status SaveSnapshot(const Database& db, const std::string& path, Env* env) {
+  return SaveSnapshot(db.live_store(), path, env);
 }
 
 Status LoadSnapshot(Database* db, std::istream& in) {

@@ -33,15 +33,15 @@ Result<Value> DecodeValue(const std::string& text, std::size_t* pos);
 /// render one instance; `ApplyRecord` parses and applies any record to a
 /// database (with semantic checks suspended — records describe
 /// already-validated history).
-std::vector<std::string> SchemaRecords(const Database& db);
-Status WriteSchemaRecords(const Database& db, std::ostream& out);
-std::string ObjectRecord(const Database& db, Oid oid);
-std::string LinkRecord(const Database& db, Oid oid);
+std::vector<std::string> SchemaRecords(const DbSnapshot& db);
+Status WriteSchemaRecords(const DbSnapshot& db, std::ostream& out);
+std::string ObjectRecord(const DbSnapshot& db, Oid oid);
+std::string LinkRecord(const DbSnapshot& db, Oid oid);
 /// Render one schema entity by name (empty string when absent) — the
 /// journal uses these to make runtime DDL durable as it happens.
-std::string ClassRecord(const Database& db, const std::string& name);
-std::string TemplateRecord(const Database& db, const std::string& name);
-std::string RelationshipRecord(const Database& db, const std::string& name);
+std::string ClassRecord(const DbSnapshot& db, const std::string& name);
+std::string TemplateRecord(const DbSnapshot& db, const std::string& name);
+std::string RelationshipRecord(const DbSnapshot& db, const std::string& name);
 
 /// Applies one record line. Returns true in `*end` for the END record.
 /// DELO/DELL of already-absent targets are ignored (cascades may have
@@ -52,7 +52,9 @@ Status ApplyRecord(Database* db, const std::string& line, bool* end);
 /// prototype): full-database snapshots.
 ///
 /// `SaveSnapshot` writes schema, all live objects and links (with their
-/// classification contexts and attributes) and the synonym sets.
+/// classification contexts and attributes) and the synonym sets of a store:
+/// a pinned snapshot, or a database's live store (the `Database`
+/// overloads).
 /// `LoadSnapshot` restores them into an *empty* database, preserving every
 /// Oid, so persisted references stay valid across processes.
 ///
@@ -63,8 +65,11 @@ Status ApplyRecord(Database* db, const std::string& line, bool* end);
 ///  - `LoadSnapshot` verifies the stream is complete (END record present)
 ///    *before* applying anything, so a truncated snapshot reports
 ///    `kIoError` and leaves the target database untouched.
-Status SaveSnapshot(const Database& db, const std::string& path);
-Status SaveSnapshot(const Database& db, const std::string& path, Env* env);
+Status SaveSnapshot(const DbSnapshot& db, const std::string& path,
+                    Env* env = nullptr);
+Status SaveSnapshot(const DbSnapshot& db, std::ostream& out);
+Status SaveSnapshot(const Database& db, const std::string& path,
+                    Env* env = nullptr);
 Status SaveSnapshot(const Database& db, std::ostream& out);
 Status LoadSnapshot(Database* db, const std::string& path);
 Status LoadSnapshot(Database* db, std::istream& in);

@@ -75,7 +75,7 @@ TaxonomyDatabase::TaxonomyDatabase() : db_(std::make_unique<Database>()) {
   (void)st;  // fresh database: schema definition cannot fail
   classifications_ = std::make_unique<ClassificationManager>(db_.get());
   rules_ = std::make_unique<RuleEngine>(db_.get());
-  query_ = std::make_unique<pool::QueryEngine>(db_.get());
+  query_ = std::make_unique<pool::QueryEngine>();
 }
 
 TaxonomyDatabase::~TaxonomyDatabase() = default;
@@ -373,18 +373,17 @@ Status TaxonomyDatabase::RecordPlacement(Oid name, Oid genus_name) {
 
 Oid TaxonomyDatabase::PlacementOf(Oid name) const {
   std::vector<Oid> targets =
-      ReadViewOf(*db_).Neighbors(name, kPlacementRel, Direction::kOut);
+      db_->Neighbors(name, kPlacementRel, Direction::kOut);
   return targets.empty() ? kNullOid : targets.front();
 }
 
 std::vector<Oid> TaxonomyDatabase::TypesOf(Oid name,
                                            const TypeKind* kind) const {
-  const DbSnapshot& rv = ReadViewOf(*db_);
   std::vector<Oid> out;
   for (const char* rel : {kTypifiedBySpecimenRel, kTypifiedByNameRel}) {
-    for (Oid lid : rv.IncidentLinks(name, Direction::kOut,
-                                    rv.FindRelationship(rel))) {
-      const Link* link = rv.GetLink(lid);
+    for (Oid lid : db_->IncidentLinks(name, Direction::kOut,
+                                      db_->FindRelationship(rel))) {
+      const Link* link = db_->GetLink(lid);
       if (kind != nullptr) {
         auto k = link->attrs.find("type_kind");
         if (k == link->attrs.end() ||
@@ -403,7 +402,7 @@ std::vector<Oid> TaxonomyDatabase::PrimaryTypeSpecimensOf(Oid name) const {
   for (TypeKind kind :
        {TypeKind::kHolotype, TypeKind::kLectotype, TypeKind::kNeotype}) {
     for (Oid type : TypesOf(name, &kind)) {
-      if (ReadViewOf(*db_).IsInstanceOf(type, kSpecimenClass)) {
+      if (db_->IsInstanceOf(type, kSpecimenClass)) {
         out.push_back(type);
       }
     }
@@ -414,7 +413,7 @@ std::vector<Oid> TaxonomyDatabase::PrimaryTypeSpecimensOf(Oid name) const {
 std::vector<Oid> TaxonomyDatabase::NamesTypifiedBy(Oid type) const {
   std::vector<Oid> out;
   for (const char* rel : {kTypifiedBySpecimenRel, kTypifiedByNameRel}) {
-    for (Oid src : ReadViewOf(*db_).Neighbors(type, rel, Direction::kIn)) {
+    for (Oid src : db_->Neighbors(type, rel, Direction::kIn)) {
       out.push_back(src);
     }
   }
@@ -422,20 +421,19 @@ std::vector<Oid> TaxonomyDatabase::NamesTypifiedBy(Oid type) const {
 }
 
 Result<std::string> TaxonomyDatabase::FullName(Oid name) const {
-  const DbSnapshot& rv = ReadViewOf(*db_);
-  if (!rv.IsInstanceOf(name, kNameClass)) {
+  if (!db_->IsInstanceOf(name, kNameClass)) {
     return Status::NotFound("@" + std::to_string(name) + " is not a name");
   }
   PROMETHEUS_ASSIGN_OR_RETURN(Value element,
-                              rv.GetAttribute(name, "name_element"));
-  PROMETHEUS_ASSIGN_OR_RETURN(Value author, rv.GetAttribute(name, "author"));
+                              db_->GetAttribute(name, "name_element"));
+  PROMETHEUS_ASSIGN_OR_RETURN(Value author, db_->GetAttribute(name, "author"));
   PROMETHEUS_ASSIGN_OR_RETURN(Rank rank, RankOf(name));
   std::string text;
   if (IsMultinomial(rank)) {
     Oid genus = PlacementOf(name);
     if (genus != kNullOid) {
       PROMETHEUS_ASSIGN_OR_RETURN(Value genus_element,
-                                  rv.GetAttribute(genus, "name_element"));
+                                  db_->GetAttribute(genus, "name_element"));
       if (genus_element.type() == ValueType::kString) {
         text += genus_element.AsString() + " ";
       }
@@ -458,7 +456,7 @@ Status TaxonomyDatabase::SetNameStatus(Oid name, NameStatus status) {
 
 Result<NameStatus> TaxonomyDatabase::NameStatusOf(Oid name) const {
   PROMETHEUS_ASSIGN_OR_RETURN(Value status,
-                              ReadViewOf(*db_).GetAttribute(name, "status"));
+                              db_->GetAttribute(name, "status"));
   if (status.type() != ValueType::kString) {
     return Status::NotFound("no status recorded");
   }
@@ -480,17 +478,15 @@ Result<Oid> TaxonomyDatabase::AddDetermination(Oid specimen, Oid name,
 }
 
 std::vector<Oid> TaxonomyDatabase::DeterminationsOf(Oid specimen) const {
-  const DbSnapshot& rv = ReadViewOf(*db_);
-  return rv.IncidentLinks(specimen, Direction::kOut,
-                          rv.FindRelationship(kDeterminedAsRel));
+  return db_->IncidentLinks(specimen, Direction::kOut,
+                            db_->FindRelationship(kDeterminedAsRel));
 }
 
 std::vector<std::vector<Oid>> TaxonomyDatabase::FindHomonyms() const {
-  const DbSnapshot& rv = ReadViewOf(*db_);
   std::unordered_map<std::string, std::vector<Oid>> groups;
-  for (Oid name : rv.Extent(kNameClass)) {
-    auto element = rv.GetAttribute(name, "name_element");
-    auto rank = rv.GetAttribute(name, "rank");
+  for (Oid name : db_->Extent(kNameClass)) {
+    auto element = db_->GetAttribute(name, "name_element");
+    auto rank = db_->GetAttribute(name, "rank");
     if (!element.ok() || !rank.ok() ||
         element.value().type() != ValueType::kString ||
         rank.value().type() != ValueType::kString) {
@@ -554,19 +550,19 @@ Status TaxonomyDatabase::AscribeName(Oid taxon, Oid name) {
 
 Oid TaxonomyDatabase::AscribedNameOf(Oid taxon) const {
   std::vector<Oid> names =
-      ReadViewOf(*db_).Neighbors(taxon, kAscribedNameRel, Direction::kOut);
+      db_->Neighbors(taxon, kAscribedNameRel, Direction::kOut);
   return names.empty() ? kNullOid : names.front();
 }
 
 Oid TaxonomyDatabase::CalculatedNameOf(Oid taxon) const {
   std::vector<Oid> names =
-      ReadViewOf(*db_).Neighbors(taxon, kCalculatedNameRel, Direction::kOut);
+      db_->Neighbors(taxon, kCalculatedNameRel, Direction::kOut);
   return names.empty() ? kNullOid : names.front();
 }
 
 Result<Rank> TaxonomyDatabase::RankOf(Oid taxon_or_name) const {
   PROMETHEUS_ASSIGN_OR_RETURN(
-      Value rank, ReadViewOf(*db_).GetAttribute(taxon_or_name, "rank"));
+      Value rank, db_->GetAttribute(taxon_or_name, "rank"));
   if (rank.type() != ValueType::kString) {
     return Status::NotFound("no rank recorded");
   }

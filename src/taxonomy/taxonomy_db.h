@@ -8,7 +8,6 @@
 #include "classification/classification.h"
 #include "common/result.h"
 #include "core/database.h"
-#include "core/read_view.h"
 #include "query/query_engine.h"
 #include "rules/rule_engine.h"
 #include "taxonomy/rank.h"

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -31,34 +30,24 @@ struct ViewDef {
 
 /// The views layer: registry and evaluator of views.
 ///
-/// Two flavours (the thesis discusses the trade-off in 3.2.2):
-///  - *virtual* views (`Define`) are evaluated on demand against current
-///    data — always consistent, no maintenance cost on update;
-///  - *materialised* views (`DefineMaterialized`) cache their membership
-///    and maintain it incrementally through the event layer — O(1) reads,
-///    a per-mutation maintenance cost the feature-cost benchmark can
-///    measure. Rollback consistency comes from compensating events.
-///
-/// Materialised-view limitation: predicates must depend only on the
-/// member's own attributes and its participation in the view's context;
-/// predicates reading *other* objects (e.g. `count(children(self,...))`)
-/// are only refreshed when the member itself is touched.
+/// Views are *virtual* (the thesis' choice for volatile revision data,
+/// 3.2.2): each evaluation runs against the store the caller names — a
+/// pinned `DbSnapshot` on any thread, or `Database::live_store()` on the
+/// writer's — so a view always answers for exactly that state and costs
+/// nothing on update. The registry itself is not synchronised: define and
+/// drop views before evaluating them concurrently.
 class ViewManager {
  public:
-  /// `db` must outlive the manager.
-  explicit ViewManager(Database* db);
-  ~ViewManager();
+  /// `db` (whose schema `Define` checks class names against) must outlive
+  /// the manager.
+  explicit ViewManager(const Database* db) : db_(db) {}
 
   ViewManager(const ViewManager&) = delete;
   ViewManager& operator=(const ViewManager&) = delete;
 
-  /// Registers a virtual view. The predicate is parsed now; a view must
-  /// name a class or a context (or both).
+  /// Registers a view. The predicate is parsed now; a view must name a
+  /// class or a context (or both).
   Status Define(const ViewDef& def);
-
-  /// Registers a materialised view: membership is computed now and kept
-  /// up to date through events.
-  Status DefineMaterialized(const ViewDef& def);
 
   /// Removes a view.
   Status Drop(const std::string& name);
@@ -69,42 +58,31 @@ class ViewManager {
   /// Names of all defined views.
   std::vector<std::string> names() const;
 
-  /// Evaluates the view: all objects currently satisfying it. For a
-  /// materialised view this returns the cache (sorted) without
-  /// recomputation.
-  Result<std::vector<Oid>> Evaluate(const std::string& name) const;
+  /// Evaluates the view against `store`: all objects there satisfying it.
+  Result<std::vector<Oid>> Evaluate(const std::string& name,
+                                    const DbSnapshot& store) const;
 
-  /// Number of membership updates applied to materialised views (for the
-  /// maintenance-cost ablation).
-  std::uint64_t maintenance_updates() const { return maintenance_updates_; }
-
-  /// Evaluates the view and restricts it to links: the edges of the view's
-  /// context whose two endpoints satisfy the view (the extracted
-  /// sub-classification). Requires the view to have a context.
-  Result<std::vector<Oid>> EvaluateEdges(const std::string& name) const;
+  /// Evaluates the view against `store` and restricts it to links: the
+  /// edges of the view's context whose two endpoints satisfy the view (the
+  /// extracted sub-classification). Requires the view to have a context.
+  Result<std::vector<Oid>> EvaluateEdges(const std::string& name,
+                                         const DbSnapshot& store) const;
 
  private:
   struct CompiledView {
     ViewDef def;
     std::unique_ptr<pool::Expr> predicate;  // null = none
-    bool materialized = false;
-    std::unordered_set<Oid> members;        // materialised views only
   };
 
-  Status DefineInternal(const ViewDef& def, bool materialized);
   const CompiledView* Find(const std::string& name) const;
-  CompiledView* FindMutable(const std::string& name);
-  Result<bool> Satisfies(const CompiledView& view, Oid oid) const;
-  bool IsMember(const CompiledView& view, Oid oid) const;
-  void RefreshMembership(CompiledView* view, Oid oid);
-  void OnEvent(const Event& event);
-  Result<std::vector<Oid>> Candidates(const CompiledView& view) const;
+  Result<bool> Satisfies(const CompiledView& view, const DbSnapshot& store,
+                         Oid oid) const;
+  std::vector<Oid> Candidates(const CompiledView& view,
+                              const DbSnapshot& store) const;
 
-  Database* db_;
+  const Database* db_;
   pool::QueryEngine engine_;
-  ListenerId listener_ = 0;
   std::vector<std::unique_ptr<CompiledView>> views_;
-  std::uint64_t maintenance_updates_ = 0;
 };
 
 }  // namespace prometheus

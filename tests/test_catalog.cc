@@ -302,8 +302,8 @@ TEST(CatalogQueryTest, EngineWithoutCatalogRejectsSysRanges) {
   // catalog attached (the bare library, importers) answers NotFound
   // rather than falling through to extent resolution.
   auto db = MakePartsDb();
-  QueryEngine engine(db.get());
-  auto r = engine.Execute("select m from sys.metrics m");
+  QueryEngine engine;
+  auto r = engine.Execute("select m from sys.metrics m", db->live_store());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kNotFound);
   EXPECT_NE(r.status().message().find("no system catalog class"),

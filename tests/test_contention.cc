@@ -77,48 +77,6 @@ std::unique_ptr<Database> MakePartsDb(int rows = 8) {
 
 // --------------------------------------------------- guard instrumentation
 
-TEST(GuardInstrumentationTest, BlockedReaderObservesSharedWait) {
-  Registry().ResetForTest();
-  Database db;
-  const GuardInstruments& g = GuardInstruments::Get();
-
-  std::atomic<bool> held{false};
-  std::atomic<bool> release{false};
-  std::thread writer([&] {
-    Database::WriteGuard guard(db);
-    held.store(true);
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  while (!held.load()) std::this_thread::yield();
-
-  // While the writer holds the guard, a reader must show up blocked.
-  std::thread reader([&] { Database::ReadGuard guard(db); });
-  // Wait until the blocked-readers gauge registers it (bounded).
-  bool saw_blocked = false;
-  for (int i = 0; i < 2000 && !saw_blocked; ++i) {
-    saw_blocked = g.blocked_readers->value() > 0;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  EXPECT_TRUE(saw_blocked);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  release.store(true);
-  writer.join();
-  reader.join();
-
-  // The reader's wait and both holds were observed; the gauges returned
-  // to idle.
-  EXPECT_GE(g.shared_wait->snapshot().count, 1u);
-  EXPECT_GT(g.shared_wait->snapshot().sum, 0.0);
-  EXPECT_GE(g.shared_hold->snapshot().count, 1u);
-  EXPECT_GE(g.exclusive_hold->snapshot().count, 1u);
-  EXPECT_GT(g.writer_last_hold_micros->value(), 0);
-  EXPECT_EQ(g.blocked_readers->value(), 0);
-  EXPECT_EQ(g.blocked_writers->value(), 0);
-  EXPECT_EQ(g.writer_held->value(), 0);
-}
-
 TEST(GuardInstrumentationTest, BlockedWriterObservesExclusiveWait) {
   Registry().ResetForTest();
   Database db;
@@ -126,8 +84,8 @@ TEST(GuardInstrumentationTest, BlockedWriterObservesExclusiveWait) {
 
   std::atomic<bool> held{false};
   std::atomic<bool> release{false};
-  std::thread reader([&] {
-    Database::ReadGuard guard(db);
+  std::thread first([&] {
+    Database::WriteGuard guard(db);
     held.store(true);
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -135,20 +93,27 @@ TEST(GuardInstrumentationTest, BlockedWriterObservesExclusiveWait) {
   });
   while (!held.load()) std::this_thread::yield();
 
-  std::thread writer([&] { Database::WriteGuard guard(db); });
+  // While one writer holds the guard, a second must show up blocked.
+  std::thread second([&] { Database::WriteGuard guard(db); });
   bool saw_blocked = false;
   for (int i = 0; i < 2000 && !saw_blocked; ++i) {
     saw_blocked = g.blocked_writers->value() > 0;
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   EXPECT_TRUE(saw_blocked);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
   release.store(true);
-  reader.join();
-  writer.join();
+  first.join();
+  second.join();
 
-  EXPECT_GE(g.exclusive_wait->snapshot().count, 1u);
+  // The second writer's wait and both holds were observed; the gauges
+  // returned to idle.
+  EXPECT_GE(g.exclusive_wait->snapshot().count, 2u);
   EXPECT_GT(g.exclusive_wait->snapshot().sum, 0.0);
+  EXPECT_GE(g.exclusive_hold->snapshot().count, 2u);
+  EXPECT_GT(g.writer_last_hold_micros->value(), 0);
   EXPECT_EQ(g.blocked_writers->value(), 0);
+  EXPECT_EQ(g.writer_held->value(), 0);
 }
 
 TEST(GuardInstrumentationTest, UncontendedGuardsSkipBlockedGauges) {
@@ -156,18 +121,14 @@ TEST(GuardInstrumentationTest, UncontendedGuardsSkipBlockedGauges) {
   Database db;
   const GuardInstruments& g = GuardInstruments::Get();
   {
-    Database::ReadGuard guard(db);
-    EXPECT_EQ(g.blocked_readers->value(), 0);
-  }
-  {
     Database::WriteGuard guard(db);
     EXPECT_EQ(g.blocked_writers->value(), 0);
     EXPECT_EQ(g.writer_held->value(), 1);
   }
   EXPECT_EQ(g.writer_held->value(), 0);
-  // Uncontended acquisitions still observe (zero-ish) waits and holds.
-  EXPECT_GE(g.shared_wait->snapshot().count, 1u);
+  // An uncontended acquisition still observes a (zero-ish) wait and hold.
   EXPECT_GE(g.exclusive_wait->snapshot().count, 1u);
+  EXPECT_GE(g.exclusive_hold->snapshot().count, 1u);
 }
 
 // ------------------------------------------------------- snapshot algebra
@@ -234,8 +195,8 @@ TEST(ContentionReportTest, CatalogListsEveryWaitStateAndGuardGauge) {
   Server server(db.get());
   const std::string json = ContentionReport(server, false, false);
   for (WaitState s :
-       {WaitState::kAdmission, WaitState::kQueue, WaitState::kGuardShared,
-        WaitState::kGuardExclusive, WaitState::kExecute,
+       {WaitState::kAdmission, WaitState::kQueue, WaitState::kGuardExclusive,
+        WaitState::kExecute,
         WaitState::kJournalAppend, WaitState::kJournalSync,
         WaitState::kSerialize}) {
     EXPECT_NE(
@@ -243,7 +204,7 @@ TEST(ContentionReportTest, CatalogListsEveryWaitStateAndGuardGauge) {
         std::string::npos)
         << json;
   }
-  EXPECT_NE(json.find("\"guard_blocked_readers\""), std::string::npos);
+  EXPECT_NE(json.find("\"guard_blocked_writers\""), std::string::npos);
   EXPECT_NE(json.find("\"guard_writer_last_hold_micros\""),
             std::string::npos);
   EXPECT_NE(json.find("\"retained_versions\""), std::string::npos);
@@ -277,9 +238,9 @@ TEST(ContentionReportTest, TextTableRendersAllStatesAndGuardGauges) {
   auto db = MakePartsDb();
   Server server(db.get());
   const std::string text = ContentionReport(server, false, true);
-  EXPECT_NE(text.find("guard_shared"), std::string::npos);
+  EXPECT_NE(text.find("guard_exclusive"), std::string::npos);
   EXPECT_NE(text.find("journal_sync"), std::string::npos);
-  EXPECT_NE(text.find("guard_blocked_readers"), std::string::npos);
+  EXPECT_NE(text.find("guard_blocked_writers"), std::string::npos);
 }
 
 // -------------------------------------------- server-side wait breakdown

@@ -177,8 +177,8 @@ TEST_F(IndexFixture, ConcurrentRangeReadsMatchAScanOfTheirSnapshot) {
   for (int i = 0; i < 64; ++i) {
     taxa.push_back(NewTaxon("t" + std::to_string(i), 1750 + i));
   }
-  pool::QueryEngine indexed(&db, idx.get());
-  pool::QueryEngine scan(&db);
+  pool::QueryEngine indexed(idx.get());
+  pool::QueryEngine scan;
   // Pinned before any write: every later write runs the index past it.
   SnapshotHandle before = db.AcquireSnapshot();
   obs::Counter* fallbacks =

@@ -1,6 +1,6 @@
 // Whole-stack integration: one revision scenario driven through the
 // taxonomy API with every layer attached at once — ICBN rules, an
-// attribute index, a materialised view, and a journal — verifying that
+// attribute index, a view, and a journal — verifying that
 // they stay mutually consistent through transactions, aborts and replay.
 
 #include <gtest/gtest.h>
@@ -29,7 +29,7 @@ class FullStackFixture : public ::testing::Test {
     def.name = "genera_names";
     def.class_name = taxonomy::kNameClass;
     def.predicate = "self.rank = 'Genus'";
-    ASSERT_TRUE(views->DefineMaterialized(def).ok());
+    ASSERT_TRUE(views->Define(def).ok());
     journal_path = ::testing::TempDir() + "/integration_journal.log";
     auto opened = storage::Journal::Open(&tdb.db(), journal_path,
                                          storage::Journal::OpenMode::kTruncate);
@@ -65,7 +65,7 @@ TEST_F(FullStackFixture, RevisionScenarioKeepsEveryLayerConsistent) {
                            Value::String("broken"))
                   .value()
                   .empty());
-  EXPECT_EQ(views->Evaluate("genera_names").value(),
+  EXPECT_EQ(views->Evaluate("genera_names", tdb.db().live_store()).value(),
             std::vector<Oid>{apium});
 
   // --- A speculative revision that is abandoned. It classifies a fresh,
@@ -78,10 +78,12 @@ TEST_F(FullStackFixture, RevisionScenarioKeepsEveryLayerConsistent) {
   ASSERT_TRUE(tdb.Circumscribe(draft, g, fresh_specimen).ok());
   ASSERT_TRUE(tdb.DeriveAllNames(draft, "me", 2001).ok());
   // The speculative genus name is visible mid-transaction...
-  EXPECT_EQ(views->Evaluate("genera_names").value().size(), 2u);
+  EXPECT_EQ(
+      views->Evaluate("genera_names", tdb.db().live_store()).value().size(),
+      2u);
   ASSERT_TRUE(tdb.db().Abort().ok());
   // ...and fully retracted afterwards, in the view AND the index.
-  EXPECT_EQ(views->Evaluate("genera_names").value(),
+  EXPECT_EQ(views->Evaluate("genera_names", tdb.db().live_store()).value(),
             std::vector<Oid>{apium});
   EXPECT_TRUE(indexes
                   ->Lookup(taxonomy::kNameClass, "name_element",
@@ -107,9 +109,10 @@ TEST_F(FullStackFixture, RevisionScenarioKeepsEveryLayerConsistent) {
   EXPECT_EQ(tdb.CalculatedNameOf(species_taxon), graveolens);
 
   // POOL sees a consistent picture through the index.
-  pool::QueryEngine engine(&tdb.db(), indexes.get());
+  pool::QueryEngine engine(indexes.get());
   auto rs = engine.Execute(
-      "select n from NomenclaturalTaxon n where n.name_element = 'Apium'");
+      "select n from NomenclaturalTaxon n where n.name_element = 'Apium'",
+      tdb.db().live_store());
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs.value().rows.size(), 1u);
 

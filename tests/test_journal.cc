@@ -274,7 +274,9 @@ TEST_F(JournalFixture, TornCommitFlushDropsTheWholeTransaction) {
 TEST_F(JournalFixture, ReplaysLegacyV1Journals) {
   std::ofstream out(path, std::ios::trunc);
   out << "PROMETHEUS-JOURNAL-1\n";
-  for (const std::string& record : SchemaRecords(db)) out << record << "\n";
+  for (const std::string& record : SchemaRecords(db.live_store())) {
+    out << record << "\n";
+  }
   out << "END\n";
   out.close();
   Database replica;

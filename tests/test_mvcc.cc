@@ -253,6 +253,68 @@ TEST_F(MvccSnapshotTest, HalfAppliedWriteSectionInvisibleToNewReaders) {
   EXPECT_EQ(after->GetAttribute(recs_[1], "b").value().AsInt(), 77);
 }
 
+// The same torn write section, observed through the query layer: a POOL
+// query and a `sys.classes` catalog query against a snapshot pinned while
+// the writer holds the guard see the pre-section cut — the old attribute
+// pair and no trace of the class the section defines — and so does the
+// server's own catalog path, which pins a snapshot of its own.
+TEST_F(MvccSnapshotTest, HalfAppliedWriteSectionInvisibleToQueries) {
+  Server server(&db_);
+  prometheus::pool::QueryEngine engine;
+  engine.set_system_catalog(&server.system_catalog());
+  (void)db_.AcquireSnapshot();
+
+  std::atomic<bool> half_applied{false};
+  std::atomic<bool> release_writer{false};
+  std::thread writer([&] {
+    Database::WriteGuard g(db_);
+    ASSERT_TRUE(db_.DefineClass("Late", {"Rec"}).ok());
+    ASSERT_TRUE(db_.SetAttribute(recs_[1], "a", Value::Int(77)).ok());
+    half_applied.store(true, std::memory_order_release);
+    while (!release_writer.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(db_.SetAttribute(recs_[1], "b", Value::Int(77)).ok());
+  });
+  while (!half_applied.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  const std::string pair_q = "select r.a, r.b from Rec r where r.name = 'r1'";
+  const std::string classes_q =
+      "select c.name from sys.classes c order by c.name";
+  SnapshotHandle mid = db_.AcquireSnapshot();
+  auto pair = engine.Execute(pair_q, *mid);
+  auto classes = engine.Execute(classes_q, *mid);
+  auto served = server.QueryCatalog(classes_q);
+  release_writer.store(true, std::memory_order_release);
+  writer.join();
+
+  auto column = [](const prometheus::Result<prometheus::pool::ResultSet>& r) {
+    std::vector<std::string> out;
+    if (!r.ok()) return std::vector<std::string>{r.status().ToString()};
+    for (const auto& row : r.value().rows) out.push_back(row[0].AsString());
+    return out;
+  };
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  ASSERT_EQ(pair.value().rows.size(), 1u);
+  EXPECT_EQ(pair.value().rows[0][0].AsInt(), 1);
+  EXPECT_EQ(pair.value().rows[0][1].AsInt(), 1);
+  EXPECT_EQ(column(classes), std::vector<std::string>{"Rec"});
+  EXPECT_EQ(column(served), std::vector<std::string>{"Rec"});
+
+  // The committed section shows both writes and the class at once.
+  SnapshotHandle after = db_.AcquireSnapshot();
+  auto pair_after = engine.Execute(pair_q, *after);
+  ASSERT_TRUE(pair_after.ok());
+  EXPECT_EQ(pair_after.value().rows[0][0].AsInt(), 77);
+  EXPECT_EQ(pair_after.value().rows[0][1].AsInt(), 77);
+  EXPECT_EQ(column(engine.Execute(classes_q, *after)),
+            (std::vector<std::string>{"Late", "Rec"}));
+  // The snapshot pinned mid-section still answers as before.
+  EXPECT_EQ(column(engine.Execute(classes_q, *mid)),
+            std::vector<std::string>{"Rec"});
+}
+
 TEST_F(MvccSnapshotTest, DdlCommitsAtomicallyForSnapshots) {
   SnapshotHandle pinned = db_.AcquireSnapshot();
 

@@ -570,14 +570,12 @@ TEST_F(NetTest, DebugContentionServesCumulativeAndWindowedReports) {
   EXPECT_EQ(report.status_code, 200);
   EXPECT_NE(report.body.find("\"windowed\":false"), std::string::npos);
   for (const char* state :
-       {"admission", "queue", "guard_shared", "guard_exclusive", "execute",
-        "journal_append", "journal_sync", "serialize"}) {
+       {"admission", "queue", "guard_exclusive", "execute", "journal_append",
+        "journal_sync", "serialize"}) {
     EXPECT_NE(report.body.find("\"" + std::string(state) + "\""),
               std::string::npos)
         << state << " missing from " << report.body;
   }
-  EXPECT_NE(report.body.find("\"guard_blocked_readers\""),
-            std::string::npos);
   EXPECT_NE(report.body.find("\"mvcc\":[{\"retained_versions\""),
             std::string::npos);
 
@@ -671,8 +669,8 @@ TEST_F(NetTest, MetricsConformanceCoversWaitStateFamilies) {
   const std::string error = ParsePrometheusText(scrape.body, &exposition);
   EXPECT_TRUE(error.empty()) << error << "\n--- payload ---\n" << scrape.body;
   for (const char* family :
-       {"guard_wait_micros", "guard_hold_micros", "guard_blocked_readers",
-        "guard_blocked_writers", "guard_writer_held",
+       {"guard_wait_micros", "guard_hold_micros", "guard_blocked_writers",
+        "guard_writer_held",
         "guard_writer_last_hold_micros", "request_wait_micros",
         "journal_append_micros", "journal_sync_micros"}) {
     EXPECT_NE(exposition.Find(family), nullptr) << family << " not exposed";
@@ -680,11 +678,11 @@ TEST_F(NetTest, MetricsConformanceCoversWaitStateFamilies) {
   // The labelled families carry their mode/state labels.
   const PromFamily* guard_wait = exposition.Find("guard_wait_micros");
   ASSERT_NE(guard_wait, nullptr);
-  bool saw_shared = false;
+  bool saw_exclusive = false;
   for (const auto& s : guard_wait->samples) {
-    if (s.Label("mode") == "shared") saw_shared = true;
+    if (s.Label("mode") == "exclusive") saw_exclusive = true;
   }
-  EXPECT_TRUE(saw_shared);
+  EXPECT_TRUE(saw_exclusive);
   const PromFamily* request_wait = exposition.Find("request_wait_micros");
   ASSERT_NE(request_wait, nullptr);
   bool saw_queue = false;

@@ -318,10 +318,11 @@ TEST(TraceTest, RenderTreeShowsStagesAndCardinalities) {
 
 TEST(TraceTest, ExecuteProfiledReturnsPerStageTree) {
   std::unique_ptr<Database> db = MakePartsDb(10);
-  prometheus::pool::QueryEngine engine(db.get());
+  prometheus::pool::QueryEngine engine;
 
   auto profiled = engine.ExecuteProfiled(
-      "profile select p.name from Part p where p.a < 5 order by p.name");
+      "profile select p.name from Part p where p.a < 5 order by p.name",
+      db->live_store());
   ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
   const prometheus::pool::QueryProfile& profile = profiled.value();
   EXPECT_EQ(profile.rows.rows.size(), 5u);

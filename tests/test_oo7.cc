@@ -106,15 +106,17 @@ TEST(Oo7Test, S2CascadesAtomicParts) {
 
 TEST(Oo7Test, PoolCanQueryTheBenchmarkDatabase) {
   PrometheusOo7 prom(SmallConfig());
-  pool::QueryEngine engine(&prom.db());
+  pool::QueryEngine engine;
   auto r = engine.Execute(
-      "select count(children(c, 'has_part')) from CompositePart c limit 1");
+      "select count(children(c, 'has_part')) from CompositePart c limit 1",
+      prom.db().live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 1u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::Int(10)));
   // Weighted connections are queryable as first-class links.
   auto lengths = engine.Execute(
-      "select l.length from connected_to l where l.length > 900 limit 5");
+      "select l.length from connected_to l where l.length > 900 limit 5",
+      prom.db().live_store());
   ASSERT_TRUE(lengths.ok());
 }
 

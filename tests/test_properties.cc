@@ -1,8 +1,9 @@
 // Property-based tests: randomized operation sequences checked against
 // system-wide invariants — rollback equivalence, snapshot/journal
-// round-trip fidelity, pinned MVCC snapshots, traversal laws, synonym
-// equivalence laws, query plan equivalence, filter/projection agreement. Each law is seeded from its
-// test parameter, so a failure replays.
+// round-trip fidelity, pinned MVCC snapshots, views on pinned snapshots,
+// traversal laws, synonym equivalence laws, query plan equivalence,
+// filter/projection agreement. Each law is seeded from its test parameter,
+// so a failure replays.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "query/query_engine.h"
 #include "storage/journal.h"
 #include "storage/snapshot.h"
+#include "views/view_manager.h"
 
 namespace prometheus {
 namespace {
@@ -321,7 +323,113 @@ TEST_P(FuzzSeeds, PinnedSnapshotsKeepTheirCut) {
     std::stringstream buffer(references[i]);
     ASSERT_TRUE(storage::LoadSnapshot(&reference, buffer).ok());
     ExpectEquivalent(reference.live_store(), *pins[i]);
+    // Saving the pinned snapshot writes the very text saved at pin time.
+    std::stringstream pinned;
+    ASSERT_TRUE(storage::SaveSnapshot(*pins[i], pinned).ok());
+    EXPECT_EQ(pinned.str(), references[i]);
   }
+}
+
+/// The oids a query's single column returns on `store`, sorted; or one
+/// sentinel on error.
+std::vector<Oid> QueryOids(const pool::QueryEngine& engine,
+                           const std::string& q, const DbSnapshot& store) {
+  auto r = engine.Execute(q, store);
+  EXPECT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+  if (!r.ok()) return {kNullOid};
+  std::vector<Oid> out;
+  for (const auto& row : r.value().rows) out.push_back(row[0].AsRef());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<Oid> Sorted(Result<std::vector<Oid>> r) {
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return {kNullOid};
+  std::vector<Oid> out = std::move(r).value();
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Views answer for the snapshot they are given: on a pinned snapshot, a
+// class+predicate view and a context view return exactly what the
+// equivalent POOL query returns on that snapshot, and keep doing so after
+// later commits rewrite the live store.
+TEST_P(FuzzSeeds, ViewsAnswerForTheirSnapshot) {
+  std::mt19937 rng(GetParam() + 6000);
+  Database db;
+  DefineFuzzSchema(&db);
+  ASSERT_TRUE(db.DefineClass("Ctx").ok());
+  const Oid ctx = db.CreateObject("Ctx").value();
+  ViewManager views(&db);
+  ViewDef by_class;
+  by_class.name = "by_class";
+  by_class.class_name = "Node";
+  by_class.predicate = "self.n < 50 or self.tag = 't3'";
+  ASSERT_TRUE(views.Define(by_class).ok());
+  ViewDef by_context;
+  by_context.name = "by_context";
+  by_context.context = ctx;
+  by_context.predicate = "self.n >= 20";
+  ASSERT_TRUE(views.Define(by_context).ok());
+  // The POOL equivalents: members, context members, context edges.
+  const std::string class_q =
+      "select s from Node s where s.n < 50 or s.tag = 't3'";
+  const std::string context_q =
+      "select s from Node s, Ctx c "
+      "where count(links(s, null, 'both', c)) > 0 and s.n >= 20";
+  const std::string edges_q =
+      "select l from edge l, Ctx c "
+      "where l.context = c and l.source.n >= 20 and l.target.n >= 20";
+  pool::QueryEngine engine;
+
+  struct Answer {
+    std::vector<Oid> members, context_members, edges;
+  };
+  auto answer = [&](const DbSnapshot& store) {
+    Answer a{Sorted(views.Evaluate("by_class", store)),
+             Sorted(views.Evaluate("by_context", store)),
+             Sorted(views.EvaluateEdges("by_context", store))};
+    EXPECT_EQ(a.members, QueryOids(engine, class_q, store));
+    EXPECT_EQ(a.context_members, QueryOids(engine, context_q, store));
+    EXPECT_EQ(a.edges, QueryOids(engine, edges_q, store));
+    return a;
+  };
+
+  std::vector<Oid> pool;
+  std::vector<SnapshotHandle> pins;
+  std::vector<Answer> answers;
+  bool context_seen = false;
+  for (int round = 0; round < 4; ++round) {
+    {
+      Database::WriteGuard guard(db);
+      for (int i = 0; i < 40; ++i) RandomOp(&db, &rng, &pool);
+      const std::vector<Oid> nodes = db.Extent("Node");
+      for (int i = 0; i < 6 && nodes.size() > 1; ++i) {
+        (void)db.CreateLink("edge", nodes[rng() % nodes.size()],
+                            nodes[rng() % nodes.size()], ctx,
+                            {{"w", Value::Int(i)}});
+      }
+    }
+    pins.push_back(db.AcquireSnapshot());
+    SCOPED_TRACE("round " + std::to_string(round));
+    answers.push_back(answer(*pins.back()));
+    context_seen = context_seen || !answers.back().edges.empty();
+  }
+  // Later commits changed the live store; every pin still answers as it
+  // did when it was taken.
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    SCOPED_TRACE("pin " + std::to_string(i));
+    const Answer again = answer(*pins[i]);
+    EXPECT_EQ(again.members, answers[i].members);
+    EXPECT_EQ(again.context_members, answers[i].context_members);
+    EXPECT_EQ(again.edges, answers[i].edges);
+  }
+  // The law is not vacuous: the context view had edges, and the first pin
+  // no longer describes the live store.
+  EXPECT_TRUE(context_seen);
+  const Answer live = answer(db.live_store());
+  EXPECT_NE(live.members, answers.front().members);
 }
 
 /// A random value for attribute `attr` of the plan-equivalence schema:
@@ -426,11 +534,12 @@ TEST_P(FuzzSeeds, RangePlansAnswerLikeAScan) {
   }
   load(60);
 
-  pool::QueryEngine with_ordered(&db, &ordered);
-  pool::QueryEngine with_hash(&db, &hashed);
-  pool::QueryEngine no_index(&db);
+  const DbSnapshot& store = db.live_store();
+  pool::QueryEngine with_ordered(&ordered);
+  pool::QueryEngine with_hash(&hashed);
+  pool::QueryEngine no_index;
   cache::PlanCache plans(cache::PlanCache::Config{});
-  pool::QueryEngine cached(&db, &ordered);
+  pool::QueryEngine cached(&ordered);
   cached.set_plan_cache(&plans);
 
   int ranged = 0;
@@ -438,14 +547,15 @@ TEST_P(FuzzSeeds, RangePlansAnswerLikeAScan) {
     for (int n = 0; n < 60; ++n) {
       const std::string q = RandomRangeQuery(&rng);
       SCOPED_TRACE("seed " + std::to_string(GetParam()) + ": " + q);
-      const std::vector<std::string> expected = Outcome(no_index.Execute(q));
-      EXPECT_EQ(Outcome(with_ordered.Execute(q)), expected);
-      EXPECT_EQ(Outcome(with_hash.Execute(q)), expected);
-      (void)cached.Execute(q);
+      const std::vector<std::string> expected =
+          Outcome(no_index.Execute(q, store));
+      EXPECT_EQ(Outcome(with_ordered.Execute(q, store)), expected);
+      EXPECT_EQ(Outcome(with_hash.Execute(q, store)), expected);
+      (void)cached.Execute(q, store);
       const std::uint64_t hits = plans.stats().hits;
-      EXPECT_EQ(Outcome(cached.Execute(q)), expected);
+      EXPECT_EQ(Outcome(cached.Execute(q, store)), expected);
       EXPECT_EQ(plans.stats().hits, hits + 1);
-      auto plan = with_ordered.Explain(q);
+      auto plan = with_ordered.Explain(q, store);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
       if (plan.value().find("index range") != std::string::npos) ++ranged;
     }
@@ -610,12 +720,13 @@ TEST_P(FuzzSeeds, PredicatesFilterAsTheyProject) {
                         objs[rng() % objs.size()], kNullOid, init);
   }
 
-  pool::QueryEngine plain(&db);
+  const DbSnapshot& store = db.live_store();
+  pool::QueryEngine plain;
   cache::PlanCache plans(cache::PlanCache::Config{});
-  pool::QueryEngine cached(&db);
+  pool::QueryEngine cached;
   cached.set_plan_cache(&plans);
   auto profiled = [&](const std::string& q) -> Result<pool::ResultSet> {
-    auto p = plain.ExecuteProfiled("profile " + q);
+    auto p = plain.ExecuteProfiled("profile " + q, store);
     if (!p.ok()) return p.status();
     return std::move(p).value().rows;
   };
@@ -628,14 +739,14 @@ TEST_P(FuzzSeeds, PredicatesFilterAsTheyProject) {
     const std::string project = "select s, (" + p + ") from Obj s";
     SCOPED_TRACE("seed " + std::to_string(GetParam()) + ": " + p);
     const std::vector<std::string> expected =
-        FilteredRows(plain.Execute(filter));
-    EXPECT_EQ(ProjectedTrueRows(plain.Execute(project)), expected);
+        FilteredRows(plain.Execute(filter, store));
+    EXPECT_EQ(ProjectedTrueRows(plain.Execute(project, store)), expected);
     // A plan-cache miss (unless an earlier round drew the same text),
     // then a hit.
     for (int pass = 0; pass < 2; ++pass) {
       const std::uint64_t hits = plans.stats().hits;
-      EXPECT_EQ(FilteredRows(cached.Execute(filter)), expected);
-      EXPECT_EQ(ProjectedTrueRows(cached.Execute(project)), expected);
+      EXPECT_EQ(FilteredRows(cached.Execute(filter, store)), expected);
+      EXPECT_EQ(ProjectedTrueRows(cached.Execute(project, store)), expected);
       if (pass == 1) {
         EXPECT_EQ(plans.stats().hits, hits + 2);
       }

@@ -137,7 +137,7 @@ class QueryFixture : public ::testing::Test {
     ASSERT_TRUE(db.DefineRelationship("placed_in", "Taxon", "Taxon", {},
                                       {Attr("note", ValueType::kString)})
                     .ok());
-    engine = std::make_unique<QueryEngine>(&db);
+    engine = std::make_unique<QueryEngine>();
 
     apium = NewTaxon("Apium", "Genus", 1753, "Genus");
     graveolens = NewTaxon("graveolens", "Species", 1753);
@@ -158,7 +158,7 @@ class QueryFixture : public ::testing::Test {
   }
 
   Value EvalOk(const std::string& expr, const Environment& env = {}) {
-    auto r = engine->Eval(expr, env);
+    auto r = engine->Eval(expr, db.live_store(), env);
     EXPECT_TRUE(r.ok()) << expr << " -> " << r.status().ToString();
     return r.value_or(Value::Null());
   }
@@ -181,9 +181,9 @@ TEST_F(QueryFixture, ExpressionArithmeticAndLogic) {
   EXPECT_TRUE(EvalOk("'Api' + 'um'").Equals(Value::String("Apium")));
   EXPECT_TRUE(EvalOk("3 in (select t.year from Taxon t)")
                   .Equals(Value::Bool(false)));
-  EXPECT_EQ(engine->Eval("1 / 0", {}).status().code(),
+  EXPECT_EQ(engine->Eval("1 / 0", db.live_store(), {}).status().code(),
             Status::Code::kInvalidArgument);
-  EXPECT_EQ(engine->Eval("1 + 'x' * 2", {}).status().code(),
+  EXPECT_EQ(engine->Eval("1 + 'x' * 2", db.live_store(), {}).status().code(),
             Status::Code::kTypeError);
 }
 
@@ -191,7 +191,7 @@ TEST_F(QueryFixture, PathNavigation) {
   Environment env{{"t", Value::Ref(apium)}};
   EXPECT_TRUE(EvalOk("t.name", env).Equals(Value::String("Apium")));
   EXPECT_TRUE(EvalOk("t.class", env).Equals(Value::String("Genus")));
-  EXPECT_EQ(engine->Eval("t.nothing", env).status().code(),
+  EXPECT_EQ(engine->Eval("t.nothing", db.live_store(), env).status().code(),
             Status::Code::kNotFound);
 }
 
@@ -219,7 +219,8 @@ TEST_F(QueryFixture, SelectiveDowncast) {
 
 TEST_F(QueryFixture, BasicSelect) {
   auto r = engine->Execute(
-      "select t.name from Taxon t where t.rank = 'Genus' order by t.name");
+      "select t.name from Taxon t where t.rank = 'Genus' order by t.name",
+      db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("Apium")));
@@ -227,7 +228,7 @@ TEST_F(QueryFixture, BasicSelect) {
 }
 
 TEST_F(QueryFixture, SelectStarBindsAllRanges) {
-  auto r = engine->Execute("select * from Genus g");
+  auto r = engine->Execute("select * from Genus g", db.live_store());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().columns, std::vector<std::string>{"g"});
   EXPECT_EQ(r.value().rows.size(), 2u);
@@ -237,7 +238,7 @@ TEST_F(QueryFixture, RelationshipExtentIsQueryable) {
   // POOL's uniform treatment: relationships appear in FROM like classes.
   auto r = engine->Execute(
       "select l.target.name from placed_in l where l.source.name = 'Apium' "
-      "order by l.target.name");
+      "order by l.target.name", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("graveolens")));
@@ -247,7 +248,7 @@ TEST_F(QueryFixture, RelationshipExtentIsQueryable) {
 TEST_F(QueryFixture, JoinAcrossRanges) {
   auto r = engine->Execute(
       "select g.name, s.name from Genus g, Taxon s, placed_in l "
-      "where l.source = g and l.target = s order by s.name");
+      "where l.source = g and l.target = s order by s.name", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("Apium")));
@@ -256,17 +257,19 @@ TEST_F(QueryFixture, JoinAcrossRanges) {
 TEST_F(QueryFixture, DependentRangeJoin) {
   auto r = engine->Execute(
       "select c.name from Genus g, children(g, 'placed_in') c "
-      "where g.name = 'Apium' order by c.name");
+      "where g.name = 'Apium' order by c.name", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("graveolens")));
 }
 
 TEST_F(QueryFixture, DistinctAndLimit) {
-  auto r = engine->Execute("select distinct t.rank from Taxon t");
+  auto r = engine->Execute("select distinct t.rank from Taxon t",
+                           db.live_store());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().rows.size(), 2u);
-  auto l = engine->Execute("select t.name from Taxon t limit 2");
+  auto l = engine->Execute("select t.name from Taxon t limit 2",
+                           db.live_store());
   ASSERT_TRUE(l.ok());
   EXPECT_EQ(l.value().rows.size(), 2u);
 }
@@ -275,7 +278,7 @@ TEST_F(QueryFixture, SubqueryAndIn) {
   auto r = engine->Execute(
       "select t.name from Taxon t "
       "where t.year in (select g.year from Genus g) "
-      "order by t.name");
+      "order by t.name", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Years 1753 (Apium, graveolens) and 1824 (Heliosciadium).
   ASSERT_EQ(r.value().rows.size(), 3u);
@@ -285,7 +288,8 @@ TEST_F(QueryFixture, CorrelatedSubquery) {
   // Genera with at least one placed child.
   auto r = engine->Execute(
       "select g.name from Genus g "
-      "where exists((select l from placed_in l where l.source = g))");
+      "where exists((select l from placed_in l where l.source = g))",
+      db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 1u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("Apium")));
@@ -306,7 +310,8 @@ TEST_F(QueryFixture, AggregateFunctions) {
 
 TEST_F(QueryFixture, StringFunctionsAndLike) {
   auto r = engine->Execute(
-      "select t.name from Taxon t where t.name like '%um' order by t.name");
+      "select t.name from Taxon t where t.name like '%um' order by t.name",
+      db.live_store());
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().rows.size(), 2u);  // Apium, Heliosciadium
   EXPECT_TRUE(EvalOk("upper('api')").Equals(Value::String("API")));
@@ -367,11 +372,11 @@ TEST_F(QueryFixture, SynonymFunctions) {
 TEST_F(QueryFixture, IndexAcceleratedLookupGivesSameAnswer) {
   IndexManager idx(&db);
   ASSERT_TRUE(idx.CreateIndex("Taxon", "name").ok());
-  QueryEngine with_index(&db, &idx);
+  QueryEngine with_index(&idx);
   const std::string q =
       "select t.year from Taxon t where t.name = 'Heliosciadium'";
-  auto a = engine->Execute(q);
-  auto b = with_index.Execute(q);
+  auto a = engine->Execute(q, db.live_store());
+  auto b = with_index.Execute(q, db.live_store());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a.value().rows.size(), 1u);
@@ -382,7 +387,7 @@ TEST_F(QueryFixture, IndexAcceleratedLookupGivesSameAnswer) {
 TEST_F(QueryFixture, GroupByWithAggregates) {
   auto r = engine->Execute(
       "select t.rank as rank, count(t) as n, min(t.year) as oldest "
-      "from Taxon t group by t.rank order by t.rank");
+      "from Taxon t group by t.rank order by t.rank", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   // Genus group: Apium (1753) + Heliosciadium (1824).
@@ -397,7 +402,7 @@ TEST_F(QueryFixture, GroupByWithAggregates) {
 TEST_F(QueryFixture, GroupByHavingFilter) {
   auto r = engine->Execute(
       "select t.year, count(t) from Taxon t group by t.year "
-      "having count(t) >= 2");
+      "having count(t) >= 2", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Only 1753 has two taxa (Apium + graveolens).
   ASSERT_EQ(r.value().rows.size(), 1u);
@@ -408,7 +413,7 @@ TEST_F(QueryFixture, GroupByHavingFilter) {
 TEST_F(QueryFixture, GroupByAggregateArithmetic) {
   auto r = engine->Execute(
       "select t.rank, max(t.year) - min(t.year) as span from Taxon t "
-      "group by t.rank order by t.rank");
+      "group by t.rank order by t.rank", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][1].Equals(Value::Int(1824 - 1753)));
@@ -418,13 +423,14 @@ TEST_F(QueryFixture, GroupByAggregateArithmetic) {
 TEST_F(QueryFixture, GroupByOrderByAggregate) {
   auto r = engine->Execute(
       "select t.rank from Taxon t group by t.rank "
-      "order by count(t) desc limit 1");
+      "order by count(t) desc limit 1", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 1u);
 }
 
 TEST_F(QueryFixture, SelectStarRejectedWithGroupBy) {
-  EXPECT_EQ(engine->Execute("select * from Taxon t group by t.rank")
+  EXPECT_EQ(engine->Execute("select * from Taxon t group by t.rank",
+                            db.live_store())
                 .status()
                 .code(),
             Status::Code::kParseError);
@@ -476,13 +482,15 @@ TEST_F(QueryFixture, SetOperations) {
 }
 
 TEST_F(QueryFixture, ErrorsSurfaceCleanly) {
-  EXPECT_EQ(engine->Execute("select x from Nowhere x").status().code(),
+  EXPECT_EQ(engine->Execute("select x from Nowhere x",
+                            db.live_store()).status().code(),
             Status::Code::kNotFound);
-  EXPECT_EQ(engine->Eval("unknown_fn(1)", {}).status().code(),
+  EXPECT_EQ(engine->Eval("unknown_fn(1)", db.live_store(), {}).status().code(),
             Status::Code::kNotFound);
-  EXPECT_EQ(engine->Eval("x.name", {}).status().code(),
+  EXPECT_EQ(engine->Eval("x.name", db.live_store(), {}).status().code(),
             Status::Code::kNotFound);  // unbound variable
-  EXPECT_EQ(engine->Execute("select t from Taxon t where t.year")
+  EXPECT_EQ(engine->Execute("select t from Taxon t where t.year",
+                            db.live_store())
                 .status()
                 .code(),
             Status::Code::kTypeError);  // non-boolean where
@@ -497,8 +505,8 @@ TEST_F(QueryFixture, JoinOrderDoesNotChangeResults) {
   const char* q2 =
       "select g.name, s.name from placed_in l, Taxon s, Genus g "
       "where l.source = g and l.target = s order by s.name";
-  auto a = engine->Execute(q1);
-  auto b = engine->Execute(q2);
+  auto a = engine->Execute(q1, db.live_store());
+  auto b = engine->Execute(q2, db.live_store());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a.value().rows.size(), b.value().rows.size());
@@ -513,7 +521,7 @@ TEST_F(QueryFixture, DependentRangeWaitsForItsVariableRegardlessOfOrder) {
   // by a later range; the optimiser must schedule g before it.
   auto r = engine->Execute(
       "select c.name from children(g, 'placed_in') c, Genus g "
-      "where g.name = 'Apium' order by c.name");
+      "where g.name = 'Apium' order by c.name", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("graveolens")));
@@ -522,7 +530,7 @@ TEST_F(QueryFixture, DependentRangeWaitsForItsVariableRegardlessOfOrder) {
 TEST_F(QueryFixture, SubqueryAsRangeSource) {
   auto r = engine->Execute(
       "select x.name from (select t from Taxon t where t.rank = 'Genus') "
-      "as x order by x.name");
+      "as x order by x.name", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("Apium")));
@@ -531,23 +539,24 @@ TEST_F(QueryFixture, SubqueryAsRangeSource) {
 TEST_F(QueryFixture, ExplainReportsStrategy) {
   IndexManager idx(&db);
   ASSERT_TRUE(idx.CreateIndex("Taxon", "name").ok());
-  QueryEngine with_index(&db, &idx);
+  QueryEngine with_index(&idx);
   auto plan = with_index.Explain(
       "select t from Taxon t, children(t, 'placed_in') c "
-      "where t.name = 'Apium'");
+      "where t.name = 'Apium'", db.live_store());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_NE(plan.value().find("index lookup on Taxon.name"),
             std::string::npos);
   EXPECT_NE(plan.value().find("dependent expression"), std::string::npos);
   // Without the index the same query scans.
   auto scan_plan = engine->Explain(
-      "select t from Taxon t where t.name = 'Apium'");
+      "select t from Taxon t where t.name = 'Apium'", db.live_store());
   ASSERT_TRUE(scan_plan.ok());
   EXPECT_NE(scan_plan.value().find("extent scan of class Taxon"),
             std::string::npos);
   // Relationship ranges and clauses are reported.
   auto rel_plan = with_index.Explain(
-      "select l from placed_in l group by l.source order by count(l)");
+      "select l from placed_in l group by l.source order by count(l)",
+      db.live_store());
   ASSERT_TRUE(rel_plan.ok());
   EXPECT_NE(rel_plan.value().find("extent scan of relationship placed_in"),
             std::string::npos);
@@ -558,23 +567,23 @@ TEST_F(QueryFixture, ExplainReportsStrategy) {
 TEST_F(QueryFixture, RangeConjunctsProbeAnOrderedIndex) {
   IndexManager idx(&db);
   ASSERT_TRUE(idx.CreateIndex("Taxon", "year", /*ordered=*/true).ok());
-  QueryEngine with_index(&db, &idx);
+  QueryEngine with_index(&idx);
   // Bounds merge to the tightest pair; `literal op path` flips.
   const std::string q =
       "select t.name from Taxon t where t.year >= 1753 and 1824 > t.year "
       "and t.year > 1700 order by t.name";
-  auto plan = with_index.Explain(q);
+  auto plan = with_index.Explain(q, db.live_store());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan.value(),
             "t: index range on Taxon.year [1753, 1824)\norder by: sort\n");
-  auto profiled = with_index.ExecuteProfiled(q);
+  auto profiled = with_index.ExecuteProfiled(q, db.live_store());
   ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
   const obs::TraceNode* range = profiled.value().trace.Child("plan")->Child(
       "range t");
   ASSERT_NE(range, nullptr);
   EXPECT_EQ(range->detail, "index range on Taxon.year [1753, 1824)");
   EXPECT_EQ(range->rows, 4);  // inclusive probe; the where clause trims
-  auto scanned = engine->Execute(q);
+  auto scanned = engine->Execute(q, db.live_store());
   ASSERT_TRUE(scanned.ok());
   ASSERT_EQ(profiled.value().rows.rows.size(), 3u);
   EXPECT_EQ(profiled.value().rows.rows, scanned.value().rows);
@@ -582,16 +591,17 @@ TEST_F(QueryFixture, RangeConjunctsProbeAnOrderedIndex) {
   ASSERT_TRUE(idx.CreateIndex("Taxon", "name").ok());
   EXPECT_EQ(with_index
                 .Explain("select t from Taxon t where t.year < 1800 and "
-                         "t.name = 'Apium'")
+                         "t.name = 'Apium'", db.live_store())
                 .value(),
             "t: index lookup on Taxon.name\n");
   // Literals that do not fit the declared type leave the range to a scan.
-  EXPECT_EQ(with_index.Explain("select t from Taxon t where t.year > 'x'")
+  EXPECT_EQ(with_index.Explain("select t from Taxon t where t.year > 'x'",
+                               db.live_store())
                 .value(),
             "t: extent scan of class Taxon\n");
   EXPECT_EQ(with_index
                 .Explain("select t from Taxon t where t.year > 1800 and "
-                         "t.year >= 'x'")
+                         "t.year >= 'x'", db.live_store())
                 .value(),
             "t: extent scan of class Taxon\n");
 }
@@ -603,23 +613,26 @@ TEST(RangePlanTest, UntypedMixedAttributeStillRaisesTypeError) {
   ASSERT_TRUE(db.CreateObject("Box", {{"v", Value::String("x")}}).ok());
   IndexManager idx(&db);
   ASSERT_TRUE(idx.CreateIndex("Box", "v", /*ordered=*/true).ok());
-  QueryEngine engine(&db, &idx);
+  QueryEngine engine(&idx);
   // The ordered index holds only the int under a numeric bound; a scan
   // compares the string too, and that comparison is a type error.
   const std::string q = "select b from Box b where b.v >= 1";
-  EXPECT_EQ(engine.Execute(q).status().code(), Status::Code::kTypeError);
-  auto plan = engine.Explain(q);
+  EXPECT_EQ(engine.Execute(q,
+      db.live_store()).status().code(), Status::Code::kTypeError);
+  auto plan = engine.Explain(q, db.live_store());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan.value(), "b: extent scan of class Box\n");
 }
 
 TEST_F(QueryFixture, OrderByAscendingAndDescending) {
-  auto asc = engine->Execute("select t.year from Taxon t order by t.year");
+  auto asc = engine->Execute("select t.year from Taxon t order by t.year",
+                             db.live_store());
   ASSERT_TRUE(asc.ok());
   EXPECT_TRUE(asc.value().rows.front()[0].Equals(Value::Int(1753)));
   EXPECT_TRUE(asc.value().rows.back()[0].Equals(Value::Int(1824)));
   auto desc =
-      engine->Execute("select t.year from Taxon t order by t.year desc");
+      engine->Execute("select t.year from Taxon t order by t.year desc",
+                      db.live_store());
   ASSERT_TRUE(desc.ok());
   EXPECT_TRUE(desc.value().rows.front()[0].Equals(Value::Int(1824)));
 }
@@ -627,7 +640,7 @@ TEST_F(QueryFixture, OrderByAscendingAndDescending) {
 TEST_F(QueryFixture, ResultSetColumnHelper) {
   auto r = engine->Execute(
       "select t.name, t.year from Taxon t where t.rank = 'Genus' "
-      "order by t.year");
+      "order by t.year", db.live_store());
   ASSERT_TRUE(r.ok());
   std::vector<Value> names = r.value().Column(0);
   std::vector<Value> years = r.value().Column(1);
@@ -641,7 +654,8 @@ TEST_F(QueryFixture, ResultSetColumnHelper) {
 TEST_F(QueryFixture, MultiKeyOrderBy) {
   // Primary key year ascending, secondary key name descending.
   auto r = engine->Execute(
-      "select t.year, t.name from Taxon t order by t.year, t.name desc");
+      "select t.year, t.name from Taxon t order by t.year, t.name desc",
+      db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 4u);
   // 1753 twice (graveolens before Apium when name desc), then 1821, 1824.
@@ -670,7 +684,8 @@ TEST_F(QueryFixture, SubqueryRangeShadowsOuterVariable) {
   // The outer `t` is intact after the subquery ran.
   auto r = engine->Execute(
       "select t.name from Genus t "
-      "where 1821 in (select t.year from Taxon t) order by t.name");
+      "where 1821 in (select t.year from Taxon t) order by t.name",
+      db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("Apium")));
@@ -680,7 +695,7 @@ TEST_F(QueryFixture, SubqueryRangeShadowsOuterVariable) {
 TEST_F(QueryFixture, CorrelatedSubqueryReadsOuterRangeVariable) {
   auto r = engine->Execute(
       "select g.name, count((select c from Taxon c where c.year > g.year)) "
-      "from Genus g order by g.name");
+      "from Genus g order by g.name", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][1].Equals(Value::Int(2)));  // 1821, 1824
@@ -691,13 +706,14 @@ TEST_F(QueryFixture, SiblingSubqueriesReuseOneName) {
   auto r = engine->Execute(
       "select t.name from Taxon t "
       "where t.year in (select x.year from Genus x) "
-      "and t.name in (select x.name from Taxon x where x.rank = 'Species')");
+      "and t.name in (select x.name from Taxon x where x.rank = 'Species')",
+      db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 1u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("graveolens")));
   auto counts = engine->Execute(
       "select count((select x from Genus x)), count((select x from Taxon x)) "
-      "from Genus g limit 1");
+      "from Genus g limit 1", db.live_store());
   ASSERT_TRUE(counts.ok()) << counts.status().ToString();
   ASSERT_EQ(counts.value().rows.size(), 1u);
   EXPECT_TRUE(counts.value().rows[0][0].Equals(Value::Int(2)));
@@ -707,7 +723,7 @@ TEST_F(QueryFixture, SiblingSubqueriesReuseOneName) {
 TEST_F(QueryFixture, DependentRangeReadsItsSiblingsBinding) {
   auto r = engine->Execute(
       "select t.name, c.name from Taxon t, children(t, 'placed_in') c "
-      "order by c.name");
+      "order by c.name", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("Apium")));
@@ -721,7 +737,7 @@ TEST_F(QueryFixture, DependentRangeWaitsForReadsInsideItsSubquery) {
   auto r = engine->Execute(
       "select a.name, b from Genus g, "
       "(select p.name from parents(a, 'placed_in') p) b, "
-      "children(g, 'placed_in') a order by a.name");
+      "children(g, 'placed_in') a order by a.name", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("graveolens")));
@@ -731,7 +747,7 @@ TEST_F(QueryFixture, DependentRangeWaitsForReadsInsideItsSubquery) {
 
 TEST_F(QueryFixture, SelectStarEmitsEachRangesBinding) {
   auto r = engine->Execute(
-      "select * from Genus g, placed_in l where l.source = g");
+      "select * from Genus g, placed_in l where l.source = g", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().columns, (std::vector<std::string>{"g", "l"}));
   const std::vector<Oid> links = db.LinkExtent("placed_in");
@@ -749,7 +765,7 @@ TEST_F(QueryFixture, GroupFramesFeedHavingAndAggregates) {
   auto r = engine->Execute(
       "select t.rank, count(t), min(t.year), max(t.year) from Taxon t "
       "group by t.rank having count(t) > 1 and max(t.year) > 1800 "
-      "order by t.rank");
+      "order by t.rank", db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   const auto& genus = r.value().rows[0];
@@ -763,7 +779,7 @@ TEST_F(QueryFixture, GroupFramesFeedHavingAndAggregates) {
   // Aggregates are grouped wherever they appear, also as call arguments.
   auto nested = engine->Execute(
       "select lower(max(t.name)), count(t) * 10 from Taxon t "
-      "group by t.rank order by count(t), lower(max(t.name))");
+      "group by t.rank order by count(t), lower(max(t.name))", db.live_store());
   ASSERT_TRUE(nested.ok()) << nested.status().ToString();
   ASSERT_EQ(nested.value().rows.size(), 2u);
   EXPECT_TRUE(nested.value().rows[0][0].Equals(Value::String("heliosciadium")));
@@ -772,7 +788,8 @@ TEST_F(QueryFixture, GroupFramesFeedHavingAndAggregates) {
 }
 
 TEST_F(QueryFixture, UnboundNameIsNotFound) {
-  auto r = engine->Execute("select t from Taxon t where u.year = 1753");
+  auto r = engine->Execute("select t from Taxon t where u.year = 1753",
+                           db.live_store());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kNotFound);
   EXPECT_NE(r.status().ToString().find("unbound variable 'u'"),
@@ -780,19 +797,19 @@ TEST_F(QueryFixture, UnboundNameIsNotFound) {
   // A name a range binds in a sibling subquery is not visible here.
   auto sibling = engine->Execute(
       "select t from Taxon t where exists((select x from Genus x)) "
-      "and x.year = 1753");
+      "and x.year = 1753", db.live_store());
   EXPECT_EQ(sibling.status().code(), Status::Code::kNotFound);
 }
 
 TEST_F(QueryFixture, ClassAndLinkMembersInQueries) {
   auto cls = engine->Execute(
-      "select t.class from Taxon t where t.name = 'Apium'");
+      "select t.class from Taxon t where t.name = 'Apium'", db.live_store());
   ASSERT_TRUE(cls.ok()) << cls.status().ToString();
   ASSERT_EQ(cls.value().rows.size(), 1u);
   EXPECT_TRUE(cls.value().rows[0][0].Equals(Value::String("Genus")));
   auto links = engine->Execute(
       "select l.source, l.target, l.context, l.relationship, l.note "
-      "from placed_in l where l.note = 'type species'");
+      "from placed_in l where l.note = 'type species'", db.live_store());
   ASSERT_TRUE(links.ok()) << links.status().ToString();
   ASSERT_EQ(links.value().rows.size(), 1u);
   const auto& row = links.value().rows[0];
@@ -804,11 +821,13 @@ TEST_F(QueryFixture, ClassAndLinkMembersInQueries) {
   // A link without the attribute set reads null; an undeclared one is
   // NotFound.
   auto unset = engine->Execute(
-      "select l.note from placed_in l where l.target.name = 'repens'");
+      "select l.note from placed_in l where l.target.name = 'repens'",
+      db.live_store());
   ASSERT_TRUE(unset.ok()) << unset.status().ToString();
   ASSERT_EQ(unset.value().rows.size(), 1u);
   EXPECT_TRUE(unset.value().rows[0][0].is_null());
-  EXPECT_EQ(engine->Execute("select l.nothing from placed_in l")
+  EXPECT_EQ(engine->Execute("select l.nothing from placed_in l",
+                            db.live_store())
                 .status()
                 .code(),
             Status::Code::kNotFound);
@@ -828,19 +847,21 @@ TEST(ScopingTest, InheritedAttributeReadThroughRangeVariable) {
   ASSERT_TRUE(db.CreateLink("married_to", a, b, kNullOid,
                             {{"wedding_date", Value::String("1999-06-12")}})
                   .ok());
-  QueryEngine engine(&db);
+  QueryEngine engine;
   auto r = engine.Execute(
-      "select p.wedding_date from Person p where p.name = 'b'");
+      "select p.wedding_date from Person p where p.name = 'b'",
+      db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 1u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("1999-06-12")));
   auto filtered = engine.Execute(
       "select p.name from Person p where p.name = 'b' and "
-      "p.wedding_date like '1999%'");
+      "p.wedding_date like '1999%'", db.live_store());
   ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
   EXPECT_EQ(filtered.value().rows.size(), 1u);
   // The source does not inherit (inheritance follows the link direction).
-  EXPECT_EQ(engine.Execute("select p.wedding_date from Person p")
+  EXPECT_EQ(engine.Execute("select p.wedding_date from Person p",
+                           db.live_store())
                 .status()
                 .code(),
             Status::Code::kNotFound);
@@ -849,28 +870,32 @@ TEST(ScopingTest, InheritedAttributeReadThroughRangeVariable) {
 TEST(ScopingTest, CatalogStructFieldsAndMissingField) {
   Database db;
   SystemCatalog catalog;
-  catalog.Register("sys.things", "test rows", {"name", "n"}, [] {
-    std::vector<Value> rows;
-    for (int i = 0; i < 3; ++i) {
-      rows.push_back(Value::MakeStruct(
-          {{"name", Value::String("r" + std::to_string(i))},
-           {"n", Value::Int(i)}}));
-    }
-    return rows;
-  });
-  QueryEngine engine(&db);
+  catalog.Register("sys.things", "test rows", {"name", "n"},
+                   [](const DbSnapshot&) {
+                     std::vector<Value> rows;
+                     for (int i = 0; i < 3; ++i) {
+                       rows.push_back(Value::MakeStruct(
+                           {{"name", Value::String("r" + std::to_string(i))},
+                            {"n", Value::Int(i)}}));
+                     }
+                     return rows;
+                   });
+  QueryEngine engine;
   engine.set_system_catalog(&catalog);
   auto r = engine.Execute(
-      "select r.name from sys.things r where r.n > 0 order by r.n desc");
+      "select r.name from sys.things r where r.n > 0 order by r.n desc",
+      db.live_store());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r.value().rows.size(), 2u);
   EXPECT_TRUE(r.value().rows[0][0].Equals(Value::String("r2")));
   // A self-join reads both bindings' struct fields.
   auto join = engine.Execute(
-      "select a.name from sys.things a, sys.things b where a.n = b.n + 1");
+      "select a.name from sys.things a, sys.things b where a.n = b.n + 1",
+      db.live_store());
   ASSERT_TRUE(join.ok()) << join.status().ToString();
   EXPECT_EQ(join.value().rows.size(), 2u);
-  auto missing = engine.Execute("select r.nope from sys.things r");
+  auto missing = engine.Execute("select r.nope from sys.things r",
+                                db.live_store());
   EXPECT_EQ(missing.status().code(), Status::Code::kNotFound);
   EXPECT_NE(missing.status().ToString().find("struct has no field 'nope'"),
             std::string::npos);
@@ -886,9 +911,10 @@ TEST_F(QueryFixture, ConcurrentCachedPlanMatchesSerialRunOnItsSnapshot) {
       "count((select x from Taxon x where x.year > c.year)) "
       "from Genus g, children(g, 'placed_in') c where g.year >= 1700";
   cache::PlanCache plans(cache::PlanCache::Config{});
-  QueryEngine cached(&db);
+  QueryEngine cached;
   cached.set_plan_cache(&plans);
-  ASSERT_TRUE(cached.Execute(q).ok());  // the plan every thread shares
+  ASSERT_TRUE(cached.Execute(q,
+      db.live_store()).ok());  // the plan every thread shares
 
   std::vector<Oid> children;
   for (int i = 0; i < 16; ++i) {
@@ -942,7 +968,7 @@ TEST_F(QueryFixture, ConcurrentCachedPlanMatchesSerialRunOnItsSnapshot) {
   stop.store(true, std::memory_order_release);
   writer.join();
 
-  QueryEngine serial(&db);
+  QueryEngine serial;
   std::size_t checked = 0;
   for (const std::vector<Run>& thread_runs : runs) {
     for (const Run& run : thread_runs) {
@@ -977,14 +1003,14 @@ TEST_P(IndexConsistency, ScanAndIndexAgree) {
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(db.CreateObject("Item", {{"k", Value::Int(i % 7)}}).ok());
   }
-  QueryEngine scan(&db);
+  QueryEngine scan;
   IndexManager idx(&db);
   ASSERT_TRUE(idx.CreateIndex("Item", "k").ok());
-  QueryEngine indexed(&db, &idx);
+  QueryEngine indexed(&idx);
   for (int key = 0; key < 7; ++key) {
     std::string q = "select i from Item i where i.k = " + std::to_string(key);
-    auto a = scan.Execute(q);
-    auto b = indexed.Execute(q);
+    auto a = scan.Execute(q, db.live_store());
+    auto b = indexed.Execute(q, db.live_store());
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a.value().rows.size(), b.value().rows.size()) << q;

@@ -57,7 +57,7 @@ std::string Fingerprint(const Database& db) {
   std::vector<std::string> parts;
   for (const ClassDef* cls : db.classes()) {
     for (Oid oid : db.Extent(cls->name(), /*include_subclasses=*/false)) {
-      parts.push_back(ObjectRecord(db, oid));
+      parts.push_back(ObjectRecord(db.live_store(), oid));
       std::vector<Oid> set = db.SynonymSet(oid);
       if (set.size() > 1 && oid == *std::min_element(set.begin(), set.end())) {
         std::sort(set.begin(), set.end());
@@ -69,7 +69,7 @@ std::string Fingerprint(const Database& db) {
   }
   for (const RelationshipDef* rel : db.relationships()) {
     for (Oid lid : db.LinkExtent(rel->name(), false)) {
-      parts.push_back(LinkRecord(db, lid));
+      parts.push_back(LinkRecord(db.live_store(), lid));
     }
   }
   std::sort(parts.begin(), parts.end());
@@ -388,7 +388,7 @@ TEST(DurableStoreTest, RuntimeDdlSurvivesReopenWithoutCheckpoint) {
   EXPECT_EQ(Fingerprint(db), fp);
   ASSERT_NE(db.FindClass("Taxon"), nullptr);
   ASSERT_NE(db.FindRelationship("remarks"), nullptr);
-  EXPECT_NE(db.FindTemplateSemantics("annotates"), nullptr);
+  EXPECT_NE(db.FindTemplate("annotates"), nullptr);
   EXPECT_EQ(db.object_count(), 2u);
   EXPECT_FALSE(reopened.value()->recovery_info().torn_tail);
 }

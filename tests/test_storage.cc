@@ -234,15 +234,12 @@ TEST(SnapshotTest, MethodsAndTemplatesSurvive) {
   EXPECT_EQ(m->return_type, "string");
   ASSERT_EQ(m->parameters.size(), 1u);
   EXPECT_EQ(m->parameters[0].first, "bool");
-  const RelationshipSemantics* tsem = loaded.FindTemplateSemantics("tpl");
-  ASSERT_NE(tsem, nullptr);
-  EXPECT_TRUE(tsem->exclusive);
-  EXPECT_EQ(tsem->exclusivity_group, "grp");
-  const std::vector<AttributeDef>* tattrs =
-      loaded.FindTemplateAttributes("tpl");
-  ASSERT_NE(tattrs, nullptr);
-  ASSERT_EQ(tattrs->size(), 1u);
-  EXPECT_EQ((*tattrs)[0].name, "why");
+  const RelationshipTemplate* tpl = loaded.FindTemplate("tpl");
+  ASSERT_NE(tpl, nullptr);
+  EXPECT_TRUE(tpl->semantics.exclusive);
+  EXPECT_EQ(tpl->semantics.exclusivity_group, "grp");
+  ASSERT_EQ(tpl->attributes.size(), 1u);
+  EXPECT_EQ(tpl->attributes[0].name, "why");
 }
 
 TEST(SnapshotTest, EmptyDatabaseRoundTrips) {

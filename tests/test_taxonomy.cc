@@ -710,19 +710,22 @@ TEST_F(TaxonomyFixture, TypicalTaxonomicQueries) {
 
   // Q: taxa at a given rank.
   auto q1 = tdb.query().Execute(
-      "select t from CircumscriptionTaxon t where t.rank = 'Species'");
+      "select t from CircumscriptionTaxon t where t.rank = 'Species'",
+      tdb.db().live_store());
   ASSERT_TRUE(q1.ok());
   EXPECT_EQ(q1.value().rows.size(), 1u);
 
   // Q: specimens under a taxon, recursively, in context.
   pool::Environment env{{"g", Value::Ref(genus)}, {"c", Value::Ref(c)}};
   auto q2 = tdb.query().Eval(
-      "count(traverse(g, 'contains', 1, 0, 'out', c))", env);
+      "count(traverse(g, 'contains', 1, 0, 'out', c))",
+      tdb.db().live_store(), env);
   ASSERT_TRUE(q2.ok());
   EXPECT_TRUE(q2.value().Equals(Value::Int(1)));
 
   // Q: collectors of specimens of a taxon (path through collection).
   auto q3 = tdb.query().Eval("children(sp, 'circumscribes', c).collector",
+                             tdb.db().live_store(),
                              {{"sp", Value::Ref(sp)}, {"c", Value::Ref(c)}});
   ASSERT_TRUE(q3.ok());
   EXPECT_EQ(q3.value().AsList().size(), 2u);
@@ -730,7 +733,7 @@ TEST_F(TaxonomyFixture, TypicalTaxonomicQueries) {
   // Q: traceability — why was the species placed there?
   auto q4 = tdb.query().Execute(
       "select l.motivation from contains l where l.target.working_name = "
-      "'graveolens'");
+      "'graveolens'", tdb.db().live_store());
   ASSERT_TRUE(q4.ok());
   ASSERT_EQ(q4.value().rows.size(), 1u);
   EXPECT_TRUE(
