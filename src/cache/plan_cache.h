@@ -40,16 +40,26 @@ struct RangeAccess {
     /// Two literals on one side do not order against each other (e.g. an
     /// int and a string), so there is no tightest bound to probe with.
     bool incomparable = false;
+    /// The where-clause conjuncts merged here, in source order. A range
+    /// lookup that answers the bounds exactly answers all of them.
+    std::vector<const pool::Expr*> conjuncts = {};
   };
   std::vector<Equality> equalities;  ///< in conjunct order
   std::vector<Bounds> ranges;        ///< one per attribute, first-seen order
 };
 
-/// Per-range analyses of one query, keyed by the `FromRange`'s address in
-/// its AST. An absent key means the where-clause pins nothing for that
-/// range (extent scan).
-using AccessAnalysis =
-    std::unordered_map<const pool::FromRange*, RangeAccess>;
+/// The access-path analysis of one query: its where clause's conjuncts
+/// and, per extent range, what they offer an index.
+struct AccessAnalysis {
+  /// The `and`-conjuncts of the where clause, in source order (empty
+  /// without one). Evaluating them in order, stopping at the first false,
+  /// is evaluating the where clause.
+  std::vector<const pool::Expr*> conjuncts;
+  /// Per-range analyses, keyed by the `FromRange`'s address in its AST. An
+  /// absent key means the where clause pins nothing for that range
+  /// (extent scan).
+  std::unordered_map<const pool::FromRange*, RangeAccess> ranges;
+};
 
 /// A cached query plan: the parsed AST plus the structural access-path
 /// analysis the optimiser derives from it. Both are pure functions of the

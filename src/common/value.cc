@@ -83,7 +83,8 @@ bool Value::Equals(const Value& other) const {
       (b == ValueType::kInt || b == ValueType::kDouble)) {
     if (a == ValueType::kInt && b == ValueType::kInt)
       return AsInt() == other.AsInt();
-    return ToNumeric().value() == other.ToNumeric().value();
+    return CompareNumbers(ToNumeric().value(), other.ToNumeric().value()) ==
+           0;
   }
   if (a != b) return false;
   switch (a) {
@@ -124,9 +125,7 @@ Result<int> Value::Compare(const Value& other) const {
   ValueType b = other.type();
   if ((a == ValueType::kInt || a == ValueType::kDouble) &&
       (b == ValueType::kInt || b == ValueType::kDouble)) {
-    double x = ToNumeric().value();
-    double y = other.ToNumeric().value();
-    return x < y ? -1 : (x > y ? 1 : 0);
+    return CompareNumbers(ToNumeric().value(), other.ToNumeric().value());
   }
   if (a != b) {
     return Status::TypeError(std::string("cannot compare ") +

@@ -1,6 +1,7 @@
 #ifndef PROMETHEUS_COMMON_VALUE_H_
 #define PROMETHEUS_COMMON_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -11,6 +12,16 @@
 #include "common/result.h"
 
 namespace prometheus {
+
+/// The one total order of numbers, shared by `Value::Compare` and the
+/// ordered indexes: the usual order, with NaN equal to NaN and after every
+/// other number (PostgreSQL's rule). `-1`, `0`, `1`.
+inline int CompareNumbers(double x, double y) {
+  if (x < y) return -1;
+  if (x > y) return 1;
+  if (x == y) return 0;
+  return std::isnan(x) ? (std::isnan(y) ? 0 : 1) : -1;
+}
 
 /// The dynamic type of a `Value`.
 ///
@@ -89,13 +100,13 @@ class Value {
   /// error. Used by POOL arithmetic and comparisons.
   Result<double> ToNumeric() const;
 
-  /// Structural equality. Int/double compare numerically (so `1 == 1.0`);
-  /// null equals only null.
+  /// Structural equality. Int/double compare numerically (so `1 == 1.0`,
+  /// and NaN equals NaN — see `CompareNumbers`); null equals only null.
   bool Equals(const Value& other) const;
 
   /// Three-way ordering for order-comparable values (numerics, strings,
-  /// bools, refs). Returns an error for nulls, lists, or mixed
-  /// incomparable types. `-1`, `0`, `1`.
+  /// bools, refs). Numbers follow `CompareNumbers`. Returns an error for
+  /// nulls, lists, or mixed incomparable types. `-1`, `0`, `1`.
   Result<int> Compare(const Value& other) const;
 
   /// Renders the value for diagnostics and benchmark/report output: a

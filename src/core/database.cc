@@ -221,18 +221,18 @@ Result<const RelationshipDef*> Database::DefineRelationship(
 Status Database::DefineMethod(const std::string& class_name,
                               MethodDef method) {
   BeginMutation();
-  auto* cls = const_cast<ClassDef*>(FindClass(class_name));
+  const ClassDef* cls = FindClass(class_name);
   if (cls == nullptr) {
     return Status::NotFound("unknown class '" + class_name + "'");
   }
   if (method.name.empty()) {
     return Status::InvalidArgument("method name must not be empty");
   }
-  if (cls->FindMethod(method.name) != nullptr) {
+  if (store_.FindMethod(cls, method.name) != nullptr) {
     return Status::InvalidArgument("method '" + method.name +
                                    "' already declared");
   }
-  cls->methods_.push_back(std::move(method));
+  MutableSchema().methods[cls].push_back(std::move(method));
   return Status::Ok();
 }
 

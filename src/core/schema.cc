@@ -38,16 +38,6 @@ void ClassDef::CollectAttributes(
   }
 }
 
-const MethodDef* ClassDef::FindMethod(std::string_view name) const {
-  for (const MethodDef& m : methods_) {
-    if (m.name == name) return &m;
-  }
-  for (const ClassDef* s : supers_) {
-    if (const MethodDef* m = s->FindMethod(name)) return m;
-  }
-  return nullptr;
-}
-
 bool RelationshipDef::IsSubrelationshipOf(const RelationshipDef* other) const {
   if (this == other) return true;
   for (const RelationshipDef* s : supers_) {

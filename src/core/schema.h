@@ -29,7 +29,9 @@ struct AttributeDef {
 /// Declaration of a method of a class (thesis 4.2: methods are
 /// `C m(C1 r1, ..., Cn rn)` signatures). Prometheus stores method
 /// signatures as schema metadata — behaviour lives in the host language,
-/// as in the ODMG binding.
+/// as in the ODMG binding. They are kept per class in the store's schema
+/// tables (`DbSnapshot::MethodsOf`), not on the `ClassDef`, because later
+/// DDL adds them to a class that published snapshots already share.
 struct MethodDef {
   std::string name;
   /// Return type name; empty for void.
@@ -68,12 +70,6 @@ class ClassDef {
   /// Attributes declared directly on this class.
   const std::vector<AttributeDef>& attributes() const { return attributes_; }
 
-  /// Method signatures declared directly on this class.
-  const std::vector<MethodDef>& methods() const { return methods_; }
-
-  /// Finds `name` on this class or any super-class; nullptr if absent.
-  const MethodDef* FindMethod(std::string_view name) const;
-
   /// True when this class is `other` or transitively inherits from it.
   bool IsSubclassOf(const ClassDef* other) const;
 
@@ -91,7 +87,6 @@ class ClassDef {
   std::vector<const ClassDef*> supers_;
   std::vector<const ClassDef*> subclasses_;
   std::vector<AttributeDef> attributes_;
-  std::vector<MethodDef> methods_;
 };
 
 /// Kind of a relationship class (thesis 4.3): aggregations model whole–part

@@ -38,6 +38,24 @@ const RelationshipTemplate* DbSnapshot::FindTemplate(
   return it == schema_->templates.end() ? nullptr : &it->second;
 }
 
+const std::vector<MethodDef>& DbSnapshot::MethodsOf(
+    const ClassDef* cls) const {
+  static const std::vector<MethodDef> kNone;
+  auto it = schema_->methods.find(cls);
+  return it == schema_->methods.end() ? kNone : it->second;
+}
+
+const MethodDef* DbSnapshot::FindMethod(const ClassDef* cls,
+                                        std::string_view name) const {
+  for (const MethodDef& m : MethodsOf(cls)) {
+    if (m.name == name) return &m;
+  }
+  for (const ClassDef* s : cls->supers()) {
+    if (const MethodDef* m = FindMethod(s, name)) return m;
+  }
+  return nullptr;
+}
+
 Result<Value> DbSnapshot::GetAttribute(Oid oid,
                                        const std::string& name) const {
   const Object* obj = GetObject(oid);

@@ -91,9 +91,10 @@ struct RelationshipTemplate {
 };
 
 /// Schema tables of one store: name→definition maps plus the store's own
-/// children adjacency (`subclasses`/`subrels`). The copies matter: the
-/// `ClassDef::subclasses_` / `RelationshipDef::subs_` vectors are appended
-/// to by later DDL, so a snapshot's extent BFS must not read them.
+/// children adjacency (`subclasses`/`subrels`) and method signatures. The
+/// copies matter: the `ClassDef::subclasses_` / `RelationshipDef::subs_`
+/// vectors are appended to by later DDL, so a snapshot's extent BFS must
+/// not read them, and `DefineMethod` adds to a class defined earlier.
 /// Everything else on a definition (name, supers, attributes, semantics,
 /// endpoints) is frozen once defined and safely shared.
 ///
@@ -114,6 +115,8 @@ struct SchemaTables {
   std::vector<std::shared_ptr<const RelationshipDef>> rel_keep_alive;
   std::unordered_map<std::string, RelationshipTemplate> templates;
   std::vector<std::string> template_order;
+  /// Method signatures declared directly on each class (absent: none).
+  std::unordered_map<const ClassDef*, std::vector<MethodDef>> methods;
 };
 
 /// The one store of objects and first-class links, and the one type every
@@ -167,6 +170,11 @@ class DbSnapshot {
     return schema_->template_order;
   }
   const RelationshipTemplate* FindTemplate(std::string_view name) const;
+  /// Method signatures declared directly on `cls` as of this store.
+  const std::vector<MethodDef>& MethodsOf(const ClassDef* cls) const;
+  /// Method `name` of `cls` or of a super-class; nullptr if absent.
+  const MethodDef* FindMethod(const ClassDef* cls,
+                              std::string_view name) const;
 
   // --------------------------------------------------------------- objects
   Result<Value> GetAttribute(Oid oid, const std::string& name) const;

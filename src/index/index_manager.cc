@@ -1,6 +1,7 @@
 #include "index/index_manager.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/metrics.h"
 
@@ -35,6 +36,11 @@ struct IndexMetrics {
   }
 };
 
+/// `Class.attr`, for messages.
+std::string Describe(const ClassDef* cls, const std::string& attr) {
+  return (cls != nullptr ? cls->name() : std::string("?")) + "." + attr;
+}
+
 }  // namespace
 
 IndexManager::OrderedKey IndexManager::OrderedKey::FromValue(const Value& v) {
@@ -42,16 +48,23 @@ IndexManager::OrderedKey IndexManager::OrderedKey::FromValue(const Value& v) {
   switch (v.type()) {
     case ValueType::kInt:
     case ValueType::kDouble:
-      key.is_numeric = true;
+      key.family = kNumber;
       key.num = v.ToNumeric().value();
       break;
     case ValueType::kString:
+      key.family = kString;
       key.str = v.AsString();
       break;
     default:
-      // Nulls and other types sort as the empty string.
       break;
   }
+  return key;
+}
+
+IndexManager::OrderedKey IndexManager::OrderedKey::First(Family family) {
+  OrderedKey key;
+  key.family = family;
+  key.num = -std::numeric_limits<double>::infinity();
   return key;
 }
 
@@ -76,9 +89,12 @@ Status IndexManager::CreateIndex(const std::string& class_name,
     return Status::NotFound("class '" + class_name + "' has no attribute '" +
                             attr + "'");
   }
-  if (HasIndex(class_name, attr)) {
-    return Status::InvalidArgument("index on " + class_name + "." + attr +
-                                   " already exists");
+  {
+    std::shared_lock lock(mu_);
+    if (FindIndex(cls, attr) != nullptr) {
+      return Status::InvalidArgument("index on " + class_name + "." + attr +
+                                     " already exists");
+    }
   }
   auto index = std::make_unique<Index>();
   index->cls = cls;
@@ -111,23 +127,21 @@ Status IndexManager::DropIndex(const std::string& class_name,
   return Status::Ok();
 }
 
-bool IndexManager::HasIndex(const std::string& class_name,
+bool IndexManager::HasIndex(const ClassDef* cls,
                             const std::string& attr) const {
   std::shared_lock lock(mu_);
-  return FindIndex(class_name, attr) != nullptr;
+  return FindIndex(cls, attr) != nullptr;
 }
 
-bool IndexManager::HasOrderedIndex(const std::string& class_name,
+bool IndexManager::HasOrderedIndex(const ClassDef* cls,
                                    const std::string& attr) const {
   std::shared_lock lock(mu_);
-  const Index* ix = FindIndex(class_name, attr);
+  const Index* ix = FindIndex(cls, attr);
   return ix != nullptr && ix->ordered;
 }
 
-/// Caller must hold mu_ (shared suffices).
 const IndexManager::Index* IndexManager::FindIndex(
-    const std::string& class_name, const std::string& attr) const {
-  const ClassDef* cls = db_->FindClass(class_name);
+    const ClassDef* cls, const std::string& attr) const {
   if (cls == nullptr) return nullptr;
   for (const auto& ix : indexes_) {
     if (ix->cls == cls && ix->attr == attr) return ix.get();
@@ -135,18 +149,18 @@ const IndexManager::Index* IndexManager::FindIndex(
   return nullptr;
 }
 
-Result<std::vector<Oid>> IndexManager::Lookup(const std::string& class_name,
+Result<std::vector<Oid>> IndexManager::Lookup(const ClassDef* cls,
                                               const std::string& attr,
                                               const Value& value,
                                               std::uint64_t as_of) const {
   std::shared_lock lock(mu_);
-  const Index* ix = FindIndex(class_name, attr);
+  const Index* ix = FindIndex(cls, attr);
   if (ix == nullptr) {
     IndexMetrics::Get().lookup_misses->Increment();
-    return Status::NotFound("no index on " + class_name + "." + attr);
+    return Status::NotFound("no index on " + Describe(cls, attr));
   }
   if (ix->dirty_epoch > as_of) {
-    return Status::Unavailable("index on " + class_name + "." + attr +
+    return Status::Unavailable("index on " + Describe(cls, attr) +
                                " has run ahead of snapshot epoch");
   }
   IndexMetrics::Get().lookup_hits->Increment();
@@ -161,37 +175,57 @@ Result<std::vector<Oid>> IndexManager::Lookup(const std::string& class_name,
   return out;
 }
 
-Result<std::vector<Oid>> IndexManager::RangeLookup(
-    const std::string& class_name, const std::string& attr, const Value& lo,
-    const Value& hi, std::uint64_t as_of) const {
+Result<std::vector<Oid>> IndexManager::RangeLookup(const ClassDef* cls,
+                                                   const std::string& attr,
+                                                   const RangeBound& lo,
+                                                   const RangeBound& hi,
+                                                   std::uint64_t as_of) const {
+  const OrderedKey lo_key = OrderedKey::FromValue(lo.value);
+  const OrderedKey hi_key = OrderedKey::FromValue(hi.value);
+  const bool lo_open = lo.value.is_null();
+  const bool hi_open = hi.value.is_null();
+  if ((!lo_open && lo_key.family == OrderedKey::kOther) ||
+      (!hi_open && hi_key.family == OrderedKey::kOther)) {
+    return Status::InvalidArgument("range bounds on " + Describe(cls, attr) +
+                                   " must be numbers or strings");
+  }
   std::shared_lock lock(mu_);
-  const Index* ix = FindIndex(class_name, attr);
+  const Index* ix = FindIndex(cls, attr);
   if (ix == nullptr) {
     IndexMetrics::Get().lookup_misses->Increment();
-    return Status::NotFound("no index on " + class_name + "." + attr);
+    return Status::NotFound("no index on " + Describe(cls, attr));
   }
   if (ix->dirty_epoch > as_of) {
-    return Status::Unavailable("index on " + class_name + "." + attr +
+    return Status::Unavailable("index on " + Describe(cls, attr) +
                                " has run ahead of snapshot epoch");
   }
   if (!ix->ordered) {
-    return Status::FailedPrecondition("index on " + class_name + "." + attr +
+    return Status::FailedPrecondition("index on " + Describe(cls, attr) +
                                       " is a hash index; range lookups "
                                       "require an ordered index");
   }
   IndexMetrics::Get().lookup_hits->Increment();
   std::vector<Oid> out;
-  // An inverted range is empty; walking it would run lower_bound(lo) past
-  // an upper_bound(hi) that lies before it.
-  if (!lo.is_null() && !hi.is_null() &&
-      OrderedKey::FromValue(hi) < OrderedKey::FromValue(lo)) {
+  if (lo_open && hi_open) {
+    for (const auto& [key, oid] : ix->tree) out.push_back(oid);
     return out;
   }
-  auto begin = lo.is_null()
-                   ? ix->tree.begin()
-                   : ix->tree.lower_bound(OrderedKey::FromValue(lo));
-  auto end = hi.is_null() ? ix->tree.end()
-                          : ix->tree.upper_bound(OrderedKey::FromValue(hi));
+  // Bounds of two families, or an inverted or empty range, select nothing;
+  // walking one would run its begin past its end.
+  if (!lo_open && !hi_open &&
+      (lo_key.family != hi_key.family || hi_key < lo_key ||
+       (!(lo_key < hi_key) && (lo.strict || hi.strict)))) {
+    return out;
+  }
+  // An open end stops at the edge of the bounded end's family.
+  const OrderedKey::Family family = lo_open ? hi_key.family : lo_key.family;
+  auto begin = lo_open    ? ix->tree.lower_bound(OrderedKey::First(family))
+               : lo.strict ? ix->tree.upper_bound(lo_key)
+                           : ix->tree.lower_bound(lo_key);
+  auto end = !hi_open ? (hi.strict ? ix->tree.lower_bound(hi_key)
+                                   : ix->tree.upper_bound(hi_key))
+                      : ix->tree.lower_bound(OrderedKey::First(
+                            static_cast<OrderedKey::Family>(family + 1)));
   for (auto it = begin; it != end; ++it) out.push_back(it->second);
   return out;
 }

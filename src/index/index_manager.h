@@ -34,8 +34,9 @@ namespace prometheus {
 /// epoch the lookup reports kUnavailable and the caller falls back to an
 /// extent scan over the snapshot. Structures are guarded by a shared
 /// mutex: lookups take it shared (they run off snapshot threads with no
-/// database guard held), maintenance takes it exclusive (it runs on the
-/// writer thread via the event bus).
+/// database guard held, so they never touch `db`), maintenance and
+/// create/drop take it exclusive (they run on the writer thread, the former
+/// via the event bus).
 class IndexManager {
  public:
   /// Subscribes to `db`'s event bus. `db` must outlive the manager.
@@ -54,28 +55,45 @@ class IndexManager {
   /// Drops an index. Unknown indexes report kNotFound.
   Status DropIndex(const std::string& class_name, const std::string& attr);
 
-  /// True when `class_name.attr` is indexed.
-  bool HasIndex(const std::string& class_name, const std::string& attr) const;
+  // The read side below names its class by the `ClassDef` of the caller's
+  // own store (`DbSnapshot::FindClass`): definitions are shared by every
+  // snapshot, so readers never resolve a name against the working store.
 
-  /// True when `class_name.attr` has an ordered (range-capable) index.
-  bool HasOrderedIndex(const std::string& class_name,
-                       const std::string& attr) const;
+  /// True when `cls.attr` is indexed.
+  bool HasIndex(const ClassDef* cls, const std::string& attr) const;
+
+  /// True when `cls.attr` has an ordered (range-capable) index.
+  bool HasOrderedIndex(const ClassDef* cls, const std::string& attr) const;
 
   /// Exact-match lookup. Returns kNotFound when no such index exists;
   /// kUnavailable when the index has been mutated past `as_of` (the
-  /// caller's snapshot epoch) — fall back to an extent scan.
+  /// caller's snapshot epoch) — fall back to an extent scan. An ordered
+  /// index answers by `OrderedKey` equality, so the result is a superset
+  /// of the `Value::Equals` matches (all nulls, bools and refs share a key).
   Result<std::vector<Oid>> Lookup(
-      const std::string& class_name, const std::string& attr,
-      const Value& value,
+      const ClassDef* cls, const std::string& attr, const Value& value,
       std::uint64_t as_of = std::numeric_limits<std::uint64_t>::max()) const;
 
-  /// Range lookup over an ordered index: lo <= value <= hi; a null bound is
-  /// open, and an inverted range (hi < lo) is empty. Returns
-  /// kFailedPrecondition on a hash index; kUnavailable when the index has
-  /// been mutated past `as_of`.
+  /// One end of a range lookup: a null `value` is open; `strict` excludes
+  /// the keys equal to `value`.
+  struct RangeBound {
+    Value value;
+    bool strict = false;
+  };
+
+  /// Range lookup over an ordered index, exact: the oids whose indexed
+  /// value `v` satisfies `lo < v` / `lo <= v` and `v < hi` / `v <= hi` as
+  /// `Value::Compare` orders them — numbers by `CompareNumbers`, NaN
+  /// last. A range is confined to the family of its bounds: a numeric
+  /// range never returns a null or a string, even when one end is open,
+  /// and bounds of two families (or an inverted range) select nothing.
+  /// Both ends open select every entry. Returns kInvalidArgument for a
+  /// bound that is neither a number nor a string; kFailedPrecondition on
+  /// a hash index; kUnavailable when the index has been mutated past
+  /// `as_of`.
   Result<std::vector<Oid>> RangeLookup(
-      const std::string& class_name, const std::string& attr, const Value& lo,
-      const Value& hi,
+      const ClassDef* cls, const std::string& attr, const RangeBound& lo,
+      const RangeBound& hi,
       std::uint64_t as_of = std::numeric_limits<std::uint64_t>::max()) const;
 
   /// Number of entries across all indexes (diagnostics).
@@ -89,18 +107,23 @@ class IndexManager {
       const;
 
  private:
-  /// Ordering key for ordered indexes: numerics sort before strings;
-  /// other types are not range-indexable and use only hash indexes.
+  /// Ordering key for ordered indexes, in three families: numbers (ints
+  /// and doubles together, in `CompareNumbers` order, so NaN is the
+  /// largest number), then strings, then every other value (nulls, bools,
+  /// refs, lists) as one key. Only numbers and strings are range-indexable.
   struct OrderedKey {
-    bool is_numeric = false;
+    enum Family : std::uint8_t { kNumber, kString, kOther };
+    Family family = kOther;
     double num = 0;
     std::string str;
 
     static OrderedKey FromValue(const Value& v);
+    /// A key no key of `family` sorts before.
+    static OrderedKey First(Family family);
     bool operator<(const OrderedKey& o) const {
-      if (is_numeric != o.is_numeric) return is_numeric;  // numerics first
-      if (is_numeric) return num < o.num;
-      return str < o.str;
+      if (family != o.family) return family < o.family;
+      if (family == kNumber) return CompareNumbers(num, o.num) < 0;
+      return family == kString && str < o.str;
     }
   };
 
@@ -121,8 +144,8 @@ class IndexManager {
   void OnEvent(const Event& event);
   void InsertEntry(Index* index, Oid oid, const Value& value);
   void RemoveEntry(Index* index, Oid oid);
-  const Index* FindIndex(const std::string& class_name,
-                         const std::string& attr) const;
+  /// Caller must hold mu_ (shared suffices).
+  const Index* FindIndex(const ClassDef* cls, const std::string& attr) const;
 
   Database* db_;
   ListenerId listener_ = 0;

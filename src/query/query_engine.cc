@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cctype>
+#include <span>
 #include <unordered_set>
 
 #include "obs/metrics.h"
@@ -1054,11 +1055,12 @@ BinaryOp Flipped(BinaryOp op) {
   }
 }
 
-/// Merges the conjunct `var.attr op literal` into `bounds`: a lower bound
-/// keeps the larger literal, an upper bound the smaller; on a tie the
-/// strict one wins.
-void Tighten(BinaryOp op, const Expr* literal,
+/// Merges `conjunct`, which reads `var.attr op literal`, into `bounds`: a
+/// lower bound keeps the larger literal, an upper bound the smaller; on a
+/// tie the strict one wins.
+void Tighten(const Expr* conjunct, BinaryOp op, const Expr* literal,
              cache::RangeAccess::Bounds* bounds) {
+  bounds->conjuncts.push_back(conjunct);
   const bool lower = op == BinaryOp::kGt || op == BinaryOp::kGe;
   const bool strict = op == BinaryOp::kGt || op == BinaryOp::kLt;
   const Expr*& bound = lower ? bounds->lower : bounds->upper;
@@ -1087,12 +1089,11 @@ void Tighten(BinaryOp op, const Expr* literal,
 cache::AccessAnalysis AnalyzeAccess(const SelectQuery& query) {
   cache::AccessAnalysis out;
   if (query.where == nullptr) return out;
-  std::vector<const Expr*> conjuncts;
-  FlattenConjuncts(query.where.get(), &conjuncts);
+  FlattenConjuncts(query.where.get(), &out.conjuncts);
   for (const FromRange& range : query.from) {
     if (range.source_expr != nullptr) continue;
     cache::RangeAccess access;
-    for (const Expr* c : conjuncts) {
+    for (const Expr* c : out.conjuncts) {
       if (c->kind != ExprKind::kBinary) continue;
       BinaryOp op = c->binary_op;
       if (op != BinaryOp::kEq && op != BinaryOp::kLt &&
@@ -1123,10 +1124,10 @@ cache::AccessAnalysis AnalyzeAccess(const SelectQuery& query) {
       if (it == access.ranges.end()) {
         it = access.ranges.insert(access.ranges.end(), {path->name});
       }
-      Tighten(op, lit, &*it);
+      Tighten(c, op, lit, &*it);
     }
     if (!access.equalities.empty() || !access.ranges.empty()) {
-      out.emplace(&range, std::move(access));
+      out.ranges.emplace(&range, std::move(access));
     }
   }
   return out;
@@ -1150,13 +1151,46 @@ bool BoundFitsDeclaredType(ValueType declared, const Expr* bound) {
   }
 }
 
-/// The access path for an extent range over a class, chosen at execution
-/// time in a fixed order: an equality conjunct with a live index, then a
-/// range with a live ordered index whose declared type fits its bounds,
-/// else (both null) an extent scan.
+/// `c`, a range conjunct `var.attr op literal` (either operand order), as
+/// its source reads — for EXPLAIN and PROFILE.
+std::string ConjunctText(const Expr& c) {
+  auto operand = [](const Expr& e) {
+    return e.kind == ExprKind::kPath
+               ? e.children[0]->name + "." + e.name
+               : e.literal.ToString();
+  };
+  const char* op = c.binary_op == BinaryOp::kLt   ? " < "
+                   : c.binary_op == BinaryOp::kLe ? " <= "
+                   : c.binary_op == BinaryOp::kGt ? " > "
+                                                  : " >= ";
+  return operand(*c.children[0]) + op + operand(*c.children[1]);
+}
+
+/// The conjuncts `bounds` merged, as EXPLAIN and PROFILE list the ones an
+/// index answered.
+std::string AnsweredText(const cache::RangeAccess::Bounds& bounds) {
+  std::string out;
+  for (const Expr* c : bounds.conjuncts) {
+    if (!out.empty()) out += ", ";
+    out += ConjunctText(*c);
+  }
+  return out;
+}
+
+/// The access path for an extent range over class `cls`, chosen at
+/// execution time in a fixed order: an equality conjunct with a live index,
+/// then a range with a live ordered index whose declared type fits its
+/// bounds, else (both null) an extent scan.
 struct AccessPath {
   const cache::RangeAccess::Equality* lookup = nullptr;
   const cache::RangeAccess::Bounds* range = nullptr;
+  /// The range lookup returns exactly the rows `range`'s conjuncts accept,
+  /// so they need not run per binding: the attribute is declared `int` or
+  /// `double` (its values are numbers or null) and so are the bounds, and
+  /// the ordered index orders numbers as `Value::Compare` does, stops
+  /// before the nulls and honours strict bounds. Equality lookups and
+  /// string ranges keep their conjuncts.
+  bool exact = false;
 
   /// The strategy string PROFILE and EXPLAIN report.
   std::string Strategy(const std::string& class_name) const {
@@ -1181,28 +1215,27 @@ struct AccessPath {
   }
 };
 
-AccessPath ChooseAccessPath(const IndexManager* indexes,
-                            const DbSnapshot& view,
-                            const std::string& class_name,
+AccessPath ChooseAccessPath(const IndexManager* indexes, const ClassDef* cls,
                             const cache::RangeAccess* access) {
   AccessPath path;
   if (indexes == nullptr || access == nullptr) return path;
   for (const cache::RangeAccess::Equality& eq : access->equalities) {
-    if (indexes->HasIndex(class_name, eq.attribute)) {
+    if (indexes->HasIndex(cls, eq.attribute)) {
       path.lookup = &eq;
       return path;
     }
   }
-  const ClassDef* cls = view.FindClass(class_name);
   for (const cache::RangeAccess::Bounds& b : access->ranges) {
     if (b.incomparable) continue;
     const AttributeDef* def = cls->FindAttribute(b.attribute);
     if (def == nullptr || !BoundFitsDeclaredType(def->type, b.lower) ||
         !BoundFitsDeclaredType(def->type, b.upper) ||
-        !indexes->HasOrderedIndex(class_name, b.attribute)) {
+        !indexes->HasOrderedIndex(cls, b.attribute)) {
       continue;
     }
     path.range = &b;
+    path.exact =
+        def->type == ValueType::kInt || def->type == ValueType::kDouble;
     return path;
   }
   return path;
@@ -1215,6 +1248,8 @@ struct QueryEngine::RangeBinding {
   const FromRange* range;
   std::vector<Value> candidates;  ///< for extent ranges (pre-computed)
   std::string strategy;           ///< access path chosen (profiling)
+  /// The bounds whose conjuncts `candidates` satisfy exactly (null: none).
+  const cache::RangeAccess::Bounds* answered = nullptr;
   /// A dependent range's list under the current outer bindings.
   Value source;
   /// The candidates being enumerated (`candidates` or `source`'s list) and
@@ -1233,7 +1268,8 @@ std::shared_ptr<const cache::PlanEntry> QueryEngine::BuildPlanEntry(
 
 Result<std::vector<Value>> QueryEngine::RangeCandidates(
     const FromRange& range, const DbSnapshot& view, CatalogMemo& catalog,
-    const cache::RangeAccess* access, std::string* strategy) const {
+    const cache::RangeAccess* access, std::string* strategy,
+    const cache::RangeAccess::Bounds** answered) const {
   auto refs = [](const std::vector<Oid>& oids) {
     std::vector<Value> out;
     out.reserve(oids.size());
@@ -1257,38 +1293,42 @@ Result<std::vector<Value>> QueryEngine::RangeCandidates(
     catalog.emplace(name, rows);
     return rows;
   }
-  const bool is_class = view.FindClass(name) != nullptr;
-  if (!is_class && view.FindRelationship(name) == nullptr) {
+  const ClassDef* cls = view.FindClass(name);
+  if (cls == nullptr && view.FindRelationship(name) == nullptr) {
     return Status::NotFound("no extent named '" + name + "'");
   }
   // Index optimization (6.1.5.2/3): replace the extent scan by an index
-  // lookup or range. The candidates are a superset filter — the where
-  // clause still runs on each — so the answer never depends on the path.
-  if (is_class) {
-    const AccessPath path = ChooseAccessPath(indexes_, view, name, access);
+  // lookup or range. An exact range (see AccessPath::exact) answers its
+  // conjuncts, which the caller then drops from the per-binding test; any
+  // other path's candidates are a superset the whole where clause filters.
+  if (cls != nullptr) {
+    const AccessPath path = ChooseAccessPath(indexes_, cls, access);
     if (path.lookup != nullptr || path.range != nullptr) {
       // The index probes that chose the path and this lookup are distinct
-      // critical sections, and under MVCC the index may also have run ahead of the
-      // snapshot this query reads through. Either way the lookup itself is
-      // the source of truth: any failure falls through to the extent scan,
-      // which is always correct against the current view. Strict range
-      // bounds probe inclusively; the where clause trims the endpoints.
-      auto bound = [](const Expr* e) {
-        return e != nullptr ? e->literal : Value::Null();
+      // critical sections, and under MVCC the index may also have run ahead
+      // of the snapshot this query reads through. Either way the lookup
+      // itself is the source of truth: any failure falls through to the
+      // extent scan, which is always correct against the current view and
+      // answers no conjunct.
+      auto bound = [](const Expr* e, bool strict) {
+        return IndexManager::RangeBound{
+            e != nullptr ? e->literal : Value::Null(), strict};
       };
       Result<std::vector<Oid>> oids =
           path.lookup != nullptr
-              ? indexes_->Lookup(name, path.lookup->attribute,
+              ? indexes_->Lookup(cls, path.lookup->attribute,
                                  path.lookup->literal->literal,
                                  view.index_epoch_ceiling())
-              : indexes_->RangeLookup(name, path.range->attribute,
-                                      bound(path.range->lower),
-                                      bound(path.range->upper),
-                                      view.index_epoch_ceiling());
+              : indexes_->RangeLookup(
+                    cls, path.range->attribute,
+                    bound(path.range->lower, path.range->lower_strict),
+                    bound(path.range->upper, path.range->upper_strict),
+                    view.index_epoch_ceiling());
       if (oids.ok()) {
         metrics.index_lookups->Increment();
         ExtentHeat::Instance().RecordIndexHit(name, oids.value().size());
         if (strategy != nullptr) *strategy = path.Strategy(name);
+        if (path.exact) *answered = path.range;
         return refs(oids.value());
       }
       metrics.index_fallbacks->Increment();
@@ -1296,10 +1336,11 @@ Result<std::vector<Value>> QueryEngine::RangeCandidates(
   }
   metrics.extent_scans->Increment();
   if (strategy != nullptr) {
-    *strategy = is_class ? AccessPath().Strategy(name)
-                         : "extent scan of relationship " + name;
+    *strategy = cls != nullptr ? AccessPath().Strategy(name)
+                               : "extent scan of relationship " + name;
   }
-  std::vector<Oid> oids = is_class ? view.Extent(name) : view.LinkExtent(name);
+  std::vector<Oid> oids =
+      cls != nullptr ? view.Extent(name) : view.LinkExtent(name);
   ExtentHeat::Instance().RecordScan(name, oids.size());
   return refs(oids);
 }
@@ -1321,11 +1362,14 @@ Result<std::string> QueryEngine::Explain(const std::string& query,
                                 range.source_name + "'");
       }
       out += "catalog materialization of " + range.source_name;
-    } else if (view.FindClass(range.source_name) != nullptr) {
-      auto it = analysis.find(&range);
-      out += ChooseAccessPath(indexes_, view, range.source_name,
-                              it != analysis.end() ? &it->second : nullptr)
-                 .Strategy(range.source_name);
+    } else if (const ClassDef* cls = view.FindClass(range.source_name)) {
+      auto it = analysis.ranges.find(&range);
+      const AccessPath path = ChooseAccessPath(
+          indexes_, cls, it != analysis.ranges.end() ? &it->second : nullptr);
+      out += path.Strategy(range.source_name);
+      if (path.exact) {
+        out += "\n  answered by the index: " + AnsweredText(*path.range);
+      }
     } else if (view.FindRelationship(range.source_name) != nullptr) {
       out += "extent scan of relationship " + range.source_name;
     } else {
@@ -1373,13 +1417,14 @@ Result<ResultSet> QueryEngine::ExecuteInternal(
     if (r.source_expr == nullptr) {
       const cache::RangeAccess* range_access = nullptr;
       if (access != nullptr) {
-        auto it = access->find(&r);
-        if (it != access->end()) range_access = &it->second;
+        auto it = access->ranges.find(&r);
+        if (it != access->ranges.end()) range_access = &it->second;
       }
       PROMETHEUS_ASSIGN_OR_RETURN(
           rb.candidates,
           RangeCandidates(r, view, catalog, range_access,
-                          trace != nullptr ? &rb.strategy : nullptr));
+                          trace != nullptr ? &rb.strategy : nullptr,
+                          &rb.answered));
     } else {
       rb.strategy = "dependent expression (evaluated per outer binding)";
     }
@@ -1433,8 +1478,36 @@ Result<ResultSet> QueryEngine::ExecuteInternal(
       if (rb.range->source_expr == nullptr) {
         child->rows = static_cast<std::int64_t>(rb.candidates.size());
       }
+      if (rb.answered != nullptr) {
+        child->AddChild("answered by the index")->detail =
+            AnsweredText(*rb.answered);
+      }
     }
     trace->children.push_back(std::move(plan_node));
+  }
+
+  // The per-binding filter: the where clause's conjuncts, less those an
+  // exact index range answered for every candidate it returned, run in
+  // source order and stopping at the first false — the where clause's own
+  // evaluation order, so the rows and any error are the same. With nothing
+  // answered it is the where clause itself.
+  const Expr* const where = query.where.get();
+  std::span<const Expr* const> filter;
+  if (where != nullptr) filter = {&where, 1};
+  std::vector<const Expr*> answered;
+  for (const RangeBinding& rb : ranges) {
+    if (rb.answered == nullptr) continue;
+    answered.insert(answered.end(), rb.answered->conjuncts.begin(),
+                    rb.answered->conjuncts.end());
+  }
+  std::vector<const Expr*> residual;
+  if (!answered.empty()) {
+    for (const Expr* c : access->conjuncts) {
+      if (std::find(answered.begin(), answered.end(), c) == answered.end()) {
+        residual.push_back(c);
+      }
+    }
+    filter = residual;
   }
 
   ResultSet result;
@@ -1505,10 +1578,12 @@ Result<ResultSet> QueryEngine::ExecuteInternal(
         PROMETHEUS_RETURN_IF_ERROR(open(ranges[++depth]));
         continue;
       }
-      if (query.where != nullptr) {
-        PROMETHEUS_ASSIGN_OR_RETURN(bool pass, Test(*query.where, scope));
-        if (!pass) continue;
+      bool pass = true;
+      for (const Expr* c : filter) {
+        PROMETHEUS_ASSIGN_OR_RETURN(pass, Test(*c, scope));
+        if (!pass) break;
       }
+      if (!pass) continue;
       PROMETHEUS_RETURN_IF_ERROR(on_binding());
     }
   };

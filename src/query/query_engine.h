@@ -52,7 +52,9 @@ struct QueryProfile {
 /// graph traversal (`traverse`, `children`, `parents`, `leaves`), context
 /// restriction and subqueries. When an `IndexManager` is supplied, equality
 /// and range conjuncts over indexed attributes replace extent scans
-/// (6.1.5.2/3); the where-clause still filters every candidate.
+/// (6.1.5.2/3). An ordered-index range over a numeric attribute is exact,
+/// so the conjuncts it answered are dropped from the per-binding where
+/// test; every other path's candidates still pass the whole where clause.
 ///
 /// Every entry point names the store it reads: a pinned `DbSnapshot`
 /// (`Database::AcquireSnapshot`), or `Database::live_store()` for embedded
@@ -110,7 +112,9 @@ class QueryEngine {
   /// one line per range: extent scan, index lookup or index range (with
   /// the attribute), or dependent expression — the observable face of the
   /// optimiser (6.1.5.3). The strategy strings are the ones PROFILE
-  /// reports.
+  /// reports. An exact index range adds an indented line listing the
+  /// conjuncts it answers (PROFILE: an `answered by the index` child of
+  /// the range).
   Result<std::string> Explain(const std::string& query,
                               const DbSnapshot& view) const;
 
@@ -167,12 +171,13 @@ class QueryEngine {
 
   /// Candidate oids for an extent range, narrowed through an index when
   /// `access` (nullable: the range's analysis) offers a conjunct an index
-  /// can serve. `strategy` (nullable) receives the access path taken.
-  Result<std::vector<Value>> RangeCandidates(const FromRange& range,
-                                             const DbSnapshot& view,
-                                             CatalogMemo& catalog,
-                                             const cache::RangeAccess* access,
-                                             std::string* strategy) const;
+  /// can serve. `strategy` (nullable) receives the access path taken;
+  /// `*answered` the bounds an exact index range answered (left as is
+  /// otherwise): every candidate satisfies their conjuncts.
+  Result<std::vector<Value>> RangeCandidates(
+      const FromRange& range, const DbSnapshot& view, CatalogMemo& catalog,
+      const cache::RangeAccess* access, std::string* strategy,
+      const cache::RangeAccess::Bounds** answered) const;
 
   /// The plan for `text`: the cached entry when the plan cache holds one,
   /// else a fresh parse wrapped by `BuildPlanEntry` (and inserted when a

@@ -81,7 +81,7 @@ Status MergeSchema(Database* db, const Database& src, ImportReport* report) {
         db->DefineClass(cls->name(), supers, std::move(attrs),
                         cls->is_abstract())
             .status());
-    for (const MethodDef& method : cls->methods()) {
+    for (const MethodDef& method : src.live_store().MethodsOf(cls)) {
       PROMETHEUS_RETURN_IF_ERROR(db->DefineMethod(cls->name(), method));
     }
     ++report->classes_defined;

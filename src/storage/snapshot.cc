@@ -322,8 +322,9 @@ std::string ClassRecord(const DbSnapshot& db, const std::string& name) {
   for (const AttributeDef& a : cls->attributes()) {
     WriteAttributeDef(out, a);
   }
-  out << " " << cls->methods().size();
-  for (const MethodDef& m : cls->methods()) {
+  const std::vector<MethodDef>& methods = db.MethodsOf(cls);
+  out << " " << methods.size();
+  for (const MethodDef& m : methods) {
     out << " " << EncodeString(m.name) << " "
         << EncodeString(m.return_type) << " " << m.parameters.size();
     for (const auto& [type, pname] : m.parameters) {

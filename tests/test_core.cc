@@ -179,7 +179,8 @@ TEST(SchemaTest, MethodSignatures) {
   method.return_type = "int";
   method.parameters = {{"int", "reference_year"}};
   ASSERT_TRUE(db.DefineMethod("Base", method).ok());
-  const MethodDef* found = db.FindClass("Derived")->FindMethod("age");
+  const MethodDef* found =
+      db.live_store().FindMethod(db.FindClass("Derived"), "age");
   ASSERT_NE(found, nullptr);  // inherited
   EXPECT_EQ(found->return_type, "int");
   ASSERT_EQ(found->parameters.size(), 1u);
@@ -189,7 +190,8 @@ TEST(SchemaTest, MethodSignatures) {
             Status::Code::kInvalidArgument);
   EXPECT_EQ(db.DefineMethod("Nope", method).code(),
             Status::Code::kNotFound);
-  EXPECT_EQ(db.FindClass("Base")->FindMethod("nothing"), nullptr);
+  EXPECT_EQ(db.live_store().FindMethod(db.FindClass("Base"), "nothing"),
+            nullptr);
 }
 
 TEST(SchemaTest, RelationshipTemplates) {

@@ -61,8 +61,8 @@ TEST_F(FullStackFixture, RevisionScenarioKeepsEveryLayerConsistent) {
   EXPECT_FALSE(tdb.PublishName("broken", Rank::kGenus, "X.", 1800).ok());
   // The veto left no trace in index or view.
   EXPECT_TRUE(indexes
-                  ->Lookup(taxonomy::kNameClass, "name_element",
-                           Value::String("broken"))
+                  ->Lookup(tdb.db().FindClass(taxonomy::kNameClass),
+                           "name_element", Value::String("broken"))
                   .value()
                   .empty());
   EXPECT_EQ(views->Evaluate("genera_names", tdb.db().live_store()).value(),
@@ -86,8 +86,8 @@ TEST_F(FullStackFixture, RevisionScenarioKeepsEveryLayerConsistent) {
   EXPECT_EQ(views->Evaluate("genera_names", tdb.db().live_store()).value(),
             std::vector<Oid>{apium});
   EXPECT_TRUE(indexes
-                  ->Lookup(taxonomy::kNameClass, "name_element",
-                           Value::String("Draftia"))
+                  ->Lookup(tdb.db().FindClass(taxonomy::kNameClass),
+                           "name_element", Value::String("Draftia"))
                   .value()
                   .empty());
 

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -37,12 +38,14 @@
 #include "query/query_engine.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "storage/snapshot.h"
 
 namespace {
 
 using prometheus::AttributeDef;
 using prometheus::Database;
 using prometheus::DbSnapshot;
+using prometheus::MethodDef;
 using prometheus::Oid;
 using prometheus::OidTrie;
 using prometheus::SnapshotHandle;
@@ -527,6 +530,59 @@ TEST(MvccConcurrencyTest, ReadersNeverSeeTornPairsUnderWriterChurn) {
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(epoch_regressions.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(db.pinned_snapshots(), 0u);
+}
+
+// Method declarations are copy-on-write schema: a writer declaring methods
+// on a class that published snapshots share touches nothing a reader
+// serializing a pinned snapshot reads, and each pinned snapshot keeps the
+// method list of its cut while it is saved.
+TEST(MvccConcurrencyTest, DefineMethodWhileSavingPinnedSnapshots) {
+  Database db;
+  ASSERT_TRUE(db.DefineClass("Taxon").ok());
+  const prometheus::ClassDef* taxon = db.FindClass("Taxon");
+  (void)db.AcquireSnapshot();  // engage before the threads start
+
+  constexpr int kMethods = 200;
+  std::atomic<bool> done{false};
+  std::atomic<int> defined{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kMethods; ++i) {
+      Database::WriteGuard g(db);
+      MethodDef method;
+      method.name = "m" + std::to_string(i);
+      method.return_type = "int";
+      method.parameters = {{"int", "arg"}};
+      if (db.DefineMethod("Taxon", std::move(method)).ok()) {
+        defined.fetch_add(1);
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::uint64_t saves = 0;
+  std::uint64_t changed_under_save = 0;
+  std::uint64_t regressions = 0;
+  std::size_t last = 0;
+  bool saved_after_done = false;
+  while (!saved_after_done) {
+    saved_after_done = done.load(std::memory_order_acquire);
+    SnapshotHandle snap = db.AcquireSnapshot();
+    const std::size_t before = snap->MethodsOf(taxon).size();
+    std::ostringstream out;
+    ASSERT_TRUE(prometheus::storage::SaveSnapshot(*snap, out).ok());
+    if (snap->MethodsOf(taxon).size() != before) ++changed_under_save;
+    if (before < last) ++regressions;
+    last = before;
+    ++saves;
+  }
+  writer.join();
+
+  EXPECT_EQ(defined.load(), kMethods);
+  EXPECT_GT(saves, 0u);
+  EXPECT_EQ(changed_under_save, 0u);
+  EXPECT_EQ(regressions, 0u);
+  EXPECT_EQ(last, static_cast<std::size_t>(kMethods));
   EXPECT_EQ(db.pinned_snapshots(), 0u);
 }
 

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <sstream>
 
 #include "cache/plan_cache.h"
 #include "core/database.h"
 #include "index/index_manager.h"
+#include "obs/metrics.h"
 #include "query/query_engine.h"
 #include "storage/journal.h"
 #include "storage/snapshot.h"
@@ -433,12 +435,15 @@ TEST_P(FuzzSeeds, ViewsAnswerForTheirSnapshot) {
 }
 
 /// A random value for attribute `attr` of the plan-equivalence schema:
-/// `i` int, `d` double (or int), `s` string, `u` untyped (int or string);
-/// one in eight is null.
+/// `i` int, `d` double (or int; NaN one time in six), `s` string, `u`
+/// untyped (int or string); one in eight is null.
 Value RandomItemValue(const std::string& attr, std::mt19937* rng) {
   if ((*rng)() % 8 == 0) return Value::Null();
   const auto n = static_cast<std::int64_t>((*rng)() % 20);
   if (attr == "d") {
+    if ((*rng)() % 6 == 0) {
+      return Value::Double(std::numeric_limits<double>::quiet_NaN());
+    }
     // Ints are acceptable where doubles are declared.
     return (*rng)() % 3 == 0 ? Value::Int(n / 2)
                              : Value::Double(static_cast<double>(n) / 2);
@@ -449,39 +454,66 @@ Value RandomItemValue(const std::string& attr, std::mt19937* rng) {
   return Value::Int(n);
 }
 
-/// A literal to bound `attr` with: mostly of its own type (int literals
-/// for the double attribute too), sometimes of the wrong one.
-std::string RandomBoundLiteral(const std::string& attr, std::mt19937* rng) {
+/// A literal to bound `attr` with: of its own type (int or fractional
+/// literals for the numeric attributes) — unless `any_type`, when it is
+/// sometimes of the wrong one.
+std::string RandomBoundLiteral(const std::string& attr, bool any_type,
+                               std::mt19937* rng) {
   const unsigned n = (*rng)() % 22;
   const bool stringy = attr == "s" || (attr == "u" && (*rng)() % 2 == 0);
-  if (stringy == ((*rng)() % 10 != 0)) {
+  if (stringy == (!any_type || (*rng)() % 10 != 0)) {
     return "'" + std::string(1, static_cast<char>('a' + n % 9)) + "'";
   }
-  if (attr == "d" && (*rng)() % 2 == 0) return std::to_string(n / 2) + ".5";
+  if ((attr == "d" || attr == "i") && (*rng)() % 3 == 0) {
+    return std::to_string(n / 2) + ".5";
+  }
   return std::to_string(n);
 }
 
-/// A random selection over `Item`: one or two (sometimes three) bounds on
-/// one attribute, strict or inclusive, in either operand order — two-sided
-/// ranges are often contradictory — plus, half the time, an equality on
-/// the unindexed attribute `k`.
-std::string RandomRangeQuery(std::mt19937* rng) {
-  static const char* kAttrs[] = {"i", "i", "d", "d", "s", "u"};
+/// One to three bounds on `var.attr`, strict or inclusive, in either
+/// operand order — one bound leaves the range open-ended, two-sided ranges
+/// are often contradictory. `any_type` as for `RandomBoundLiteral`.
+std::vector<std::string> RandomBounds(const std::string& var,
+                                      const std::string& attr, bool any_type,
+                                      std::mt19937* rng) {
   static const char* kOps[] = {"<", "<=", ">", ">="};
-  const std::string attr = kAttrs[(*rng)() % 6];
   std::vector<std::string> conjuncts;
   const unsigned bounds = 1 + (*rng)() % 2 + ((*rng)() % 4 == 0 ? 1 : 0);
   for (unsigned b = 0; b < bounds; ++b) {
     const std::string op = kOps[(*rng)() % 4];
-    const std::string lit = RandomBoundLiteral(attr, rng);
-    conjuncts.push_back((*rng)() % 2 == 0 ? "x." + attr + " " + op + " " + lit
-                                          : lit + " " + op + " x." + attr);
+    const std::string lit = RandomBoundLiteral(attr, any_type, rng);
+    const std::string path = var + "." + attr;
+    conjuncts.push_back((*rng)() % 2 == 0 ? path + " " + op + " " + lit
+                                          : lit + " " + op + " " + path);
   }
-  if ((*rng)() % 2 == 0) {
+  return conjuncts;
+}
+
+/// A random selection over `Item x`: bounds on one attribute plus, half
+/// the time, an equality on the unindexed attribute `k`. One query in
+/// three joins `SubItem y` on `k` — SubItem has no index of its own, so
+/// `y` is scanned and its bounds stay in the where clause while `x`'s may
+/// be answered by the index. `y`'s bounds are well typed: a comparison
+/// error in them would surface or not depending on how many `x` bindings
+/// the access path enumerates, with or without an index.
+std::string RandomRangeQuery(std::mt19937* rng) {
+  static const char* kAttrs[] = {"i", "i", "d", "d", "s", "u"};
+  std::vector<std::string> conjuncts =
+      RandomBounds("x", kAttrs[(*rng)() % 6], /*any_type=*/true, rng);
+  auto insert = [&](std::string conjunct) {
     conjuncts.insert(conjuncts.begin() + (*rng)() % (conjuncts.size() + 1),
-                     "x.k = " + std::to_string((*rng)() % 4));
-  }
+                     std::move(conjunct));
+  };
+  if ((*rng)() % 2 == 0) insert("x.k = " + std::to_string((*rng)() % 4));
   std::string q = "select x from Item x where ";
+  if ((*rng)() % 3 == 0) {
+    insert("y.k = x.k");
+    for (std::string& c : RandomBounds("y", (*rng)() % 2 == 0 ? "i" : "d",
+                                       /*any_type=*/false, rng)) {
+      insert(std::move(c));
+    }
+    q = "select x, y from Item x, SubItem y where ";
+  }
   for (std::size_t c = 0; c < conjuncts.size(); ++c) {
     q += (c == 0 ? "" : " and ") + conjuncts[c];
   }
@@ -492,15 +524,24 @@ std::string RandomRangeQuery(std::mt19937* rng) {
 std::vector<std::string> Outcome(const Result<pool::ResultSet>& r) {
   if (!r.ok()) return {"error: " + r.status().ToString()};
   std::vector<std::string> rows;
-  for (const auto& row : r.value().rows) rows.push_back(row[0].ToString());
+  for (const auto& row : r.value().rows) {
+    std::string cells;
+    for (const Value& v : row) cells += v.ToString() + " ";
+    rows.push_back(std::move(cells));
+  }
   std::sort(rows.begin(), rows.end());
   return rows;
 }
 
 // Plan equivalence: an ordered index, a hash index, no index and a cached
 // plan answer every range selection with the same rows (or the same
-// error). Indexes are built half-way through loading, so both backfill and
-// maintenance feed them.
+// error), whether the ordered index answers the range's conjuncts, falls
+// back to a scan or feeds one side of a join. Indexes are built half-way
+// through loading, so both backfill and maintenance feed them. Each round
+// also replays its queries on a snapshot pinned before the round's writes,
+// whose lookups the index can no longer serve, and a listener at the rule
+// layer's priority — below the index manager's — runs them on the live
+// store in the middle of each write.
 TEST_P(FuzzSeeds, RangePlansAnswerLikeAScan) {
   std::mt19937 rng(GetParam());
   Database db;
@@ -541,9 +582,31 @@ TEST_P(FuzzSeeds, RangePlansAnswerLikeAScan) {
   cache::PlanCache plans(cache::PlanCache::Config{});
   pool::QueryEngine cached(&ordered);
   cached.set_plan_cache(&plans);
+  obs::Counter* fallbacks =
+      obs::Registry().GetCounter("pool_index_fallbacks_total");
+
+  std::vector<std::string> round_queries;
+  std::size_t mid_write = 0;
+  const ListenerId probe = db.bus().Subscribe(
+      [&](const Event& e) {
+        if (round_queries.empty() ||
+            (e.kind != EventKind::kAfterSetAttribute &&
+             e.kind != EventKind::kAfterDeleteObject)) {
+          return Status::Ok();
+        }
+        const std::string& q =
+            round_queries[mid_write++ % round_queries.size()];
+        EXPECT_EQ(Outcome(with_ordered.Execute(q, db.live_store())),
+                  Outcome(no_index.Execute(q, db.live_store())))
+            << "mid-write, seed " << GetParam() << ": " << q;
+        return Status::Ok();
+      },
+      /*priority=*/0);
 
   int ranged = 0;
+  int answered = 0;
   for (int round = 0; round < 2; ++round) {
+    round_queries.clear();
     for (int n = 0; n < 60; ++n) {
       const std::string q = RandomRangeQuery(&rng);
       SCOPED_TRACE("seed " + std::to_string(GetParam()) + ": " + q);
@@ -558,21 +621,44 @@ TEST_P(FuzzSeeds, RangePlansAnswerLikeAScan) {
       auto plan = with_ordered.Explain(q, store);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
       if (plan.value().find("index range") != std::string::npos) ++ranged;
-    }
-    // Move, null out and delete some rows; cached plans must still hold.
-    for (int j = 0; j < 30; ++j) {
-      const Oid oid = items[rng() % items.size()];
-      if (db.GetObject(oid) == nullptr) continue;
-      if (j % 5 == 0) {
-        ASSERT_TRUE(db.DeleteObject(oid).ok());
-        continue;
+      if (plan.value().find("answered by the index") != std::string::npos) {
+        ++answered;
       }
-      const char* attr = j % 2 == 0 ? "i" : "d";
-      ASSERT_TRUE(db.SetAttribute(oid, attr, RandomItemValue(attr, &rng)).ok());
+      round_queries.push_back(q);
     }
+    // Move, null out and delete some rows in one write section; cached
+    // plans must still hold.
+    SnapshotHandle before = db.AcquireSnapshot();
+    {
+      Database::WriteGuard guard(db);
+      for (int j = 0; j < 30; ++j) {
+        const Oid oid = items[rng() % items.size()];
+        if (db.GetObject(oid) == nullptr) continue;
+        if (j % 5 == 0) {
+          ASSERT_TRUE(db.DeleteObject(oid).ok());
+          continue;
+        }
+        const char* attr = j % 2 == 0 ? "i" : "d";
+        ASSERT_TRUE(
+            db.SetAttribute(oid, attr, RandomItemValue(attr, &rng)).ok());
+      }
+    }
+    // The index has run past the pinned snapshot: its lookups fall back to
+    // a scan of the snapshot, which must keep every conjunct.
+    const std::uint64_t fallbacks_before = fallbacks->value();
+    for (const std::string& q : round_queries) {
+      SCOPED_TRACE("pinned, seed " + std::to_string(GetParam()) + ": " + q);
+      EXPECT_EQ(Outcome(with_ordered.Execute(q, *before)),
+                Outcome(no_index.Execute(q, *before)));
+    }
+    EXPECT_GT(fallbacks->value(), fallbacks_before);
   }
-  // The law is not vacuous: the ordered engine took range probes.
+  db.bus().Unsubscribe(probe);
+  // The law is not vacuous: the ordered engine took range probes, some
+  // answered their conjuncts, and queries ran mid-write.
   EXPECT_GT(ranged, 0);
+  EXPECT_GT(answered, 0);
+  EXPECT_GT(mid_write, 0u);
 }
 
 /// An operand of the predicate law over range variable `s`: mostly its

@@ -575,14 +575,17 @@ TEST_F(QueryFixture, RangeConjunctsProbeAnOrderedIndex) {
   auto plan = with_index.Explain(q, db.live_store());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan.value(),
-            "t: index range on Taxon.year [1753, 1824)\norder by: sort\n");
+            "t: index range on Taxon.year [1753, 1824)\n"
+            "  answered by the index: t.year >= 1753, 1824 > t.year, "
+            "t.year > 1700\n"
+            "order by: sort\n");
   auto profiled = with_index.ExecuteProfiled(q, db.live_store());
   ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
   const obs::TraceNode* range = profiled.value().trace.Child("plan")->Child(
       "range t");
   ASSERT_NE(range, nullptr);
   EXPECT_EQ(range->detail, "index range on Taxon.year [1753, 1824)");
-  EXPECT_EQ(range->rows, 4);  // inclusive probe; the where clause trims
+  EXPECT_EQ(range->rows, 3);  // the strict upper bound keeps out 1824
   auto scanned = engine->Execute(q, db.live_store());
   ASSERT_TRUE(scanned.ok());
   ASSERT_EQ(profiled.value().rows.rows.size(), 3u);
@@ -604,6 +607,92 @@ TEST_F(QueryFixture, RangeConjunctsProbeAnOrderedIndex) {
                          "t.year >= 'x'", db.live_store())
                 .value(),
             "t: extent scan of class Taxon\n");
+}
+
+// The served hot set's shape — two inclusive bounds on one int attribute —
+// is answered by the ordered index: EXPLAIN and PROFILE say so, and the
+// rows are the scan's.
+TEST_F(QueryFixture, HotSetShapeIsAnsweredByTheIndex) {
+  IndexManager idx(&db);
+  ASSERT_TRUE(idx.CreateIndex("Taxon", "year", /*ordered=*/true).ok());
+  QueryEngine with_index(&idx);
+  const std::string q =
+      "select t.name from Taxon t where t.year >= 1753 and t.year <= 1821 "
+      "order by t.name";
+  EXPECT_EQ(with_index.Explain(q, db.live_store()).value(),
+            "t: index range on Taxon.year [1753, 1821]\n"
+            "  answered by the index: t.year >= 1753, t.year <= 1821\n"
+            "order by: sort\n");
+  auto profiled = with_index.ExecuteProfiled(q, db.live_store());
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+  const obs::TraceNode* range =
+      profiled.value().trace.Child("plan")->Child("range t");
+  ASSERT_NE(range, nullptr);
+  EXPECT_EQ(range->detail, "index range on Taxon.year [1753, 1821]");
+  const obs::TraceNode* answered = range->Child("answered by the index");
+  ASSERT_NE(answered, nullptr);
+  EXPECT_EQ(answered->detail, "t.year >= 1753, t.year <= 1821");
+  auto scanned = engine->Execute(q, db.live_store());
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(range->rows, 3);
+  EXPECT_EQ(profiled.value().rows.rows, scanned.value().rows);
+  // A string range and an equality lookup answer nothing: their
+  // candidates still pass the whole where clause.
+  ASSERT_TRUE(idx.CreateIndex("Taxon", "rank", /*ordered=*/true).ok());
+  EXPECT_EQ(with_index
+                .Explain("select t from Taxon t where t.rank >= 'S'",
+                         db.live_store())
+                .value(),
+            "t: index range on Taxon.rank [\"S\", +inf)\n");
+  EXPECT_EQ(with_index
+                .Explain("select t from Taxon t where t.year = 1753",
+                         db.live_store())
+                .value(),
+            "t: index lookup on Taxon.year\n");
+}
+
+// Strict bounds are honoured by the index, and an open-ended numeric range
+// stops before the nulls, which sort after every number in the index: no
+// endpoint row and no null reaches the result or the candidate count.
+TEST_F(QueryFixture, StrictBoundsKeepNoEndpointRows) {
+  ASSERT_TRUE(db.CreateObject("Taxon", {{"name", Value::String("undated")}})
+                  .ok());
+  IndexManager idx(&db);
+  ASSERT_TRUE(idx.CreateIndex("Taxon", "year", /*ordered=*/true).ok());
+  QueryEngine with_index(&idx);
+  struct Case {
+    std::string where;
+    std::vector<std::string> names;
+  };
+  const std::vector<Case> cases = {
+      {"t.year > 1753 and t.year < 1824", {"repens"}},
+      {"t.year > 1821", {"Heliosciadium"}},
+      {"1821 < t.year", {"Heliosciadium"}},
+      {"t.year >= 1821", {"Heliosciadium", "repens"}},
+      {"t.year < 1821", {"Apium", "graveolens"}},
+      {"t.year > 1753 and t.year < 1754", {}},
+      {"t.year > 1821 and t.year < 1821", {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.where);
+    const std::string q =
+        "select t.name from Taxon t where " + c.where + " order by t.name";
+    auto profiled = with_index.ExecuteProfiled(q, db.live_store());
+    ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+    std::vector<std::string> names;
+    for (const auto& row : profiled.value().rows.rows) {
+      names.push_back(row[0].AsString());
+    }
+    EXPECT_EQ(names, c.names);
+    const obs::TraceNode* range =
+        profiled.value().trace.Child("plan")->Child("range t");
+    ASSERT_NE(range, nullptr);
+    EXPECT_EQ(range->rows, static_cast<std::int64_t>(c.names.size()));
+    EXPECT_NE(range->Child("answered by the index"), nullptr);
+    auto scanned = engine->Execute(q, db.live_store());
+    ASSERT_TRUE(scanned.ok());
+    EXPECT_EQ(profiled.value().rows.rows, scanned.value().rows);
+  }
 }
 
 TEST(RangePlanTest, UntypedMixedAttributeStillRaisesTypeError) {

@@ -229,7 +229,8 @@ TEST(SnapshotTest, MethodsAndTemplatesSurvive) {
   Database loaded;
   ASSERT_TRUE(LoadSnapshot(&loaded, buffer).ok());
 
-  const MethodDef* m = loaded.FindClass("Taxon")->FindMethod("full_name");
+  const MethodDef* m =
+      loaded.live_store().FindMethod(loaded.FindClass("Taxon"), "full_name");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->return_type, "string");
   ASSERT_EQ(m->parameters.size(), 1u);
