@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -118,10 +119,7 @@ Result<const ClassDef*> Database::DefineClass(
   }
   ClassDef* raw = cls.get();
   SchemaTables& schema = MutableSchema();
-  for (const ClassDef* s : super_defs) {
-    const_cast<ClassDef*>(s)->subclasses_.push_back(raw);
-    schema.subclasses[s].push_back(raw);
-  }
+  for (const ClassDef* s : super_defs) schema.subclasses[s].push_back(raw);
   schema.classes_by_name[name] = raw;
   schema.classes_in_order.push_back(raw);
   schema.class_keep_alive.push_back(std::move(cls));
@@ -205,10 +203,7 @@ Result<const RelationshipDef*> Database::DefineRelationship(
   }
   RelationshipDef* raw = rel.get();
   SchemaTables& schema = MutableSchema();
-  for (const RelationshipDef* s : super_defs) {
-    const_cast<RelationshipDef*>(s)->subs_.push_back(raw);
-    schema.subrels[s].push_back(raw);
-  }
+  for (const RelationshipDef* s : super_defs) schema.subrels[s].push_back(raw);
   schema.rels_by_name[name] = raw;
   schema.rels_in_order.push_back(raw);
   schema.rel_keep_alive.push_back(std::move(rel));
@@ -292,6 +287,14 @@ void Database::RecordUndo(UndoRecord record) {
 
 namespace {
 
+/// The value `obj` holds for `attr`, null when the record lacks it: the key
+/// an index enters the object under.
+const Value& OwnValue(const Object& obj, const std::string& attr) {
+  static const Value kNull;
+  auto it = obj.attrs.find(attr);
+  return it == obj.attrs.end() ? kNull : it->second;
+}
+
 /// Swap-removes `pos` from `v`; returns the oid moved into `pos`, or
 /// kNullOid when `pos` was the last slot.
 Oid SwapRemove(std::vector<Oid>& v, std::size_t pos) {
@@ -310,15 +313,39 @@ void Database::InsertObject(std::shared_ptr<const Object> version) {
   obj->extent_pos = extent.size();
   extent.push_back(oid);
   ++store_.live_objects_;
+  IndexObject(*obj, /*insert=*/true);
 }
 
 std::shared_ptr<const Object> Database::EraseObject(Oid oid) {
   const Object& obj = *GetObject(oid);
+  IndexObject(obj, /*insert=*/false);
   const Oid moved =
       SwapRemove(mvcc::Writable(store_.extents_[obj.cls]), obj.extent_pos);
   if (moved != kNullOid) MutableObject(moved)->extent_pos = obj.extent_pos;
   --store_.live_objects_;
   return store_.objects_.Erase(oid);
+}
+
+void Database::IndexObject(const Object& obj, bool insert) {
+  for (std::shared_ptr<const AttributeIndex>& ix : store_.indexes_) {
+    if (!obj.cls->IsSubclassOf(ix->cls())) continue;
+    AttributeIndex& index = mvcc::Writable(ix);
+    const Value& key = OwnValue(obj, index.attr());
+    insert ? index.Insert(obj.oid, key) : index.Remove(obj.oid, key);
+  }
+}
+
+Value Database::WriteAttribute(Oid oid, const std::string& name,
+                               Value value) {
+  Object* obj = MutableObject(oid);
+  Value& slot = obj->attrs[name];
+  for (std::shared_ptr<const AttributeIndex>& ix : store_.indexes_) {
+    if (ix->attr() != name || !obj->cls->IsSubclassOf(ix->cls())) continue;
+    AttributeIndex& index = mvcc::Writable(ix);
+    index.Remove(oid, slot);
+    index.Insert(oid, value);
+  }
+  return std::exchange(slot, std::move(value));
 }
 
 void Database::InsertLink(std::shared_ptr<const Link> version) {
@@ -529,7 +556,7 @@ Status Database::SetAttribute(Oid oid, const std::string& name, Value value) {
 
   // Copy-on-write only now, after the before-rules ran: `obj` may be a
   // version a published snapshot shares.
-  MutableObject(oid)->attrs[name] = std::move(value);
+  WriteAttribute(oid, name, std::move(value));
   UndoRecord undo{};
   undo.kind = UndoRecord::Kind::kSetAttribute;
   undo.oid = oid;
@@ -917,6 +944,49 @@ Status Database::Clear() {
   return Status::Ok();
 }
 
+// ----------------------------------------------------------------- indexes
+
+Status Database::CreateIndex(const void* owner, const std::string& class_name,
+                             const std::string& attr, bool ordered) {
+  BeginMutation();
+  const ClassDef* cls = FindClass(class_name);
+  if (cls == nullptr) {
+    return Status::NotFound("unknown class '" + class_name + "'");
+  }
+  if (cls->FindAttribute(attr) == nullptr) {
+    return Status::NotFound("class '" + class_name + "' has no attribute '" +
+                            attr + "'");
+  }
+  if (store_.FindIndex(owner, cls, attr) != nullptr) {
+    return Status::InvalidArgument("index on " + class_name + "." + attr +
+                                   " already exists");
+  }
+  auto index = std::make_shared<AttributeIndex>(owner, cls, attr, ordered);
+  for (Oid oid : store_.Extent(class_name)) {
+    index->Insert(oid, OwnValue(*store_.GetObject(oid), attr));
+  }
+  store_.indexes_.push_back(std::move(index));
+  return Status::Ok();
+}
+
+Status Database::DropIndex(const void* owner, const std::string& class_name,
+                           const std::string& attr) {
+  BeginMutation();
+  const ClassDef* cls = FindClass(class_name);
+  if (std::erase_if(store_.indexes_, [&](const auto& ix) {
+        return ix->owner() == owner && ix->cls() == cls && ix->attr() == attr;
+      }) == 0) {
+    return Status::NotFound("no index on " + class_name + "." + attr);
+  }
+  return Status::Ok();
+}
+
+void Database::DropIndexes(const void* owner) {
+  BeginMutation();
+  std::erase_if(store_.indexes_,
+                [owner](const auto& ix) { return ix->owner() == owner; });
+}
+
 // ------------------------------------------------------------ transactions
 
 Status Database::Begin() {
@@ -968,9 +1038,10 @@ void Database::UndoAll() {
   while (!undo_log_.empty()) {
     UndoRecord rec = std::move(undo_log_.back());
     undo_log_.pop_back();
-    // Each branch restores the pre-mutation state and publishes a
-    // compensating after-event describing the inverse mutation so derived
-    // state (indexes, views, classification caches) stays consistent.
+    // Each branch restores the pre-mutation state — records and indexes,
+    // through the same placement helpers the mutation used — and publishes
+    // a compensating after-event describing the inverse mutation for the
+    // listeners (journal, rules).
     Event comp;
     comp.compensating = true;
     switch (rec.kind) {
@@ -999,15 +1070,15 @@ void Database::UndoAll() {
         break;
       }
       case UndoRecord::Kind::kSetAttribute: {
-        Object* obj = MutableObject(rec.oid);
+        const Object* obj = GetObject(rec.oid);
         if (obj == nullptr) break;
         comp.kind = EventKind::kAfterSetAttribute;
         comp.subject = rec.oid;
         comp.type_name = obj->cls->name();
         comp.attribute = rec.name;
-        comp.old_value = obj->attrs[rec.name];
         comp.new_value = rec.old_value;
-        obj->attrs[rec.name] = std::move(rec.old_value);
+        comp.old_value =
+            WriteAttribute(rec.oid, rec.name, std::move(rec.old_value));
         PublishEvent(comp);
         break;
       }

@@ -155,20 +155,13 @@ class Database {
     bool timed_ = false;
   };
 
-  /// Monotonic count of completed exclusive (write) sections. A reader
-  /// observing the same epoch before and after a computation is guaranteed
-  /// that no guarded mutation interleaved.
+  /// Monotonic count of write stretches: every completed write section
+  /// advances it, and so does the first unguarded (single-threaded)
+  /// mutation after a publish. Every published snapshot is stamped with
+  /// it, so two snapshots of one epoch hold the same contents — the result
+  /// cache's epoch-equality check relies on it.
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_acquire);
-  }
-
-  /// The epoch the in-progress write section will commit as (epoch()+1
-  /// under a live WriteGuard, epoch() otherwise). Derived-state maintainers
-  /// (indexes) stamp their mutations with this so snapshot readers can tell
-  /// "index state as of my epoch" from "index already running ahead".
-  std::uint64_t pending_epoch() const {
-    return epoch() +
-           (writer_active_.load(std::memory_order_acquire) ? 1 : 0);
   }
 
   /// The live working store: what embedded callers, the writer thread and
@@ -435,6 +428,27 @@ class Database {
 
   bool in_transaction() const { return in_transaction_; }
 
+  // ---------------------------------------------------------------- indexes
+
+  /// Creates `owner`'s secondary index on `class_name.attr` (thesis
+  /// 6.1.4), covering subclasses, and backfills it from the extent. The
+  /// index lives in the store: the mutations below maintain it as they
+  /// place records, so every snapshot reads exactly its own indexes.
+  /// `ordered` selects the range-capable flavour; `owner` is an opaque
+  /// token (see `AttributeIndex`). Writer-only, like every mutation.
+  /// kNotFound for an unknown class or attribute; kInvalidArgument when
+  /// `owner` already indexes `class_name.attr`.
+  Status CreateIndex(const void* owner, const std::string& class_name,
+                     const std::string& attr, bool ordered);
+
+  /// Drops `owner`'s index on `class_name.attr` from the working store;
+  /// snapshots published earlier keep theirs. kNotFound when absent.
+  Status DropIndex(const void* owner, const std::string& class_name,
+                   const std::string& attr);
+
+  /// Drops every index `owner` created.
+  void DropIndexes(const void* owner);
+
   // ------------------------------------------------------------ validation
 
   /// Verifies min-cardinality of every live object against every
@@ -461,8 +475,8 @@ class Database {
   /// Guarantees future oids are allocated strictly above `oid`.
   void EnsureNextOidAbove(Oid oid);
 
-  /// Drops every schema definition, instance, link, synonym and the oid
-  /// counter, returning the database to its just-constructed state while
+  /// Drops every schema definition, instance, link, synonym, index and the
+  /// oid counter, returning the database to its just-constructed state while
   /// keeping identity: the event bus (and its subscribers) and the epoch
   /// guard survive, so holders of a `Database*` stay valid. Used by a
   /// replication follower to rebootstrap from a fresh leader snapshot in
@@ -493,11 +507,14 @@ class Database {
 
   /// Every mutation entry point starts here: checks the guard protocol
   /// and, outside a write section (single-threaded use), notes that the
-  /// working store has changes no published snapshot holds yet.
+  /// working store has changes no published snapshot holds yet. The first
+  /// such mutation after a publish opens a new epoch, so the next publish
+  /// is not stamped with the epoch of an older state.
   void BeginMutation() {
     AssertExclusiveAccess();
-    if (!writer_active_.load(std::memory_order_relaxed)) {
-      unpublished_.store(true, std::memory_order_relaxed);
+    if (!writer_active_.load(std::memory_order_relaxed) &&
+        !unpublished_.exchange(true, std::memory_order_relaxed)) {
+      epoch_.fetch_add(1, std::memory_order_acq_rel);
     }
   }
 
@@ -524,10 +541,15 @@ class Database {
   void RecordUndo(UndoRecord record);
 
   // Record placement: installs a version in the working store with its
-  // extent, endpoint and context bookkeeping, or removes one and returns
-  // the removed version (kept by the undo log).
+  // extent, index, endpoint and context bookkeeping, or removes one and
+  // returns the removed version (kept by the undo log).
   void InsertObject(std::shared_ptr<const Object> version);
   std::shared_ptr<const Object> EraseObject(Oid oid);
+  /// Enters (`insert`) or removes `obj`'s keys in every index covering it.
+  void IndexObject(const Object& obj, bool insert);
+  /// Sets attribute `name` of object `oid` and moves its key in every index
+  /// on `name` covering it; returns the value it replaced.
+  Value WriteAttribute(Oid oid, const std::string& name, Value value);
   void InsertLink(std::shared_ptr<const Link> version);
   std::shared_ptr<const Link> EraseLink(Oid oid);
   void DetachLinkFromEndpoints(const Link& link);
@@ -547,8 +569,8 @@ class Database {
   bool events_enabled_ = true;
   bool semantics_enabled_ = true;
 
-  // The one store: schema tables, records, extents, context index and
-  // synonyms (see DbSnapshot).
+  // The one store: schema tables, records, extents, context index,
+  // synonyms and attribute indexes (see DbSnapshot).
   DbSnapshot store_;
   Oid next_oid_ = 1;
 

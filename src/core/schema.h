@@ -62,11 +62,6 @@ class ClassDef {
   /// Direct super-classes (multiple inheritance is allowed, as in ODMG).
   const std::vector<const ClassDef*>& supers() const { return supers_; }
 
-  /// Direct sub-classes, maintained by the schema for extent queries.
-  const std::vector<const ClassDef*>& subclasses() const {
-    return subclasses_;
-  }
-
   /// Attributes declared directly on this class.
   const std::vector<AttributeDef>& attributes() const { return attributes_; }
 
@@ -85,7 +80,6 @@ class ClassDef {
   std::string name_;
   bool abstract_;
   std::vector<const ClassDef*> supers_;
-  std::vector<const ClassDef*> subclasses_;
   std::vector<AttributeDef> attributes_;
 };
 
@@ -185,11 +179,6 @@ class RelationshipDef {
     return supers_;
   }
 
-  /// Direct sub-relationship classes.
-  const std::vector<const RelationshipDef*>& subrelationships() const {
-    return subs_;
-  }
-
   /// True when this relationship class is `other` or inherits from it.
   bool IsSubrelationshipOf(const RelationshipDef* other) const;
 
@@ -208,7 +197,6 @@ class RelationshipDef {
   RelationshipSemantics semantics_;
   std::vector<AttributeDef> attributes_;
   std::vector<const RelationshipDef*> supers_;
-  std::vector<const RelationshipDef*> subs_;
 };
 
 }  // namespace prometheus

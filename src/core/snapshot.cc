@@ -17,9 +17,7 @@ DbSnapshot::DbSnapshot()
       schema_(std::make_shared<const SchemaTables>()) {}
 
 // Every read algorithm is written once, here, against the store. Schema
-// *children* walks go to the store's own `subclasses`/`subrels` tables:
-// the definitions' vectors those BFS walks would otherwise read are
-// appended to by concurrent DDL.
+// *children* walks go to the store's own `subclasses`/`subrels` tables.
 
 const ClassDef* DbSnapshot::FindClass(std::string_view name) const {
   auto it = schema_->classes_by_name.find(std::string(name));
@@ -253,6 +251,17 @@ std::vector<Oid> DbSnapshot::SynonymSet(Oid oid) const {
     }
   }
   return out;
+}
+
+const AttributeIndex* DbSnapshot::FindIndex(const void* owner,
+                                            const ClassDef* cls,
+                                            std::string_view attr) const {
+  for (const auto& ix : indexes_) {
+    if (ix->owner() == owner && ix->cls() == cls && ix->attr() == attr) {
+      return ix.get();
+    }
+  }
+  return nullptr;
 }
 
 void SnapshotHandle::Release() {

@@ -3,10 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,6 +14,7 @@
 #include "common/oid.h"
 #include "common/result.h"
 #include "common/value.h"
+#include "core/attribute_index.h"
 #include "core/instance.h"
 #include "core/oid_trie.h"
 #include "core/schema.h"
@@ -71,14 +72,14 @@ std::shared_ptr<const T> MakeVersion(T record) {
 
 /// Copy-on-write access for the single writer: `p` is edited in place when
 /// the working store is its only owner, replaced by a private copy when a
-/// published snapshot shares it, and created when null.
+/// published snapshot shares it, and (for a default-constructible `T`)
+/// created when null.
 template <typename T>
 T& Writable(std::shared_ptr<const T>& p) {
-  if (p == nullptr) {
-    p = std::make_shared<const T>();
-  } else if (p.use_count() > 1) {
-    p = std::make_shared<const T>(*p);
+  if constexpr (std::is_default_constructible_v<T>) {
+    if (p == nullptr) p = std::make_shared<const T>();
   }
+  if (p.use_count() > 1) p = std::make_shared<const T>(*p);
   return const_cast<T&>(*p);
 }
 }  // namespace mvcc
@@ -91,12 +92,11 @@ struct RelationshipTemplate {
 };
 
 /// Schema tables of one store: name→definition maps plus the store's own
-/// children adjacency (`subclasses`/`subrels`) and method signatures. The
-/// copies matter: the `ClassDef::subclasses_` / `RelationshipDef::subs_`
-/// vectors are appended to by later DDL, so a snapshot's extent BFS must
-/// not read them, and `DefineMethod` adds to a class defined earlier.
-/// Everything else on a definition (name, supers, attributes, semantics,
-/// endpoints) is frozen once defined and safely shared.
+/// children adjacency (`subclasses`/`subrels`) and method signatures. Later
+/// DDL adds children and methods to definitions made earlier, so these
+/// live here, copied on write, and never on the definitions: everything a
+/// definition holds (name, supers, attributes, semantics, endpoints) is
+/// frozen once defined and safely shared.
 ///
 /// The keep-alive vectors own the definitions, so record versions retained
 /// by old snapshots keep valid `cls`/`def` pointers even across
@@ -122,9 +122,9 @@ struct SchemaTables {
 /// The one store of objects and first-class links, and the one type every
 /// read goes through. `Database` owns one as its *working store* and edits
 /// it through copy-on-write: `OidTrie::Mutable` for records and
-/// `mvcc::Writable` for the extent, link-extent, context, synonym and
-/// schema tables. The end of each write section publishes a copy of it —
-/// O(#classes + #contexts), every record and table shared — as an
+/// `mvcc::Writable` for the extent, link-extent, context, synonym, schema
+/// and index tables. The end of each write section publishes a copy of it —
+/// O(#classes + #contexts + #indexes), every record and table shared — as an
 /// immutable snapshot stamped with the committed epoch.
 ///
 /// Readers traverse a published snapshot with **no lock of any kind**:
@@ -142,15 +142,6 @@ class DbSnapshot {
     return live_epoch_ != nullptr
                ? live_epoch_->load(std::memory_order_acquire)
                : epoch_;
-  }
-
-  /// Largest index `dirty_epoch` this store may consume (see
-  /// `IndexManager::Lookup`'s `as_of`). The working store accepts any
-  /// index state (indexes track it by construction); a snapshot accepts
-  /// only indexes untouched since its epoch.
-  std::uint64_t index_epoch_ceiling() const {
-    return live_epoch_ != nullptr ? std::numeric_limits<std::uint64_t>::max()
-                                  : epoch_;
   }
 
   // ---------------------------------------------------------------- schema
@@ -210,11 +201,23 @@ class DbSnapshot {
   Oid CanonicalOf(Oid oid) const;
   std::vector<Oid> SynonymSet(Oid oid) const;
 
+  // --------------------------------------------------------------- indexes
+  /// The attribute indexes of this store, in creation order: exactly as
+  /// they were at `epoch()`, like every record.
+  const std::vector<std::shared_ptr<const AttributeIndex>>& indexes() const {
+    return indexes_;
+  }
+  /// `owner`'s index on `cls.attr` (the class's own, not a superclass's);
+  /// nullptr when absent.
+  const AttributeIndex* FindIndex(const void* owner, const ClassDef* cls,
+                                  std::string_view attr) const;
+
  private:
   friend class Database;
 
   DbSnapshot();
-  /// O(#classes + #contexts): shares every record, node and table.
+  /// O(#classes + #contexts + #indexes): shares every record, node, table
+  /// and index.
   DbSnapshot(const DbSnapshot&) = default;
   DbSnapshot& operator=(DbSnapshot&&) = default;
 
@@ -233,6 +236,7 @@ class DbSnapshot {
   OidTables<Oid> context_index_;
   std::shared_ptr<const std::unordered_map<Oid, Oid>> synonym_parent_;
   std::shared_ptr<const SchemaTables> schema_;
+  std::vector<std::shared_ptr<const AttributeIndex>> indexes_;
 
   std::size_t live_objects_ = 0;
   std::size_t live_links_ = 0;

@@ -38,7 +38,6 @@ struct EngineMetrics {
   obs::Counter* rows_returned;
   obs::Counter* index_lookups;
   obs::Counter* extent_scans;
-  obs::Counter* index_fallbacks;
   obs::Counter* catalog_materializations;
   obs::Histogram* latency;
 
@@ -62,10 +61,6 @@ struct EngineMetrics {
                          "Ranges resolved through an attribute index");
       em.extent_scans = reg.GetCounter("pool_extent_scans_total",
                                        "Ranges resolved by full extent scan");
-      em.index_fallbacks = reg.GetCounter(
-          "pool_index_fallbacks_total",
-          "Index lookups abandoned mid-plan (index ran ahead of the "
-          "snapshot, or was dropped) and resolved by extent scan instead");
       em.catalog_materializations = reg.GetCounter(
           "pool_catalog_materializations_total",
           "sys.* virtual extents materialized from live server state");
@@ -1215,12 +1210,13 @@ struct AccessPath {
   }
 };
 
-AccessPath ChooseAccessPath(const IndexManager* indexes, const ClassDef* cls,
+AccessPath ChooseAccessPath(const IndexManager* indexes, const DbSnapshot& view,
+                            const ClassDef* cls,
                             const cache::RangeAccess* access) {
   AccessPath path;
   if (indexes == nullptr || access == nullptr) return path;
   for (const cache::RangeAccess::Equality& eq : access->equalities) {
-    if (indexes->HasIndex(cls, eq.attribute)) {
+    if (indexes->HasIndex(view, cls, eq.attribute)) {
       path.lookup = &eq;
       return path;
     }
@@ -1230,7 +1226,7 @@ AccessPath ChooseAccessPath(const IndexManager* indexes, const ClassDef* cls,
     const AttributeDef* def = cls->FindAttribute(b.attribute);
     if (def == nullptr || !BoundFitsDeclaredType(def->type, b.lower) ||
         !BoundFitsDeclaredType(def->type, b.upper) ||
-        !indexes->HasOrderedIndex(cls, b.attribute)) {
+        !indexes->HasOrderedIndex(view, cls, b.attribute)) {
       continue;
     }
     path.range = &b;
@@ -1302,36 +1298,28 @@ Result<std::vector<Value>> QueryEngine::RangeCandidates(
   // conjuncts, which the caller then drops from the per-binding test; any
   // other path's candidates are a superset the whole where clause filters.
   if (cls != nullptr) {
-    const AccessPath path = ChooseAccessPath(indexes_, cls, access);
+    // The path choice and the lookup read the same immutable indexes, the
+    // view's own, so the chosen index is there and matches the records.
+    const AccessPath path = ChooseAccessPath(indexes_, view, cls, access);
     if (path.lookup != nullptr || path.range != nullptr) {
-      // The index probes that chose the path and this lookup are distinct
-      // critical sections, and under MVCC the index may also have run ahead
-      // of the snapshot this query reads through. Either way the lookup
-      // itself is the source of truth: any failure falls through to the
-      // extent scan, which is always correct against the current view and
-      // answers no conjunct.
       auto bound = [](const Expr* e, bool strict) {
-        return IndexManager::RangeBound{
+        return AttributeIndex::RangeBound{
             e != nullptr ? e->literal : Value::Null(), strict};
       };
-      Result<std::vector<Oid>> oids =
+      PROMETHEUS_ASSIGN_OR_RETURN(
+          std::vector<Oid> oids,
           path.lookup != nullptr
-              ? indexes_->Lookup(cls, path.lookup->attribute,
-                                 path.lookup->literal->literal,
-                                 view.index_epoch_ceiling())
+              ? indexes_->Lookup(view, cls, path.lookup->attribute,
+                                 path.lookup->literal->literal)
               : indexes_->RangeLookup(
-                    cls, path.range->attribute,
+                    view, cls, path.range->attribute,
                     bound(path.range->lower, path.range->lower_strict),
-                    bound(path.range->upper, path.range->upper_strict),
-                    view.index_epoch_ceiling());
-      if (oids.ok()) {
-        metrics.index_lookups->Increment();
-        ExtentHeat::Instance().RecordIndexHit(name, oids.value().size());
-        if (strategy != nullptr) *strategy = path.Strategy(name);
-        if (path.exact) *answered = path.range;
-        return refs(oids.value());
-      }
-      metrics.index_fallbacks->Increment();
+                    bound(path.range->upper, path.range->upper_strict)));
+      metrics.index_lookups->Increment();
+      ExtentHeat::Instance().RecordIndexHit(name, oids.size());
+      if (strategy != nullptr) *strategy = path.Strategy(name);
+      if (path.exact) *answered = path.range;
+      return refs(oids);
     }
   }
   metrics.extent_scans->Increment();
@@ -1364,8 +1352,9 @@ Result<std::string> QueryEngine::Explain(const std::string& query,
       out += "catalog materialization of " + range.source_name;
     } else if (const ClassDef* cls = view.FindClass(range.source_name)) {
       auto it = analysis.ranges.find(&range);
-      const AccessPath path = ChooseAccessPath(
-          indexes_, cls, it != analysis.ranges.end() ? &it->second : nullptr);
+      const AccessPath path =
+          ChooseAccessPath(indexes_, view, cls,
+                           it != analysis.ranges.end() ? &it->second : nullptr);
       out += path.Strategy(range.source_name);
       if (path.exact) {
         out += "\n  answered by the index: " + AnsweredText(*path.range);

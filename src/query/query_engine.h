@@ -51,10 +51,11 @@ struct QueryProfile {
 /// uniformly; expressions provide path navigation, selective downcast,
 /// graph traversal (`traverse`, `children`, `parents`, `leaves`), context
 /// restriction and subqueries. When an `IndexManager` is supplied, equality
-/// and range conjuncts over indexed attributes replace extent scans
-/// (6.1.5.2/3). An ordered-index range over a numeric attribute is exact,
-/// so the conjuncts it answered are dropped from the per-binding where
-/// test; every other path's candidates still pass the whole where clause.
+/// and range conjuncts over attributes it indexes in the store being read
+/// replace extent scans (6.1.5.2/3). An ordered-index range over a numeric
+/// attribute is exact, so the conjuncts it answered are dropped from the
+/// per-binding where test; every other path's candidates still pass the
+/// whole where clause.
 ///
 /// Every entry point names the store it reads: a pinned `DbSnapshot`
 /// (`Database::AcquireSnapshot`), or `Database::live_store()` for embedded

@@ -605,7 +605,7 @@ void Server::RegisterSystemCatalog() {
           const pool::ExtentHeat::Counters c = heat_for(cls->name());
           std::vector<std::string> indexed;
           if (indexes_ != nullptr) {
-            indexed = indexes_->IndexedAttributes(cls->name());
+            indexed = indexes_->IndexedAttributes(view, cls->name());
           }
           rows.push_back(Value::MakeStruct(
               {{"class", Value::String(cls->name())},

@@ -61,8 +61,9 @@ class Server {
     /// Bounded queue depth; submissions beyond it are rejected.
     std::size_t queue_capacity = 256;
     /// Optional index layer consulted by query execution. Must outlive the
-    /// server. Index maintenance happens via the database's event bus on
-    /// the mutating worker, i.e. under the write guard.
+    /// server. Its indexes live in the database's store, maintained by the
+    /// mutating worker under the write guard; each query reads the indexes
+    /// of the snapshot it pinned.
     IndexManager* indexes = nullptr;
     /// Queries slower than this are recorded in the slow-query log with
     /// their plan (or full trace when profiled). Negative = disabled (the

@@ -276,6 +276,36 @@ TEST(ServerCacheTest, HitsShareTheCacheEntrysRows) {
   EXPECT_EQ(rows.value().rows, entry->rows);
 }
 
+// An unguarded write (single-threaded use: no request in flight) opens a
+// new epoch, so the next query misses the entry cached before it instead
+// of serving the old rows.
+TEST(ServerCacheTest, UnguardedWriteIsNotServedFromTheCache) {
+  auto db = MakePartsDb();
+  Oid oid;
+  {
+    Database::WriteGuard guard(*db);
+    auto created = db->CreateObject("Part", {{"name", Value::String("bolt")},
+                                             {"a", Value::Int(1)}});
+    ASSERT_TRUE(created.ok());
+    oid = created.value();
+  }
+  Server server(db.get());
+  Client client(&server);
+  const std::string q = "select p.a from Part p";
+  ASSERT_TRUE(client.Call(Request::Query(q)).ok());
+  const Response hit = client.Call(Request::Query(q));
+  ASSERT_TRUE(hit.ok());
+  ASSERT_TRUE(hit.cache_hit);
+
+  ASSERT_TRUE(db->SetAttribute(oid, "a", Value::Int(7)).ok());
+  const Response after = client.Call(Request::Query(q));
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after.cache_hit);
+  EXPECT_GT(after.epoch, hit.epoch);
+  ASSERT_EQ(after.result->rows.size(), 1u);
+  EXPECT_EQ(after.result->rows[0][0].AsInt(), 7);
+}
+
 TEST(ServerCacheTest, HeldResponseOutlivesClearAndWrites) {
   auto db = MakePartsDb();
   Oid oid;

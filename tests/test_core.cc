@@ -64,8 +64,8 @@ TEST(SchemaTest, InheritanceAndAttributeLookup) {
   EXPECT_NE(derived->FindAttribute("name"), nullptr);
   EXPECT_NE(derived->FindAttribute("extra"), nullptr);
   EXPECT_EQ(base->FindAttribute("extra"), nullptr);
-  ASSERT_EQ(base->subclasses().size(), 1u);
-  EXPECT_EQ(base->subclasses()[0], derived);
+  ASSERT_EQ(db.live_store().SubclassesOf(base).size(), 1u);
+  EXPECT_EQ(db.live_store().SubclassesOf(base)[0], derived);
 }
 
 TEST(SchemaTest, AttributeCollisionWithSuperRejected) {

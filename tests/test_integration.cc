@@ -61,7 +61,8 @@ TEST_F(FullStackFixture, RevisionScenarioKeepsEveryLayerConsistent) {
   EXPECT_FALSE(tdb.PublishName("broken", Rank::kGenus, "X.", 1800).ok());
   // The veto left no trace in index or view.
   EXPECT_TRUE(indexes
-                  ->Lookup(tdb.db().FindClass(taxonomy::kNameClass),
+                  ->Lookup(tdb.db().live_store(),
+                           tdb.db().FindClass(taxonomy::kNameClass),
                            "name_element", Value::String("broken"))
                   .value()
                   .empty());
@@ -86,7 +87,8 @@ TEST_F(FullStackFixture, RevisionScenarioKeepsEveryLayerConsistent) {
   EXPECT_EQ(views->Evaluate("genera_names", tdb.db().live_store()).value(),
             std::vector<Oid>{apium});
   EXPECT_TRUE(indexes
-                  ->Lookup(tdb.db().FindClass(taxonomy::kNameClass),
+                  ->Lookup(tdb.db().live_store(),
+                           tdb.db().FindClass(taxonomy::kNameClass),
                            "name_element", Value::String("Draftia"))
                   .value()
                   .empty());

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -755,7 +756,20 @@ TEST(ReplicationE2ETest, RuntimeDdlShipsToFollowers) {
 TEST(ReplicationE2ETest, RestartResumesFromDurableCursor) {
   const std::string leader_dir = FreshDir("repl_resume_leader");
   const std::string follower_dir = FreshDir("repl_resume_follower");
-  auto leader = Leader::Start(leader_dir);
+  // While `hold` is set the leader answers every journal fetch with a 500,
+  // so the restarted follower cannot move past its recovered boundary
+  // before the test has read it.
+  auto hold = std::make_shared<std::atomic<bool>>(false);
+  Leader::Wrap wrap = [hold](const auto& inner, const HttpRequest& req,
+                             bool keep_alive, std::string* out) {
+    if (hold->load() && req.target.rfind("/repl/journal", 0) == 0) {
+      *out = SerializeHttpResponse(500, "text/plain", "held\n", keep_alive);
+      return true;
+    }
+    return inner(req, keep_alive, out);
+  };
+  auto leader =
+      Leader::Start(leader_dir, ReplicationSource::Options{}, wrap);
   ASSERT_NE(leader, nullptr);
   Client writer(leader->server.get());
   for (int i = 0; i < 20; ++i) {
@@ -786,12 +800,14 @@ TEST(ReplicationE2ETest, RestartResumesFromDurableCursor) {
                     .ok());
   }
 
+  hold->store(true);
   auto follower = Follower::Start(
       FollowerOptions(follower_dir, leader->port(), "resume"));
   ASSERT_TRUE(follower.ok());
   // Local recovery must land exactly on the mirror's committed boundary —
   // the implicit durable cursor — before any fetch happens.
   EXPECT_EQ(follower.value()->progress().offset, resumed_offset);
+  hold->store(false);
   ASSERT_TRUE(follower.value()->WaitCaughtUp(10000));
   EXPECT_EQ(follower.value()->progress().rebootstraps, 0u);
 
